@@ -218,11 +218,18 @@ func faultGolden(kind string, scheme mac.Scheme) (string, uint64) {
 // arrivals, per-flow traffic sources, FCT accounting — hashed over every
 // per-flow outcome (endpoints, model, arrival time, delivered bytes, FCT
 // bits), the aggregate and per-model summaries, churn counters and
-// per-node counters.
-func scenarioGolden(mode string, scheme mac.Scheme) (string, uint64) {
+// per-node counters. kind is a traffic mode, or "faults": an open-loop
+// run with a crash + flap + partition faults section (as in
+// examples/scenarios/faulty-mesh.json), whose hash adds every fault
+// counter, the degradation metrics and each flow's killed flag.
+func scenarioGolden(kind string, scheme mac.Scheme) (string, uint64) {
+	mode := kind
+	if kind == "faults" {
+		mode = traffic.ModeOpen
+	}
 	sc := traffic.Scenario{
 		Version:   traffic.SchemaVersion,
-		Name:      "golden-" + mode,
+		Name:      "golden-" + kind,
 		Seed:      1,
 		DurationS: 20,
 		DeadlineS: 60,
@@ -240,10 +247,17 @@ func scenarioGolden(mode string, scheme mac.Scheme) (string, uint64) {
 			},
 		},
 	}
+	if kind == "faults" {
+		sc.Faults = &traffic.Faults{
+			CrashMTBFS: 20, CrashMTTRS: 8,
+			FlapMTBFS: 20, FlapMTTRS: 2,
+			Partitions: []traffic.PartitionSpec{{StartS: 5, DurationS: 6, Axis: "x", At: 1.5}},
+		}
+	}
 	res := core.RunScenario(core.ScenarioConfig{Scenario: sc, Scheme: scheme})
 	var w strings.Builder
 	fmt.Fprintf(&w, "scenario mode=%s scheme=%s nodes=%d links=%d deg=%s elapsed=%d events=%d\n",
-		mode, res.Scheme, res.NodeCount, res.LinkCount, hexFloat(res.AvgDegree),
+		kind, res.Scheme, res.NodeCount, res.LinkCount, hexFloat(res.AvgDegree),
 		int64(res.Elapsed), res.EventsRun)
 	fmt.Fprintf(&w, "churn started=%d done=%d abandoned=%d skipped=%d peak=%d\n",
 		res.FlowsStarted, res.FlowsCompleted, res.FlowsAbandoned, res.FlowsSkipped, res.PeakActive)
@@ -258,6 +272,18 @@ func scenarioGolden(mode string, scheme mac.Scheme) (string, uint64) {
 	for _, f := range res.Flows {
 		fmt.Fprintf(&w, "flow %d->%d model=%d hops=%d start=%d bytes=%d done=%v fct=%d\n",
 			int(f.Server), int(f.Client), f.Model, f.Hops, int64(f.Start), f.Bytes, f.Done, int64(f.FCT))
+	}
+	if kind == "faults" {
+		fmt.Fprintf(&w, "churn ups=%d downs=%d flaps=%d recomputes=%d\n",
+			res.LinkUps, res.LinkDowns, res.RouteFlaps, res.RouteRecomputes)
+		fmt.Fprintf(&w, "faults crashes=%d recoveries=%d flapdowns=%d flapups=%d parts=%d/%d bursts=%d\n",
+			res.NodeCrashes, res.NodeRecoveries, res.FaultLinkDowns, res.FaultLinkUps,
+			res.PartitionsStarted, res.PartitionsHealed, res.SNRBursts)
+		fmt.Fprintf(&w, "degradation killed=%d avail=%s heal=%d\n",
+			res.FlowsKilledByFault, hexFloat(res.Availability), int64(res.MeanHealLatency))
+		for _, f := range res.Flows {
+			fmt.Fprintf(&w, "killed=%v\n", f.Killed)
+		}
 	}
 	hashNodes(&w, res.Nodes)
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(w.String()))), res.EventsRun
@@ -325,6 +351,7 @@ func runGoldens() map[string]goldenEntry {
 	}{
 		{traffic.ModeOpen, mac.BA},
 		{traffic.ModeClosed, mac.UA},
+		{"faults", mac.BA},
 	} {
 		h, ev := scenarioGolden(sg.mode, sg.scheme)
 		got[fmt.Sprintf("scenario-%s/%s", sg.mode, sg.scheme.Name())] = goldenEntry{Hash: h, EventsRun: ev}
