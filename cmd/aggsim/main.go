@@ -228,12 +228,24 @@ func main() {
 		// side output the cache could neither replay nor invalidate on.
 		fatal(fmt.Errorf("-metrics cannot be combined with -store"))
 	}
-	if *chromeTrace != "" && (*topo == "" || *shards <= 0) {
+	if *chromeTrace != "" && *topo == "" {
 		fatal(fmt.Errorf("-chrome-trace requires a sharded mesh run (-topo with -shards >= 1)"))
 	}
 	faultCfg, err := faultConfig(*crashMTBF, *crashMTTR, *flapRate, *flapDown, *partitions, *snrBurst, *snrBurstDB)
 	if err != nil {
 		fatal(err)
+	}
+	// The -topo flags: a mesh run's config, and the topology and mobility
+	// of an ad-hoc workload.
+	mesh := core.MeshTCPConfig{
+		Scheme: schemes[0], Rate: rates[0],
+		Topology: *topo, Nodes: *nodes, Flows: *flows,
+		Chains: *chains, ChainHops: *chainHops, CrossFlows: *crossFl,
+		MinHops: *minHops, DenseScan: *dense, SparseRoutes: *sparseRt, Shards: *shards,
+		Mobility: *mobility, Speed: *speed, Pause: *pause, MoveInterval: *moveIv,
+		Faults:    faultCfg,
+		FileBytes: *file, MaxAggBytes: *agg, Seed: *seed,
+		TraceTo: traceTo, TraceNodes: traceNodes, TraceFormat: *traceFmt,
 	}
 
 	if *blockProf != "" {
@@ -275,7 +287,7 @@ func main() {
 			parallel: *parallel, jsonOut: *jsonOut, progress: *progress,
 			verbose: *verbose, traceTo: traceTo, traceNodes: traceNodes,
 			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			st: openStore(*storeDir), resume: *resume, retries: *retries,
+			storeDir: *storeDir, resume: *resume, retries: *retries,
 		})
 		return
 	}
@@ -300,8 +312,8 @@ func main() {
 		if *sparseRt {
 			fatal(fmt.Errorf("-sparse-routes applies to static -topo TCP runs only"))
 		}
-		if *shards != 0 {
-			fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
+		if *shards != 0 || *chromeTrace != "" {
+			fatal(fmt.Errorf("-shards/-chrome-trace apply to static -topo TCP runs only"))
 		}
 		if faultCfg != nil {
 			fatal(fmt.Errorf("fault flags apply to -topo mesh runs only, not workload mode"))
@@ -310,14 +322,7 @@ func main() {
 		if model == "tcp" {
 			model = wl.Pareto // web-like objects by default
 		}
-		ma := meshArgs{
-			topo: *topo, rate: rates[0],
-			nodes: *nodes, chains: *chains, chainHops: *chainHops,
-			minHops: *minHops, mobility: *mobility, speed: *speed,
-			pause: *pause, moveIv: *moveIv,
-			file: *file, agg: *agg, seed: *seed,
-		}
-		sc, err := adhocScenario(ma, model, *arrival, *users, *think, *dur, schemes)
+		sc, err := adhocScenario(mesh, model, *arrival, *users, *think, *dur, schemes)
 		if err != nil {
 			fatal(err)
 		}
@@ -326,7 +331,7 @@ func main() {
 			parallel: *parallel, jsonOut: *jsonOut, progress: *progress,
 			verbose: *verbose, traceTo: traceTo, traceNodes: traceNodes,
 			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			st: openStore(*storeDir), resume: *resume, retries: *retries,
+			storeDir: *storeDir, resume: *resume, retries: *retries,
 		})
 		return
 	}
@@ -335,21 +340,11 @@ func main() {
 		fatal(fmt.Errorf("unknown traffic %q (tcp|udp; traffic models need -arrival-rate or -users)", *traffic))
 	}
 
-	switch *mobility {
-	case "", core.MobilityWaypoint, core.MobilityDrift:
-	default:
-		fatal(fmt.Errorf("unknown -mobility %q (waypoint|drift)", *mobility))
-	}
 	if *mobility != "" && *topo == "" {
 		fatal(fmt.Errorf("-mobility requires a mesh topology (-topo grid|disk|chains)"))
 	}
 
 	if *topo != "" {
-		switch *topo {
-		case core.MeshGrid, core.MeshDisk, core.MeshChains:
-		default:
-			fatal(fmt.Errorf("unknown -topo %q (grid|disk|chains)", *topo))
-		}
 		if *traffic != "tcp" {
 			fatal(fmt.Errorf("-topo supports TCP traffic only"))
 		}
@@ -362,40 +357,16 @@ func main() {
 		if *storeDir != "" {
 			fatal(fmt.Errorf("-store applies to sweeps and scenario runs, not single mesh runs"))
 		}
-		if *shards < 0 || *shards > core.MaxShards {
-			fatal(fmt.Errorf("-shards must be in 0..%d", core.MaxShards))
+		if *chromeTrace != "" {
+			// A stand-in for Validate: runMesh creates the file only once
+			// the config has passed (usage errors touch no file).
+			mesh.ShardTrace = io.Discard
 		}
-		if *shards > 0 {
-			switch {
-			case *mobility != "":
-				fatal(fmt.Errorf("-shards supports static topologies only (drop -mobility)"))
-			case *dense:
-				fatal(fmt.Errorf("-shards requires the neighbor-indexed medium (drop -dense-scan)"))
-			case traceTo != nil:
-				fatal(fmt.Errorf("-shards cannot stream the channel timeline (drop -trace)"))
-			case faultCfg != nil:
-				fatal(fmt.Errorf("-shards cannot run with fault injection (drop the fault flags)"))
-			}
+		if err := mesh.Validate(); err != nil {
+			fatal(err)
 		}
-		if *sparseRt {
-			switch {
-			case *mobility != "":
-				fatal(fmt.Errorf("-sparse-routes supports static topologies only (drop -mobility)"))
-			case faultCfg != nil:
-				fatal(fmt.Errorf("-sparse-routes cannot run with fault injection (crash recovery rebuilds full route tables)"))
-			}
-		}
-		runMesh(meshArgs{
-			topo: *topo, scheme: schemes[0], rate: rates[0],
-			nodes: *nodes, flows: *flows, chains: *chains, chainHops: *chainHops,
-			crossFlows: *crossFl, minHops: *minHops, dense: *dense, sparseRoutes: *sparseRt, shards: *shards,
-			mobility: *mobility, speed: *speed, pause: *pause, moveIv: *moveIv,
-			faults: faultCfg,
-			file:   *file, agg: *agg, seed: *seed, verbose: *verbose,
-			jsonOut: *jsonOut, traceTo: traceTo, traceNodes: traceNodes,
-			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			chromeTrace: *chromeTrace,
-		})
+		mesh.Metrics = recorder(*metricsPath, *metricsIv)
+		runMesh(mesh, *metricsPath, *chromeTrace, *jsonOut, *verbose)
 		return
 	}
 	if *shards != 0 {
@@ -716,33 +687,6 @@ func runSingle(a singleArgs) {
 	}
 }
 
-type meshArgs struct {
-	topo              string
-	scheme            mac.Scheme
-	rate              phy.Rate
-	nodes, flows      int
-	chains, chainHops int
-	crossFlows        int
-	minHops           int
-	dense             bool
-	sparseRoutes      bool
-	shards            int
-	mobility          string
-	speed             float64
-	pause, moveIv     time.Duration
-	faults            *faults.Config
-	file, agg         int
-	seed              int64
-	verbose           bool
-	jsonOut           bool
-	traceTo           io.Writer
-	traceNodes        []int
-	traceFormat       string
-	metrics           string
-	metricsIv         time.Duration
-	chromeTrace       string
-}
-
 // faultConfig assembles the fault-injection config from the CLI flags; it
 // returns nil when no fault flag was set.
 func faultConfig(crashMTBF, crashMTTR time.Duration, flapRate float64, flapDown time.Duration,
@@ -786,29 +730,17 @@ func faultConfig(crashMTBF, crashMTTR time.Duration, flapRate float64, flapDown 
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	return cfg, nil
 }
 
-func runMesh(a meshArgs) {
-	rec := recorder(a.metrics, a.metricsIv)
-	cfg := core.MeshTCPConfig{
-		Scheme: a.scheme, Rate: a.rate,
-		Topology: a.topo, Nodes: a.nodes, Flows: a.flows,
-		Chains: a.chains, ChainHops: a.chainHops, CrossFlows: a.crossFlows,
-		MinHops: a.minHops, DenseScan: a.dense, SparseRoutes: a.sparseRoutes, Shards: a.shards,
-		Mobility: a.mobility, Speed: a.speed, Pause: a.pause, MoveInterval: a.moveIv,
-		Faults:    a.faults,
-		FileBytes: a.file, MaxAggBytes: a.agg, Seed: a.seed,
-		TraceTo: a.traceTo, TraceNodes: a.traceNodes,
-		TraceFormat: a.traceFormat, Metrics: rec,
-	}
+// runMesh runs a validated mesh config; chromeTrace names the file that
+// receives its shard trace ("" for none).
+func runMesh(cfg core.MeshTCPConfig, metricsPath, chromeTrace string, jsonOut, verbose bool) {
+	rec := cfg.Metrics
 	var chromeFile *os.File
-	if a.chromeTrace != "" {
+	if chromeTrace != "" {
 		var err error
-		if chromeFile, err = os.Create(a.chromeTrace); err != nil {
+		if chromeFile, err = os.Create(chromeTrace); err != nil {
 			runFail(err)
 		}
 		cfg.ShardTrace = chromeFile
@@ -818,24 +750,24 @@ func runMesh(a meshArgs) {
 		if err := chromeFile.Close(); err != nil {
 			runFail(err)
 		}
-		fmt.Fprintf(os.Stderr, "aggsim: chrome trace written to %s\n", a.chromeTrace)
+		fmt.Fprintf(os.Stderr, "aggsim: chrome trace written to %s\n", chromeTrace)
 	}
-	writeMetrics(rec, a.metrics)
-	if a.jsonOut {
+	writeMetrics(rec, metricsPath)
+	if jsonOut {
 		writeJSON(jsonResult{Kind: "mesh", Mesh: &res, Telemetry: rec.Summary()})
 		return
 	}
 	fmt.Printf("scheme=%s rate=%v topology=%s nodes=%d links=%d avg-degree=%.1f\n",
-		a.scheme.Name(), a.rate, a.topo, res.NodeCount, res.LinkCount, res.AvgDegree)
+		cfg.Scheme.Name(), cfg.Rate, cfg.Topology, res.NodeCount, res.LinkCount, res.AvgDegree)
 	if res.Shards > 0 {
 		fmt.Printf("parallel engine: %d shards, %d events executed\n", res.Shards, res.EventsRun)
 	}
-	if a.mobility != "" {
+	if cfg.Mobility != "" {
 		fmt.Printf("mobility=%s speed=%g interval=%v: %d link ups, %d link downs, %d route flaps over %d recomputes\n",
-			a.mobility, a.speed, a.moveIv,
+			cfg.Mobility, cfg.Speed, cfg.MoveInterval,
 			res.LinkUps, res.LinkDowns, res.RouteFlaps, res.RouteRecomputes)
 	}
-	if a.faults != nil {
+	if cfg.Faults != nil {
 		fmt.Printf("faults: %d crashes (%d recovered), %d flap downs (%d restored), %d/%d partitions healed, %d SNR bursts\n",
 			res.NodeCrashes, res.NodeRecoveries, res.FaultLinkDowns, res.FaultLinkUps,
 			res.PartitionsHealed, res.PartitionsStarted, res.SNRBursts)
@@ -854,7 +786,7 @@ func runMesh(a meshArgs) {
 	if !res.Completed {
 		fmt.Println("WARNING: not all flows completed before the deadline")
 	}
-	if a.verbose {
+	if verbose {
 		printNodes(res.Nodes)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"aggmac/internal/core"
 	"aggmac/internal/mac"
 	"aggmac/internal/runner"
-	"aggmac/internal/store"
 	"aggmac/internal/telemetry"
 	"aggmac/internal/traffic"
 )
@@ -53,16 +52,16 @@ type scenarioArgs struct {
 	traceFormat string
 	metrics     string // telemetry JSONL path; "" = metrics off
 	metricsIv   time.Duration
-	st          *store.Store // nil = no durable store
+	storeDir    string // "" = no durable store
 	resume      bool
 	retries     int
 }
 
 // adhocScenario assembles a Scenario from CLI flags: the -topo mesh flags
-// shape the topology (including -rate, carried as the PHY rate), -traffic
-// names a single traffic model, and -arrival-rate / -users pick the
-// arrival discipline.
-func adhocScenario(a meshArgs, model string, arrivalRate float64, users int, think, dur time.Duration, schemes []mac.Scheme) (traffic.Scenario, error) {
+// shape the topology and mobility (including -rate, carried as the PHY
+// rate), -traffic names a single traffic model, and -arrival-rate /
+// -users pick the arrival discipline.
+func adhocScenario(a core.MeshTCPConfig, model string, arrivalRate float64, users int, think, dur time.Duration, schemes []mac.Scheme) (traffic.Scenario, error) {
 	mode := traffic.ModeOpen
 	if users > 0 {
 		mode = traffic.ModeClosed
@@ -73,9 +72,9 @@ func adhocScenario(a meshArgs, model string, arrivalRate float64, users int, thi
 	m := traffic.Model{Kind: model}
 	switch model {
 	case traffic.Bulk:
-		m.Bytes = a.file
+		m.Bytes = a.FileBytes
 	case traffic.Pareto:
-		m.Bytes = a.file
+		m.Bytes = a.FileBytes
 	case traffic.CBR, traffic.Poisson, traffic.OnOff:
 		m.DurationS = dur.Seconds()
 	default:
@@ -88,28 +87,28 @@ func adhocScenario(a meshArgs, model string, arrivalRate float64, users int, thi
 	sc := traffic.Scenario{
 		Version:     traffic.SchemaVersion,
 		Name:        fmt.Sprintf("adhoc-%s-%s", mode, model),
-		Seed:        a.seed,
+		Seed:        a.Seed,
 		DurationS:   dur.Seconds(),
 		Schemes:     names,
-		RateMbps:    a.rate.Mbps(),
-		MaxAggBytes: a.agg,
+		RateMbps:    a.Rate.Mbps(),
+		MaxAggBytes: a.MaxAggBytes,
 		Topology: traffic.Topology{
-			Kind: a.topo, Nodes: a.nodes,
-			Chains: a.chains, ChainHops: a.chainHops,
+			Kind: a.Topology, Nodes: a.Nodes,
+			Chains: a.Chains, ChainHops: a.ChainHops,
 		},
 		Traffic: traffic.Traffic{
 			Mode:        mode,
 			ArrivalRate: arrivalRate,
 			Users:       users,
 			ThinkS:      think.Seconds(),
-			MinHops:     a.minHops,
+			MinHops:     a.MinHops,
 			Mix:         []traffic.WeightedModel{{Model: m, Weight: 1}},
 		},
 	}
-	if a.mobility != "" {
+	if a.Mobility != "" {
 		sc.Mobility = &traffic.Mobility{
-			Model: a.mobility, Speed: a.speed,
-			PauseS: a.pause.Seconds(), MoveIntervalS: a.moveIv.Seconds(),
+			Model: a.Mobility, Speed: a.Speed,
+			PauseS: a.Pause.Seconds(), MoveIntervalS: a.MoveInterval.Seconds(),
 		}
 	}
 	if err := sc.Validate(); err != nil {
@@ -119,7 +118,8 @@ func adhocScenario(a meshArgs, model string, arrivalRate float64, users int, thi
 }
 
 // runScenarios executes the scenario once per scheme across the worker
-// pool and prints per-scheme reports in scheme order.
+// pool and prints per-scheme reports in scheme order. It validates every
+// run's config before it opens the store: usage errors never touch it.
 func runScenarios(a scenarioArgs) {
 	if a.seed != 0 {
 		// Reflect an explicit -seed in the scenario itself so the printed
@@ -142,19 +142,23 @@ func runScenarios(a scenarioArgs) {
 			TraceTo: a.traceTo, TraceNodes: a.traceNodes,
 			TraceFormat: a.traceFormat, Metrics: rec,
 		}
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
 		specs[i] = runner.Spec{
 			Key:      fmt.Sprintf("scenario/%s/%s", a.sc.Name, scheme.Name()),
 			Scenario: &cfg,
 		}
 	}
+	st := openStore(a.storeDir)
 	pool := runner.Pool{Workers: a.parallel,
 		Retry: runner.RetryPolicy{MaxAttempts: a.retries + 1}}
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}
 	var cached, executed, retried int
-	if a.st != nil {
-		pool.Cache = a.st
+	if st != nil {
+		pool.Cache = st
 		pool.Resume = a.resume
 		user := pool.OnResult
 		pool.OnResult = func(p runner.Progress) {
@@ -191,9 +195,9 @@ func runScenarios(a scenarioArgs) {
 			results = append(results, rs...)
 		}
 	}
-	if a.st != nil {
-		storeSummary(a.st, cached, executed, retried)
-		a.st.Close()
+	if st != nil {
+		storeSummary(st, cached, executed, retried)
+		st.Close()
 	}
 	for _, r := range results {
 		if r.Err != nil {

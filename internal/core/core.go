@@ -129,9 +129,11 @@ func (c *TCPConfig) fill() {
 	}
 }
 
-func (c *TCPConfig) phyParams() phy.Params {
-	if c.Phy != nil {
-		return *c.Phy
+// phyParams resolves a config's Phy override: nil means the calibrated
+// defaults.
+func phyParams(p *phy.Params) phy.Params {
+	if p != nil {
+		return *p
 	}
 	return phy.DefaultParams()
 }
@@ -171,35 +173,25 @@ type session struct {
 // RunTCP executes the experiment.
 func RunTCP(cfg TCPConfig) TCPResult {
 	cfg.fill()
-	tcfg := cfg.TCP
-	if tcfg.MSS == 0 {
-		tcfg = tcp.DefaultConfig()
-	}
 
 	var net *topology.Network
 	var sessions []*session
 	var roleOf func(i, n int) string
 	if cfg.Star {
 		relay := func(i, n int) bool { return i == topology.StarCenter }
-		net = topology.NewStar(topology.Config{Seed: cfg.Seed, Phy: cfg.phyParams(), OptsFor: cfg.macOptsFor(relay)})
+		net = topology.NewStar(topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(relay)})
 		for si, srv := range topology.StarServers() {
 			sessions = append(sessions, &session{server: srv, client: topology.StarClient, port: uint16(8000 + si)})
 		}
 		roleOf = func(i, n int) string { return topology.StarRole(i) }
 	} else {
-		net = topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: cfg.phyParams(), OptsFor: cfg.macOptsFor(topology.IsRelay)})
+		net = topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(topology.IsRelay)})
 		sessions = append(sessions, &session{server: 0, client: network.NodeID(cfg.Hops), port: 8000})
 		roleOf = topology.LinearRole
 	}
 
-	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
-		net.Medium.SetObserver(obs)
-	}
-
-	stacks := make([]*tcp.Stack, len(net.Nodes))
-	for i, node := range net.Nodes {
-		stacks[i] = tcp.NewStack(net.Sched, node, tcfg)
-	}
+	attachTrace(net, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
+	stacks := newStacks(net, cfg.TCP)
 
 	remaining := len(sessions)
 	conns := make([]*tcp.Conn, len(sessions))
@@ -237,9 +229,7 @@ func RunTCP(cfg TCPConfig) TCPResult {
 		})
 	}
 
-	if cfg.Metrics != nil {
-		reg := cfg.Metrics.Registry(0)
-		registerRunMetrics(reg, net.Sched, net.Medium, net.Nodes, stacks, cfg.MaxAggBytes)
+	startMetrics(cfg.Metrics, 0, net, stacks, cfg.MaxAggBytes, cfg.Deadline, func(reg *telemetry.Registry) {
 		for i := range sessions {
 			i := i
 			// Both connection slots stay nil until the handshake events
@@ -257,8 +247,7 @@ func RunTCP(cfg TCPConfig) TCPResult {
 				return conns[i].SRTT().Seconds()
 			})
 		}
-		reg.Start(net.Sched, cfg.Metrics.Interval(), cfg.Deadline)
-	}
+	})
 
 	net.Sched.RunUntil(cfg.Deadline)
 
@@ -290,15 +279,7 @@ func RunTCP(cfg TCPConfig) TCPResult {
 			res.ThroughputMbps = m
 		}
 	}
-	for i, node := range net.Nodes {
-		res.Nodes = append(res.Nodes, NodeReport{
-			ID:            i,
-			Role:          roleOf(i, len(net.Nodes)),
-			MAC:           node.MAC().Counters(),
-			Net:           node.Stats(),
-			PreambleBytes: node.MAC().PreambleBytesPerTx(),
-		})
-	}
+	res.Nodes = nodeReports(net.Nodes, roleOf)
 	return res
 }
 
@@ -363,19 +344,13 @@ func RunUDP(cfg UDPConfig) UDPResult {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 2 * time.Second
 	}
-	params := phy.DefaultParams()
-	if cfg.Phy != nil {
-		params = *cfg.Phy
-	}
 	optsFor := func(i, n int) mac.Options {
 		opts := mac.DefaultOptions(cfg.Scheme, cfg.Rate)
 		opts.MaxAggBytes = cfg.MaxAggBytes
 		return opts
 	}
-	net := topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: params, OptsFor: optsFor})
-	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
-		net.Medium.SetObserver(obs)
-	}
+	net := topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: optsFor})
+	attachTrace(net, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 
 	eps := make([]*udp.Endpoint, len(net.Nodes))
 	for i, node := range net.Nodes {
@@ -406,11 +381,7 @@ func RunUDP(cfg UDPConfig) UDPResult {
 			g.Start()
 		}
 	})
-	if cfg.Metrics != nil {
-		reg := cfg.Metrics.Registry(0)
-		registerRunMetrics(reg, net.Sched, net.Medium, net.Nodes, nil, cfg.MaxAggBytes)
-		reg.Start(net.Sched, cfg.Metrics.Interval(), cfg.Duration)
-	}
+	startMetrics(cfg.Metrics, 0, net, nil, cfg.MaxAggBytes, cfg.Duration, nil)
 	net.Sched.RunUntil(cfg.Duration)
 	sender.Stop()
 	for _, g := range gens {
@@ -429,15 +400,7 @@ func RunUDP(cfg UDPConfig) UDPResult {
 	for _, c := range counters {
 		res.FloodsRcvd += c.Received
 	}
-	for i, node := range net.Nodes {
-		res.Nodes = append(res.Nodes, NodeReport{
-			ID:            i,
-			Role:          topology.LinearRole(i, len(net.Nodes)),
-			MAC:           node.MAC().Counters(),
-			Net:           node.Stats(),
-			PreambleBytes: node.MAC().PreambleBytesPerTx(),
-		})
-	}
+	res.Nodes = nodeReports(net.Nodes, topology.LinearRole)
 	return res
 }
 

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -90,7 +89,7 @@ type MeshTCPConfig struct {
 	// overheard-broadcast-ACK forwarding — reads the same table entry the
 	// full install would have written (pinned by the sparse-routes
 	// equivalence test). Static topologies only: mobility and fault
-	// recovery rebuild full tables and are rejected.
+	// recovery rebuild full tables, so Validate rejects them.
 	SparseRoutes bool
 	// Shards selects the sharded parallel engine: the mesh is partitioned
 	// into Shards contiguous spatial domains, each running its own event
@@ -99,8 +98,8 @@ type MeshTCPConfig struct {
 	// is byte-identical to sequential; Shards > 1 is statistically
 	// equivalent (cross-shard carrier sense inside the first lookahead
 	// window of a frame is approximated) and deterministic for a given
-	// shard count. Static topologies only: Mobility, DenseScan and TraceTo
-	// are rejected.
+	// shard count. At most MaxShards. Static topologies only: Validate
+	// rejects Mobility, Faults, DenseScan and TraceTo.
 	Shards int
 	// Mobility selects a node-motion model: "" (static, the default),
 	// MobilityWaypoint or MobilityDrift. Moving nodes change link
@@ -121,7 +120,8 @@ type MeshTCPConfig struct {
 	// crashed node's MAC is detached and reset, its TCP connections are
 	// aborted in place, and flows terminating at it are marked killed;
 	// links cut by faults reconcile through the same incremental paths
-	// mobility uses. Sequential engine only: rejected with Shards > 0.
+	// mobility uses. Sequential engine only: Validate rejects it with
+	// Shards > 0.
 	Faults *faults.Config
 	// WallBudget bounds the run's real elapsed time; past it the scheduler
 	// panics with *sim.WallBudgetError (the runner converts that into a
@@ -187,6 +187,21 @@ type MeshResult struct {
 	// Shards records the engine that produced the run: 0 for the
 	// sequential scheduler, otherwise the parallel shard count.
 	Shards int
+	// Dynamics holds the topology shape, mobility churn and fault
+	// counters.
+	Dynamics
+	// MaxFlowStall/MeanFlowStall summarize per-flow Stall values — how
+	// long traffic froze while routes repaired around failures.
+	MaxFlowStall, MeanFlowStall time.Duration
+	// Nodes holds per-node counters (role is "server"/"client"/"relay" by
+	// the node's part in the traffic, else "idle").
+	Nodes []NodeReport
+}
+
+// Dynamics is the topology-dynamics outcome MeshResult and ScenarioResult
+// both embed. Its fields encode inline: the JSON field names and their
+// order are those the two results have always had.
+type Dynamics struct {
 	// Topology shape: NodeCount is fixed; LinkCount and AvgDegree are
 	// measured at the end of the run (mobility churns them).
 	NodeCount, LinkCount int
@@ -199,11 +214,11 @@ type MeshResult struct {
 	LinkUps, LinkDowns int
 	RouteFlaps         int
 	RouteRecomputes    int
-	// Fault-injection outcome (all zero, with Availability 1, when Faults
-	// is unset). NodeCrashes/NodeRecoveries count observed node state
-	// changes; FaultLinkDowns/FaultLinkUps count link-flap edges;
-	// PartitionsStarted/PartitionsHealed count partition windows opening
-	// and closing; SNRBursts counts degradation bursts that began.
+	// Fault-injection outcome (all zero, with Availability 1, when no
+	// faults are configured). NodeCrashes/NodeRecoveries count observed
+	// node state changes; FaultLinkDowns/FaultLinkUps count link-flap
+	// edges; PartitionsStarted/PartitionsHealed count partition windows
+	// opening and closing; SNRBursts counts degradation bursts that began.
 	NodeCrashes, NodeRecoveries         int
 	FaultLinkDowns, FaultLinkUps        int
 	PartitionsStarted, PartitionsHealed int
@@ -216,12 +231,6 @@ type MeshResult struct {
 	// the scheduled window end and the dynamics tick that restored links —
 	// the reconnection latency the periodic reconcile imposes.
 	MeanHealLatency time.Duration
-	// MaxFlowStall/MeanFlowStall summarize per-flow Stall values — how
-	// long traffic froze while routes repaired around failures.
-	MaxFlowStall, MeanFlowStall time.Duration
-	// Nodes holds per-node counters (role is "server"/"client"/"relay" by
-	// the node's part in the traffic, else "idle").
-	Nodes []NodeReport
 }
 
 func (c *MeshTCPConfig) fill() {
@@ -251,13 +260,6 @@ func (c *MeshTCPConfig) fill() {
 	}
 }
 
-func (c *MeshTCPConfig) phyParams() phy.Params {
-	if c.Phy != nil {
-		return *c.Phy
-	}
-	return phy.DefaultParams()
-}
-
 // optsFor returns node i's MAC options (shared by the sequential build and
 // the sharded rebuild, which must configure identical MACs).
 func (c *MeshTCPConfig) optsFor(i, n int) mac.Options {
@@ -274,25 +276,23 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 	mcfg := topology.MeshConfig{
 		Config: topology.Config{
 			Seed:    c.Seed,
-			Phy:     c.phyParams(),
+			Phy:     phyParams(c.Phy),
 			OptsFor: c.optsFor,
 		},
 		Radio:       c.Radio,
 		DeferRoutes: c.SparseRoutes,
 	}
 	switch c.Topology {
-	case MeshGrid:
+	case MeshDisk:
+		return topology.NewRandomDisk(c.Nodes, mcfg)
+	case MeshChains:
+		return topology.NewParallelChains(c.Chains, c.ChainHops, c.RowSpacing, mcfg)
+	default: // MeshGrid; Validate rejects every other kind
 		k := int(math.Sqrt(float64(c.Nodes)))
 		if k < 2 {
 			k = 2
 		}
 		return topology.NewGrid(k, mcfg)
-	case MeshDisk:
-		return topology.NewRandomDisk(c.Nodes, mcfg)
-	case MeshChains:
-		return topology.NewParallelChains(c.Chains, c.ChainHops, c.RowSpacing, mcfg)
-	default:
-		panic(fmt.Sprintf("core: unknown mesh topology %q", c.Topology))
 	}
 }
 
@@ -308,6 +308,8 @@ type meshFlow struct {
 	lastProgress   sim.Time
 	maxStall       time.Duration
 }
+
+func (f *meshFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.client }
 
 // planFlows picks the experiment's sessions deterministically from the
 // seed: chains get one flow along each chain plus CrossFlows column flows;
@@ -412,54 +414,44 @@ func flowEndpoints(flows []*meshFlow) []int {
 	return ids
 }
 
-// mobilityChurn accumulates the topology-dynamics counters of a run:
-// mobility link churn plus fault-injection observations.
-type mobilityChurn struct {
-	LinkUps, LinkDowns int
-	RouteFlaps         int
-	Recomputes         int
-
-	Crashes, Recoveries          int
-	FaultLinkDowns, FaultLinkUps int
-	PartStarts, PartHeals        int
-	Bursts                       int
-	HealLatency                  time.Duration
-	set                          *faults.Set // nil when faults are off
-}
-
-// dynamicsHooks let the run layer react to observed node state changes
-// before the tick's link reconcile runs.
-type dynamicsHooks struct {
-	onCrash, onRecover func(node int)
-}
-
 // startDynamics wires the topology-dynamics tick shared by RunMeshTCP and
-// RunScenario: a periodic event on the mesh's scheduler advances node
+// RunScenario, configured by cfg's Mobility, Speed, Pause, MoveInterval,
+// Faults and Seed: a periodic event on the mesh's scheduler advances node
 // positions and fault processes together, reconciles link state through
 // the medium's incremental SetConnected/SetSNR paths, and recomputes
 // shortest-path routes with flap accounting. With neither mobility nor
 // faults configured it schedules nothing, so a static run's event
 // sequence — and golden hash — is untouched; fault processes draw only
 // from their private streams, so enabling them perturbs no other draw.
-func startDynamics(m *topology.Mesh, model string, speed float64, pause, interval time.Duration,
-	fcfg *faults.Config, seed int64, hooks dynamicsHooks) *mobilityChurn {
-	churn := &mobilityChurn{}
+//
+// A crashed node's MAC goes down and drops its queues, its TCP
+// connections abort in place and kill marks the flows ending there; a
+// recovered node's MAC comes back up. Both happen before the tick's link
+// reconcile, so a crashed node's MAC and transport die in the same tick
+// its links are cut.
+//
+// It returns the counters the ticks accumulate (finish completes them)
+// and the fault set, nil without faults.
+func startDynamics(m *topology.Mesh, cfg *MeshTCPConfig, stacks []*tcp.Stack,
+	kill func(network.NodeID)) (*Dynamics, *faults.Set) {
+	d := &Dynamics{}
 	var mob topology.Model
-	if model != "" {
+	if cfg.Mobility != "" {
 		var err error
-		mob, err = topology.NewMobility(model, m, speed, pause, seed)
+		mob, err = topology.NewMobility(cfg.Mobility, m, cfg.Speed, cfg.Pause, cfg.Seed)
 		if err != nil {
-			panic(err.Error())
+			panic(err) // Validate rejects unknown models first
 		}
 	}
-	if fcfg.Enabled() {
-		churn.set = faults.New(*fcfg.Clone(), m, seed)
-		m.SetOverlay(churn.set)
+	var set *faults.Set
+	if cfg.Faults.Enabled() {
+		set = faults.New(*cfg.Faults.Clone(), m, cfg.Seed)
+		m.SetOverlay(set)
 	}
-	if mob == nil && churn.set == nil {
-		return churn
+	if mob == nil && set == nil {
+		return d, nil
 	}
-	iv := interval
+	iv := cfg.MoveInterval
 	if iv <= 0 {
 		iv = time.Second
 	}
@@ -470,110 +462,96 @@ func startDynamics(m *topology.Mesh, model string, speed float64, pause, interva
 		if mob != nil {
 			pos = mob.Step(now)
 		}
-		if churn.set != nil {
-			fd := churn.set.Step(now)
-			churn.Crashes += len(fd.Crashed)
-			churn.Recoveries += len(fd.Recovered)
-			churn.FaultLinkDowns += fd.FlapsDown
-			churn.FaultLinkUps += fd.FlapsUp
-			churn.PartStarts += fd.PartitionsStarted
-			churn.PartHeals += fd.PartitionsHealed
-			churn.HealLatency += fd.HealLatency
-			churn.Bursts += fd.BurstsStarted
-			// Hooks run before the reconcile: a crashed node's MAC and
-			// transport die in the same tick its links are cut.
+		if set != nil {
+			fd := set.Step(now)
+			d.NodeCrashes += len(fd.Crashed)
+			d.NodeRecoveries += len(fd.Recovered)
+			d.FaultLinkDowns += fd.FlapsDown
+			d.FaultLinkUps += fd.FlapsUp
+			d.PartitionsStarted += fd.PartitionsStarted
+			d.PartitionsHealed += fd.PartitionsHealed
+			d.MeanHealLatency += fd.HealLatency // a sum until finish
+			d.SNRBursts += fd.BurstsStarted
 			for _, i := range fd.Crashed {
-				if hooks.onCrash != nil {
-					hooks.onCrash(i)
-				}
+				mc := m.Nodes[i].MAC()
+				mc.SetDown(true)
+				mc.Reset()
+				stacks[i].Abort()
+				kill(network.NodeID(i))
 			}
 			for _, i := range fd.Recovered {
-				if hooks.onRecover != nil {
-					hooks.onRecover(i)
-				}
+				m.Nodes[i].MAC().SetDown(false)
 			}
 		}
 		delta := m.UpdateLinks(pos)
-		churn.LinkUps += delta.Up
-		churn.LinkDowns += delta.Down
+		d.LinkUps += delta.Up
+		d.LinkDowns += delta.Down
 		// Hop-count routes only depend on link existence, and a
 		// recompute over an unchanged graph provably changes nothing
 		// (same BFS, same tie-breaks) — skip the O(N·(N+E)) pass on
 		// ticks that moved nodes without crossing a range boundary.
 		if delta.Up+delta.Down > 0 {
-			churn.RouteFlaps += routing.RecomputeShortestPaths(m.Nodes, m.Adjacency())
-			churn.Recomputes++
+			d.RouteFlaps += routing.RecomputeShortestPaths(m.Nodes, m.Adjacency())
+			d.RouteRecomputes++
 		}
 		m.Sched.After(iv, "mesh:mobility", tick)
 	}
 	m.Sched.After(iv, "mesh:mobility", tick)
-	return churn
+	return d, set
+}
+
+// finish completes the dynamics of a run that ended at end: the mesh's
+// final shape, the availability the fault set integrated (1 without
+// faults) and the mean heal latency.
+func (d *Dynamics) finish(m *topology.Mesh, set *faults.Set, end sim.Time) {
+	d.NodeCount, d.LinkCount, d.AvgDegree = len(m.Nodes), m.LinkCount, m.AvgDegree()
+	d.Availability = 1
+	if set != nil {
+		d.Availability = set.Availability(end)
+	}
+	if d.PartitionsHealed > 0 {
+		d.MeanHealLatency /= time.Duration(d.PartitionsHealed)
+	}
 }
 
 // RunMeshTCP executes the experiment: build the mesh, start every flow
 // (staggered a few hundred µs apart so the initial SYNs do not collide on
 // identical backoff draws), run to completion or deadline. With Shards set
 // the run executes on the sharded parallel engine instead of the
-// sequential scheduler (see mesh_parallel.go).
+// sequential scheduler (see mesh_parallel.go). It panics with the
+// Validate error on an invalid config.
 func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.fill()
-	tcfg := cfg.TCP
-	if tcfg.MSS == 0 {
-		tcfg = tcp.DefaultConfig()
-	}
-	if cfg.SparseRoutes && (cfg.Mobility != "" || cfg.Faults.Enabled()) {
-		panic("core: SparseRoutes requires a static topology (mobility and fault recovery rebuild full route tables)")
-	}
 	if cfg.Shards > 0 {
-		return runMeshTCPSharded(cfg, tcfg)
+		return runMeshTCPSharded(cfg)
 	}
 
 	m := cfg.buildMesh()
 	if cfg.DenseScan {
 		m.Medium.SetDenseScan(true)
 	}
-	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
-		m.Medium.SetObserver(obs)
-	}
+	attachTrace(m.Network, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 	flows := cfg.planFlows(m)
 	if cfg.SparseRoutes {
 		routing.InstallPathsToward(m.Nodes, m.Adjacency(), flowEndpoints(flows))
 	}
+	stacks := newStacks(m.Network, cfg.TCP)
 
-	stacks := make([]*tcp.Stack, len(m.Nodes))
-	for i, node := range m.Nodes {
-		stacks[i] = tcp.NewStack(m.Sched, node, tcfg)
-	}
-
-	killFlow := wireFlows(&cfg, flows, stacks,
+	kill := wireFlows(&cfg, flows, stacks,
 		func(network.NodeID) *sim.Scheduler { return m.Sched }, m.Sched.Halt)
-
-	churn := startDynamics(m, cfg.Mobility, cfg.Speed, cfg.Pause, cfg.MoveInterval,
-		cfg.Faults, cfg.Seed, dynamicsHooks{
-			onCrash: func(node int) {
-				mc := m.Nodes[node].MAC()
-				mc.SetDown(true)
-				mc.Reset()
-				stacks[node].Abort()
-				killFlow(network.NodeID(node))
-			},
-			onRecover: func(node int) { m.Nodes[node].MAC().SetDown(false) },
-		})
-
-	if cfg.Metrics != nil {
-		reg := cfg.Metrics.Registry(0)
-		registerRunMetrics(reg, m.Sched, m.Medium, m.Nodes, stacks, cfg.MaxAggBytes)
+	dyn, set := startDynamics(m, &cfg, stacks, kill)
+	startMetrics(cfg.Metrics, 0, m.Network, stacks, cfg.MaxAggBytes, cfg.Deadline, func(reg *telemetry.Registry) {
 		registerFlowMetrics(reg, m.Sched, flows)
-		reg.Start(m.Sched, cfg.Metrics.Interval(), cfg.Deadline)
-	}
+	})
 
-	if cfg.WallBudget > 0 {
-		m.Sched.SetWallBudget(cfg.WallBudget)
-	}
+	m.Sched.SetWallBudget(cfg.WallBudget)
 	m.Sched.RunUntil(cfg.Deadline)
 
-	return assembleMeshResult(&cfg, flows, m.Nodes, m.LinkCount, m.AvgDegree(), churn,
-		m.Sched.EventsRun(), m.Sched.Now())
+	dyn.finish(m, set, m.Sched.Now())
+	return assembleMeshResult(&cfg, flows, m.Nodes, *dyn, m.Sched.EventsRun(), m.Sched.Now())
 }
 
 // wireFlows installs every planned flow: a listener plus completion
@@ -642,34 +620,10 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 
 // assembleMeshResult turns the finished run's state into a MeshResult;
 // shared by the sequential and sharded paths. end is the run's final
-// simulated time, used for availability and tail-stall accounting.
+// simulated time, used for tail-stall accounting.
 func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.Node,
-	linkCount int, avgDegree float64, churn *mobilityChurn, eventsRun uint64, end sim.Time) MeshResult {
-	res := MeshResult{
-		Completed:         true,
-		EventsRun:         eventsRun,
-		NodeCount:         len(nodes),
-		LinkCount:         linkCount,
-		AvgDegree:         avgDegree,
-		LinkUps:           churn.LinkUps,
-		LinkDowns:         churn.LinkDowns,
-		RouteFlaps:        churn.RouteFlaps,
-		RouteRecomputes:   churn.Recomputes,
-		NodeCrashes:       churn.Crashes,
-		NodeRecoveries:    churn.Recoveries,
-		FaultLinkDowns:    churn.FaultLinkDowns,
-		FaultLinkUps:      churn.FaultLinkUps,
-		PartitionsStarted: churn.PartStarts,
-		PartitionsHealed:  churn.PartHeals,
-		SNRBursts:         churn.Bursts,
-		Availability:      1,
-	}
-	if churn.set != nil {
-		res.Availability = churn.set.Availability(end)
-	}
-	if churn.PartHeals > 0 {
-		res.MeanHealLatency = churn.HealLatency / time.Duration(churn.PartHeals)
-	}
+	dyn Dynamics, eventsRun uint64, end sim.Time) MeshResult {
+	res := MeshResult{Completed: true, EventsRun: eventsRun, Dynamics: dyn}
 	res.MinMbps = math.Inf(1)
 	for _, f := range flows {
 		rep := MeshFlowReport{Server: f.server, Client: f.client, Hops: f.hops,
@@ -709,36 +663,10 @@ func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.
 	}
 	if len(flows) > 0 {
 		res.MeanFlowStall /= time.Duration(len(flows))
-	}
-	if len(flows) > 0 {
 		res.MeanMbps = res.AggregateMbps / float64(len(flows))
 	} else {
 		res.MinMbps = 0
 	}
-
-	role := make([]string, len(nodes))
-	for i := range role {
-		role[i] = "idle"
-	}
-	for i, node := range nodes {
-		if node.Stats().Forwarded > 0 {
-			role[i] = "relay"
-		}
-	}
-	for _, f := range flows {
-		role[f.client] = "client"
-	}
-	for _, f := range flows {
-		role[f.server] = "server"
-	}
-	for i, node := range nodes {
-		res.Nodes = append(res.Nodes, NodeReport{
-			ID:            i,
-			Role:          role[i],
-			MAC:           node.MAC().Counters(),
-			Net:           node.Stats(),
-			PreambleBytes: node.MAC().PreambleBytesPerTx(),
-		})
-	}
+	res.Nodes = nodeReports(nodes, trafficRoles(nodes, flows))
 	return res
 }

@@ -94,31 +94,15 @@ func shardSeed(base int64, s int) int64 {
 	return traffic.DeriveSeed(base, fmt.Sprintf("shard:%d", s))
 }
 
-func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
-	switch {
-	case cfg.Mobility != "":
-		panic("core: Shards supports static topologies only — unset Mobility")
-	case cfg.Faults.Enabled():
-		panic("core: fault injection needs the sequential engine — unset Faults or Shards")
-	case cfg.DenseScan:
-		panic("core: Shards requires the neighbor-indexed medium — unset DenseScan")
-	case cfg.TraceTo != nil:
-		panic("core: channel tracing is unsupported with Shards — unset TraceTo")
-	}
-
+// runMeshTCPSharded runs a validated, filled config with Shards > 0.
+func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	// m0 is a throwaway sequential build: it contributes node positions,
 	// the link table, installed routes (for flow planning) and the flow
 	// plan, but never executes an event.
 	m0 := cfg.buildMesh()
 	flows := cfg.planFlows(m0)
 	n := len(m0.Nodes)
-	k := cfg.Shards
-	if k > n {
-		k = n
-	}
-	if k > MaxShards {
-		k = MaxShards
-	}
+	k := min(cfg.Shards, n)
 
 	owner := shardPartition(m0, k)
 
@@ -136,24 +120,27 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 		}
 	}
 
-	params := cfg.phyParams()
+	params := phyParams(cfg.Phy)
 	tbl := m0.Medium.Table()
+	// shards[s] is shard s's own network: a scheduler, a medium on the
+	// shared link table, and the nodes it owns in ascending id.
 	scheds := make([]*sim.Scheduler, k)
-	media := make([]*medium.Medium, k)
+	shards := make([]*topology.Network, k)
 	for s := range scheds {
 		scheds[s] = sim.NewScheduler(shardSeed(cfg.Seed, s))
-		media[s] = medium.NewOnTable(scheds[s], params, tbl)
+		shards[s] = &topology.Network{Sched: scheds[s], Medium: medium.NewOnTable(scheds[s], params, tbl)}
 	}
 
-	// Rebuild nodes, MACs and stacks in ascending node id — the sequential
+	// Rebuild nodes and MACs in ascending node id — the sequential
 	// construction order — each on its owner shard's scheduler and medium.
 	nodes := make([]*network.Node, n)
 	for i := 0; i < n; i++ {
-		s := owner[i]
+		sh := shards[owner[i]]
 		node := network.NewNode(network.NodeID(i))
-		mc := mac.New(scheds[s], media[s], medium.NodeID(i), cfg.optsFor(i, n), node.Bind())
+		mc := mac.New(sh.Sched, sh.Medium, medium.NodeID(i), cfg.optsFor(i, n), node.Bind())
 		node.AttachMAC(mc)
 		nodes[i] = node
+		sh.Nodes = append(sh.Nodes, node)
 	}
 	if cfg.SparseRoutes {
 		routing.InstallPathsToward(nodes, m0.Adjacency(), flowEndpoints(flows))
@@ -162,8 +149,12 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 	}
 
 	stacks := make([]*tcp.Stack, n)
-	for i, node := range nodes {
-		stacks[i] = tcp.NewStack(scheds[owner[i]], node, tcfg)
+	shardStacks := make([][]*tcp.Stack, k)
+	for s, sh := range shards {
+		shardStacks[s] = newStacks(sh, cfg.TCP)
+		for j, node := range sh.Nodes {
+			stacks[node.ID()] = shardStacks[s][j]
+		}
 	}
 
 	look := ShardLookahead(params)
@@ -180,7 +171,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 			continue
 		}
 		s := s
-		media[s].SetBoundary(func(ff medium.ForeignFrame) {
+		shards[s].Medium.SetBoundary(func(ff medium.ForeignFrame) {
 			mask := foreign[ff.Src]
 			if mask == 0 {
 				return
@@ -191,7 +182,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 			at := ff.Start + look
 			for rest := mask; rest != 0; rest &= rest - 1 {
 				dst := bits.TrailingZeros64(rest)
-				eng.Post(s, dst, at, func() { media[dst].InjectForeign(ff) })
+				eng.Post(s, dst, at, func() { shards[dst].Medium.InjectForeign(ff) })
 			}
 		})
 	}
@@ -206,32 +197,20 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 	wireFlows(&cfg, flows, stacks,
 		func(id network.NodeID) *sim.Scheduler { return scheds[owner[id]] }, onAllDone)
 
-	if cfg.Metrics != nil {
-		// One registry per shard, each sampled by its own scheduler and
-		// reading only shard-owned state (medium, nodes, stacks), so
-		// sampling is race-free and each shard's series is a pure
-		// function of (config, Shards). Per-flow stall gauges are
-		// sequential-only: a flow's endpoints may live on two shards.
-		shardNodes := make([][]*network.Node, k)
-		shardStacks := make([][]*tcp.Stack, k)
-		for i := 0; i < n; i++ {
-			shardNodes[owner[i]] = append(shardNodes[owner[i]], nodes[i])
-			shardStacks[owner[i]] = append(shardStacks[owner[i]], stacks[i])
-		}
-		for s := 0; s < k; s++ {
-			reg := cfg.Metrics.Registry(s)
-			registerRunMetrics(reg, scheds[s], media[s], shardNodes[s], shardStacks[s], cfg.MaxAggBytes)
-			reg.Start(scheds[s], cfg.Metrics.Interval(), cfg.Deadline)
-		}
+	// One registry per shard, each sampled by its own scheduler and reading
+	// only shard-owned state (medium, nodes, stacks), so sampling is
+	// race-free and each shard's series is a pure function of (config,
+	// Shards). Per-flow stall gauges are sequential-only: a flow's
+	// endpoints may live on two shards.
+	for s, sh := range shards {
+		startMetrics(cfg.Metrics, s, sh, shardStacks[s], cfg.MaxAggBytes, cfg.Deadline, nil)
 	}
 	if cfg.ShardTrace != nil {
 		eng.EnableDiag()
 	}
 
-	if cfg.WallBudget > 0 {
-		for _, s := range scheds {
-			s.SetWallBudget(cfg.WallBudget)
-		}
+	for _, s := range scheds {
+		s.SetWallBudget(cfg.WallBudget)
 	}
 	eng.Run(cfg.Deadline)
 
@@ -245,8 +224,9 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 	for _, s := range scheds {
 		eventsRun += s.EventsRun()
 	}
-	res := assembleMeshResult(&cfg, flows, nodes, m0.LinkCount, m0.AvgDegree(), &mobilityChurn{},
-		eventsRun, cfg.Deadline)
+	var dyn Dynamics
+	dyn.finish(m0, nil, cfg.Deadline)
+	res := assembleMeshResult(&cfg, flows, nodes, dyn, eventsRun, cfg.Deadline)
 	res.Shards = k
 	return res
 }

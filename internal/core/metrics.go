@@ -19,6 +19,7 @@ import (
 	"aggmac/internal/sim"
 	"aggmac/internal/tcp"
 	"aggmac/internal/telemetry"
+	"aggmac/internal/topology"
 )
 
 // aggBodyBounds buckets aggregate body sizes (bytes). 5120 is the
@@ -26,15 +27,30 @@ import (
 // bracket it.
 var aggBodyBounds = []float64{256, 512, 1024, 2048, 3072, 4096, 5120, 8192}
 
-// registerRunMetrics wires the shared medium/MAC/network/TCP/sim
-// instrument catalog for one scheduler's node set. Sharded runs call it
-// once per shard with that shard's scheduler, medium, and owned nodes;
-// sequential runs pass everything. stacks may be nil (UDP runs).
-func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medium.Medium,
-	nodes []*network.Node, stacks []*tcp.Stack, maxAggBytes int) {
-	if reg == nil {
+// startMetrics registers registry shard of rec over net — the shared layer
+// catalog, then the mode's own gauges (extra, may be nil) — and starts its
+// sampler until the given simulated time. stacks may be nil (UDP runs). A
+// nil recorder registers and schedules nothing, so metrics-off runs keep
+// their event sequence.
+func startMetrics(rec *telemetry.Recorder, shard int, net *topology.Network, stacks []*tcp.Stack,
+	maxAggBytes int, until time.Duration, extra func(*telemetry.Registry)) {
+	if rec == nil {
 		return
 	}
+	reg := rec.Registry(shard)
+	registerRunMetrics(reg, net.Sched, net.Medium, net.Nodes, stacks, maxAggBytes)
+	if extra != nil {
+		extra(reg)
+	}
+	reg.Start(net.Sched, rec.Interval(), until)
+}
+
+// registerRunMetrics wires the shared medium/MAC/network/TCP/sim
+// instrument catalog for one scheduler's node set (startMetrics calls it
+// once per shard on sharded runs, once on sequential ones). stacks may be
+// nil (UDP runs).
+func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medium.Medium,
+	nodes []*network.Node, stacks []*tcp.Stack, maxAggBytes int) {
 	reg.Gauge("medium.airtime_frac", func() float64 {
 		now := sched.Now()
 		if now <= 0 {
@@ -153,9 +169,6 @@ func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medi
 // simulated time since each started, unfinished flow last made payload
 // progress.
 func registerFlowMetrics(reg *telemetry.Registry, sched *sim.Scheduler, flows []*meshFlow) {
-	if reg == nil {
-		return
-	}
 	for i, f := range flows {
 		f := f
 		reg.Gauge(fmt.Sprintf("mesh.flow%d.stall_s", i), func() float64 {

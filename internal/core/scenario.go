@@ -95,8 +95,9 @@ type ScenarioResult struct {
 	Name   string
 	Scheme string
 	// Flow churn: Started flows arrived, Completed finished, Abandoned
-	// were still in flight at the deadline, Skipped arrivals found no
-	// eligible endpoint pair (partitioned mobile meshes).
+	// were still in flight at the deadline (flows killed by a fault count
+	// in FlowsKilledByFault instead), Skipped arrivals found no eligible
+	// endpoint pair (partitioned mobile meshes).
 	FlowsStarted, FlowsCompleted int
 	FlowsAbandoned, FlowsSkipped int
 	// PeakActive is the high-water mark of concurrently active flows.
@@ -117,22 +118,9 @@ type ScenarioResult struct {
 	Elapsed time.Duration
 	// EventsRun pins the executed-event count for determinism tests.
 	EventsRun uint64
-	// Topology shape and mobility churn, as in MeshResult.
-	NodeCount, LinkCount int
-	AvgDegree            float64
-	LinkUps, LinkDowns   int
-	RouteFlaps           int
-	RouteRecomputes      int
-	// Fault-injection outcome, as in MeshResult (all zero, Availability 1,
-	// without a faults section). FlowsKilledByFault counts flows whose
-	// endpoint crashed mid-transfer; they are excluded from FlowsAbandoned.
-	NodeCrashes, NodeRecoveries         int
-	FaultLinkDowns, FaultLinkUps        int
-	PartitionsStarted, PartitionsHealed int
-	SNRBursts                           int
-	FlowsKilledByFault                  int
-	Availability                        float64
-	MeanHealLatency                     time.Duration
+	// Dynamics holds the topology shape, mobility churn and fault
+	// counters, as in MeshResult.
+	Dynamics
 	// Nodes holds per-node counters (roles by traffic part, as in mesh).
 	Nodes []NodeReport
 }
@@ -149,6 +137,8 @@ type scenarioFlow struct {
 	killed         bool   // terminated by an endpoint crash
 	onComplete     func() // closed-loop: resume the owning user
 }
+
+func (f *scenarioFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.client }
 
 // scenarioEngine holds a run's mutable state.
 type scenarioEngine struct {
@@ -175,86 +165,52 @@ type scenarioEngine struct {
 	scratch []byte // reused send buffer; tcp.Conn.Send copies
 }
 
-// RunScenario executes one (scenario, scheme) run. It panics on an invalid
-// scenario — CLIs validate at load time, so a panic here is a programming
-// error, consistent with the other Run entry points.
+// RunScenario executes one (scenario, scheme) run. It panics with the
+// Validate error on an invalid config — CLIs validate at load time, so a
+// panic here is a programming error, consistent with the other Run entry
+// points.
 func RunScenario(cfg ScenarioConfig) ScenarioResult {
-	// Clone first: Validate normalizes in place, and one Scenario value is
-	// routinely fanned across pool workers (one run per scheme), so the
-	// shared Mix array and Mobility pointer must never be written here.
-	sc := cfg.Scenario.Clone()
-	if err := sc.Validate(); err != nil {
-		panic(err.Error())
+	sc, rate, mix, err := cfg.resolve()
+	if err != nil {
+		panic(err)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = sc.Seed
 	}
-	rate, err := phy.RateFromMbps(sc.RateMbps)
-	if err != nil {
-		panic(fmt.Sprintf("core: scenario %q: %v", sc.Name, err))
-	}
-	mix, err := traffic.NewMix(sc.Traffic.Mix)
-	if err != nil {
-		panic(err.Error())
-	}
-	tcfg := cfg.TCP
-	if tcfg.MSS == 0 {
-		tcfg = tcp.DefaultConfig()
-	}
 
-	// The mesh build is the one RunMeshTCP uses, driven by the scenario's
-	// topology/radio block.
+	// The mesh build and dynamics are the ones RunMeshTCP uses, driven by
+	// the scenario's topology/radio, mobility and faults blocks.
 	mcfg := MeshTCPConfig{
 		Scheme: cfg.Scheme, Rate: rate,
 		Topology: sc.Topology.Kind, Nodes: sc.Topology.Nodes,
 		Chains: sc.Topology.Chains, ChainHops: sc.Topology.ChainHops,
 		RowSpacing:  sc.Topology.RowSpacing,
 		MaxAggBytes: sc.MaxAggBytes,
+		Faults:      scenarioFaultConfig(sc.Faults),
 		Phy:         cfg.Phy,
 		Seed:        seed,
 	}
 	if r := sc.Topology.Radio; r != nil {
 		mcfg.Radio = topology.RadioModel{Range: r.Range, RefSNRdB: r.RefSNRdB, Exponent: r.Exponent}
 	}
+	if mob := sc.Mobility; mob != nil {
+		mcfg.Mobility, mcfg.Speed = mob.Model, mob.Speed
+		mcfg.Pause = time.Duration(mob.PauseS * float64(time.Second))
+		mcfg.MoveInterval = time.Duration(mob.MoveIntervalS * float64(time.Second))
+	}
 	mcfg.fill()
 	m := mcfg.buildMesh()
-	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
-		m.Medium.SetObserver(obs)
-	}
+	attachTrace(m.Network, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 
-	// Engine and stacks first (NewStack schedules nothing and draws no
-	// randomness, so this ordering leaves the event sequence untouched);
-	// the dynamics hooks below need them to react to crashes.
+	// Engine and stacks first: the dynamics' crash hook needs them.
 	e := &scenarioEngine{
 		sc: sc, seed: seed, m: m, mix: mix,
-		stacks:     make([]*tcp.Stack, len(m.Nodes)),
+		stacks:     newStacks(m.Network, cfg.TCP),
 		fctByModel: make([]traffic.FCT, mix.Len()),
 	}
-	for i, node := range m.Nodes {
-		e.stacks[i] = tcp.NewStack(m.Sched, node, tcfg)
-	}
-
-	var model string
-	var speed float64
-	var pause, interval time.Duration
-	if mob := sc.Mobility; mob != nil {
-		model, speed = mob.Model, mob.Speed
-		pause = time.Duration(mob.PauseS * float64(time.Second))
-		interval = time.Duration(mob.MoveIntervalS * float64(time.Second))
-	}
-	churn := startDynamics(m, model, speed, pause, interval,
-		scenarioFaultConfig(sc.Faults), seed, dynamicsHooks{
-			onCrash: func(node int) {
-				mc := m.Nodes[node].MAC()
-				mc.SetDown(true)
-				mc.Reset()
-				e.stacks[node].Abort()
-				e.killFlowsAt(network.NodeID(node))
-			},
-			onRecover: func(node int) { m.Nodes[node].MAC().SetDown(false) },
-		})
-	e.faults = churn.set
+	dyn, set := startDynamics(m, &mcfg, e.stacks, e.killFlowsAt)
+	e.faults = set
 
 	switch sc.Traffic.Mode {
 	case traffic.ModeOpen:
@@ -263,18 +219,13 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		e.startClosedLoop()
 	}
 
-	if cfg.Metrics != nil {
-		reg := cfg.Metrics.Registry(0)
-		registerRunMetrics(reg, m.Sched, m.Medium, m.Nodes, e.stacks, mcfg.MaxAggBytes)
+	startMetrics(cfg.Metrics, 0, m.Network, e.stacks, mcfg.MaxAggBytes, sc.Deadline(), func(reg *telemetry.Registry) {
 		reg.Gauge("scn.active_flows", func() float64 { return float64(e.active) })
 		reg.Gauge("scn.flows_started", func() float64 { return float64(len(e.flows)) })
 		reg.Gauge("scn.flows_completed", func() float64 { return float64(e.fct.Count()) })
-		reg.Start(m.Sched, cfg.Metrics.Interval(), sc.Deadline())
-	}
+	})
 
-	if cfg.WallBudget > 0 {
-		m.Sched.SetWallBudget(cfg.WallBudget)
-	}
+	m.Sched.SetWallBudget(cfg.WallBudget)
 	// An open-loop run whose first arrival already falls past the window
 	// halts synchronously above; RunUntil resets the scheduler's halt
 	// flag on entry, so it must not run at all in that case.
@@ -282,7 +233,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		m.Sched.RunUntil(sc.Deadline())
 	}
 
-	return e.assemble(cfg, churn)
+	return e.assemble(cfg, dyn)
 }
 
 // scenarioFaultConfig maps the scenario schema's faults section onto the
@@ -516,46 +467,27 @@ func (e *scenarioEngine) complete(f *scenarioFlow) {
 }
 
 // assemble builds the result after the scheduler stops.
-func (e *scenarioEngine) assemble(cfg ScenarioConfig, churn *mobilityChurn) ScenarioResult {
+func (e *scenarioEngine) assemble(cfg ScenarioConfig, dyn *Dynamics) ScenarioResult {
 	sc := e.sc
 	res := ScenarioResult{
-		Name:            sc.Name,
-		Scheme:          cfg.Scheme.Name(),
-		FlowsStarted:    len(e.flows),
-		FlowsCompleted:  e.fct.Count(),
-		FlowsSkipped:    e.skipped,
-		PeakActive:      e.peakActive,
-		FCT:             e.fct.Stats(),
-		Elapsed:         time.Duration(e.m.Sched.Now()),
-		EventsRun:       e.m.Sched.EventsRun(),
-		NodeCount:       len(e.m.Nodes),
-		LinkCount:       e.m.LinkCount,
-		AvgDegree:       e.m.AvgDegree(),
-		LinkUps:         churn.LinkUps,
-		LinkDowns:       churn.LinkDowns,
-		RouteFlaps:      churn.RouteFlaps,
-		RouteRecomputes: churn.Recomputes,
+		Name:           sc.Name,
+		Scheme:         cfg.Scheme.Name(),
+		FlowsStarted:   len(e.flows),
+		FlowsCompleted: e.fct.Count(),
+		FlowsSkipped:   e.skipped,
+		PeakActive:     e.peakActive,
+		FCT:            e.fct.Stats(),
+		Elapsed:        time.Duration(e.m.Sched.Now()),
+		EventsRun:      e.m.Sched.EventsRun(),
 	}
 	if e.halted {
 		// RunUntil advances the clock to the deadline even when the engine
 		// halted early; report the drain time instead.
 		res.Elapsed = time.Duration(e.haltAt)
 	}
-	res.NodeCrashes = churn.Crashes
-	res.NodeRecoveries = churn.Recoveries
-	res.FaultLinkDowns = churn.FaultLinkDowns
-	res.FaultLinkUps = churn.FaultLinkUps
-	res.PartitionsStarted = churn.PartStarts
-	res.PartitionsHealed = churn.PartHeals
-	res.SNRBursts = churn.Bursts
-	res.FlowsKilledByFault = e.killedCount
-	res.Availability = 1
-	if churn.set != nil {
-		res.Availability = churn.set.Availability(res.Elapsed)
-	}
-	if churn.PartHeals > 0 {
-		res.MeanHealLatency = churn.HealLatency / time.Duration(churn.PartHeals)
-	}
+	dyn.FlowsKilledByFault = e.killedCount
+	dyn.finish(e.m, e.faults, res.Elapsed)
+	res.Dynamics = *dyn
 	res.FlowsAbandoned = res.FlowsStarted - res.FlowsCompleted - res.FlowsKilledByFault
 
 	perModel := make([]ScenarioModelReport, e.mix.Len())
@@ -588,29 +520,6 @@ func (e *scenarioEngine) assemble(cfg ScenarioConfig, churn *mobilityChurn) Scen
 	res.AggregateMbps = float64(res.DeliveredBytes) * 8 / sc.DurationS / 1e6
 	res.PerModel = perModel
 
-	role := make([]string, len(e.m.Nodes))
-	for i := range role {
-		role[i] = "idle"
-	}
-	for i, node := range e.m.Nodes {
-		if node.Stats().Forwarded > 0 {
-			role[i] = "relay"
-		}
-	}
-	for _, f := range e.flows {
-		role[f.client] = "client"
-	}
-	for _, f := range e.flows {
-		role[f.server] = "server"
-	}
-	for i, node := range e.m.Nodes {
-		res.Nodes = append(res.Nodes, NodeReport{
-			ID:            i,
-			Role:          role[i],
-			MAC:           node.MAC().Counters(),
-			Net:           node.Stats(),
-			PreambleBytes: node.MAC().PreambleBytesPerTx(),
-		})
-	}
+	res.Nodes = nodeReports(e.m.Nodes, trafficRoles(e.m.Nodes, e.flows))
 	return res
 }

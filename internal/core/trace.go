@@ -33,16 +33,25 @@ func traceObserver(w io.Writer, nodes []int, format string) medium.Observer {
 		}
 		filter = func(ev medium.Event) bool { return set[ev.Src] || set[ev.Dst] }
 	}
-	switch format {
-	case "", TraceText:
-		tr := trace.New(w)
-		tr.Filter = filter
-		return tr.Observe
-	case TraceJSONL:
+	if err := checkTraceFormat(format); err != nil {
+		panic(err) // TCP and UDP configs have no Validate
+	}
+	if format == TraceJSONL {
 		tr := trace.NewJSON(w)
 		tr.Filter = filter
 		return tr.Observe
-	default:
-		panic(fmt.Sprintf("core: unknown trace format %q", format))
 	}
+	tr := trace.New(w)
+	tr.Filter = filter
+	return tr.Observe
+}
+
+// checkTraceFormat rejects a TraceFormat other than "", TraceText and
+// TraceJSONL.
+func checkTraceFormat(format string) error {
+	switch format {
+	case "", TraceText, TraceJSONL:
+		return nil
+	}
+	return fmt.Errorf("core: unknown trace format %q (%s|%s)", format, TraceText, TraceJSONL)
 }

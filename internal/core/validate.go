@@ -1,0 +1,91 @@
+// Config validation: every rule on which options a run accepts, and which
+// of them combine, lives here. The Run entry points panic with these
+// errors; callers that want the error instead call Validate first.
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"aggmac/internal/phy"
+	"aggmac/internal/traffic"
+)
+
+// Validate reports the first problem with the config: an unknown
+// topology, mobility model or trace format; an invalid fault config;
+// SparseRoutes on a dynamic topology; Shards outside 0..MaxShards, or
+// combined with mobility, faults, DenseScan or TraceTo; ShardTrace without
+// Shards. It never changes the config: results-store ids hash configs,
+// and pool workers share them.
+func (c *MeshTCPConfig) Validate() error {
+	switch c.Topology {
+	case "", MeshGrid, MeshDisk, MeshChains:
+	default:
+		return fmt.Errorf("core: unknown mesh topology %q (%s|%s|%s)", c.Topology, MeshGrid, MeshDisk, MeshChains)
+	}
+	switch c.Mobility {
+	case "", MobilityWaypoint, MobilityDrift:
+	default:
+		return fmt.Errorf("core: unknown mobility model %q (%s|%s)", c.Mobility, MobilityWaypoint, MobilityDrift)
+	}
+	if err := checkTraceFormat(c.TraceFormat); err != nil {
+		return err
+	}
+	// faults.Config.Validate normalizes in place: check a copy.
+	if c.Faults != nil {
+		if err := c.Faults.Clone().Validate(); err != nil {
+			return err
+		}
+	}
+	if c.SparseRoutes && (c.Mobility != "" || c.Faults.Enabled()) {
+		return errors.New("core: SparseRoutes requires a static topology (mobility and fault recovery rebuild full route tables)")
+	}
+	if c.Shards < 0 || c.Shards > MaxShards {
+		return fmt.Errorf("core: Shards must be in 0..%d, got %d", MaxShards, c.Shards)
+	}
+	switch {
+	case c.Shards == 0 && c.ShardTrace != nil:
+		return errors.New("core: ShardTrace needs the sharded engine (Shards >= 1)")
+	case c.Shards == 0:
+		return nil
+	case c.Mobility != "":
+		return errors.New("core: Shards supports static topologies only (unset Mobility)")
+	case c.Faults.Enabled():
+		return errors.New("core: fault injection needs the sequential engine (unset Faults or Shards)")
+	case c.DenseScan:
+		return errors.New("core: Shards requires the neighbor-indexed medium (unset DenseScan)")
+	case c.TraceTo != nil:
+		return errors.New("core: channel tracing is unsupported with Shards (unset TraceTo)")
+	}
+	return nil
+}
+
+// Validate reports the first problem with the config: an invalid scenario
+// (see traffic.Scenario.Validate), a PHY rate the radio does not offer, an
+// invalid traffic mix or an unknown trace format. It checks a normalized
+// copy of the scenario and never changes the config.
+func (c *ScenarioConfig) Validate() error {
+	_, _, _, err := c.resolve()
+	return err
+}
+
+// resolve validates the config and returns what a run needs of its
+// scenario: a normalized copy, the PHY rate and the traffic mix. The copy
+// matters: one Scenario value is routinely fanned across pool workers (one
+// run per scheme), so its shared Mix array and Mobility pointer must never
+// be written here.
+func (c *ScenarioConfig) resolve() (traffic.Scenario, phy.Rate, traffic.Mix, error) {
+	sc := c.Scenario.Clone()
+	if err := sc.Validate(); err != nil {
+		return sc, 0, traffic.Mix{}, err
+	}
+	rate, err := phy.RateFromMbps(sc.RateMbps)
+	if err != nil {
+		return sc, 0, traffic.Mix{}, fmt.Errorf("core: scenario %q: %w", sc.Name, err)
+	}
+	mix, err := traffic.NewMix(sc.Traffic.Mix)
+	if err != nil {
+		return sc, 0, traffic.Mix{}, err
+	}
+	return sc, rate, mix, checkTraceFormat(c.TraceFormat)
+}

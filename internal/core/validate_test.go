@@ -1,0 +1,137 @@
+package core
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"aggmac/internal/faults"
+	"aggmac/internal/mac"
+	"aggmac/internal/traffic"
+)
+
+// TestValidate covers every config rule: each case is a valid base config
+// with one change, and want is a fragment of the expected error ("" for a
+// config that must pass).
+func TestValidate(t *testing.T) {
+	mesh := func(mutate func(*MeshTCPConfig)) *MeshTCPConfig {
+		cfg := quickMeshCfg()
+		mutate(&cfg)
+		return &cfg
+	}
+	scn := func(mutate func(*ScenarioConfig)) *ScenarioConfig {
+		cfg := ScenarioConfig{Scenario: testScenario(traffic.ModeOpen), Scheme: mac.BA}
+		mutate(&cfg)
+		return &cfg
+	}
+	crash := &faults.Config{CrashMTBF: 20 * time.Second}
+	cases := []struct {
+		name string
+		cfg  interface{ Validate() error }
+		want string
+	}{
+		{"mesh default", mesh(func(c *MeshTCPConfig) {}), ""},
+		{"mesh empty topology", mesh(func(c *MeshTCPConfig) { c.Topology = "" }), ""},
+		{"mesh chains", mesh(func(c *MeshTCPConfig) { c.Topology = MeshChains }), ""},
+		{"mesh mobility", mesh(func(c *MeshTCPConfig) { c.Mobility = MobilityDrift }), ""},
+		{"mesh faults", mesh(func(c *MeshTCPConfig) { c.Faults = crash }), ""},
+		{"mesh faults off", mesh(func(c *MeshTCPConfig) { c.Faults = &faults.Config{}; c.Shards = 2 }), ""},
+		{"mesh jsonl trace", mesh(func(c *MeshTCPConfig) { c.TraceFormat = TraceJSONL }), ""},
+		{"mesh sparse static", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true }), ""},
+		{"mesh sparse sharded", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Shards = 2 }), ""},
+		{"mesh max shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards }), ""},
+		{"mesh shard trace", mesh(func(c *MeshTCPConfig) { c.Shards = 1; c.ShardTrace = &strings.Builder{} }), ""},
+
+		{"unknown topology", mesh(func(c *MeshTCPConfig) { c.Topology = "ring" }), `unknown mesh topology "ring"`},
+		{"unknown mobility", mesh(func(c *MeshTCPConfig) { c.Mobility = "teleport" }), `unknown mobility model "teleport"`},
+		{"unknown trace format", mesh(func(c *MeshTCPConfig) { c.TraceFormat = "xml" }), `unknown trace format "xml"`},
+		{"negative fault mean", mesh(func(c *MeshTCPConfig) {
+			c.Faults = &faults.Config{CrashMTBF: -5 * time.Second}
+		}), "crash MTBF"},
+		{"bad partition axis", mesh(func(c *MeshTCPConfig) {
+			c.Faults = &faults.Config{Partitions: []faults.Partition{{Duration: time.Second, Axis: "z"}}}
+		}), `axis "z"`},
+		{"sparse with mobility", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Mobility = MobilityWaypoint }), "SparseRoutes requires a static topology"},
+		{"sparse with faults", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Faults = crash }), "SparseRoutes requires a static topology"},
+		{"negative shards", mesh(func(c *MeshTCPConfig) { c.Shards = -1 }), "Shards must be in 0..64, got -1"},
+		{"too many shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards + 1 }), "Shards must be in 0..64, got 65"},
+		{"shard trace sequential", mesh(func(c *MeshTCPConfig) { c.ShardTrace = &strings.Builder{} }), "ShardTrace needs the sharded engine"},
+		{"shards with mobility", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Mobility = MobilityWaypoint }), "static topologies only"},
+		{"shards with faults", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Faults = crash }), "sequential engine"},
+		{"shards with dense scan", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.DenseScan = true }), "neighbor-indexed medium"},
+		{"shards with trace", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.TraceTo = &strings.Builder{} }), "channel tracing is unsupported"},
+
+		{"scenario default", scn(func(c *ScenarioConfig) {}), ""},
+		{"scenario closed", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mode = traffic.ModeClosed }), ""},
+		{"scenario faults", scn(func(c *ScenarioConfig) { c.Scenario.Faults = &traffic.Faults{CrashMTBFS: 20, CrashMTTRS: 5} }), ""},
+		{"scenario invalid", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mode = "bogus" }), `unknown traffic mode "bogus"`},
+		{"scenario v1 faults", scn(func(c *ScenarioConfig) {
+			c.Scenario.Version = 1
+			c.Scenario.Faults = &traffic.Faults{CrashMTBFS: 20}
+		}), "faults section needs schema version >= 2"},
+		{"scenario bad mix", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mix[0].Weight = -1 }), "weight"},
+		{"scenario bad rate", scn(func(c *ScenarioConfig) { c.Scenario.RateMbps = 9.9 }), `scenario "engine-test"`},
+		{"scenario trace format", scn(func(c *ScenarioConfig) { c.TraceFormat = "xml" }), `unknown trace format "xml"`},
+	}
+	for _, c := range cases {
+		err := c.cfg.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted, want an error containing %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q, want it to contain %q", c.name, err, c.want)
+		}
+	}
+}
+
+// Validate checks normalized copies: the fault config and the scenario a
+// caller passes in come back unchanged (results-store ids hash them, and
+// pool workers share them).
+func TestValidateLeavesConfigUnchanged(t *testing.T) {
+	mesh := quickMeshCfg()
+	mesh.Faults = &faults.Config{CrashMTBF: 20 * time.Second,
+		Partitions: []faults.Partition{{Duration: time.Second}}}
+	if err := mesh.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if mesh.Faults.CrashMTTR != 0 || mesh.Faults.Partitions[0].Axis != "" {
+		t.Errorf("Validate normalized the caller's fault config: %+v", *mesh.Faults)
+	}
+
+	sc := testScenario(traffic.ModeOpen)
+	sc.Mobility = &traffic.Mobility{Model: MobilityWaypoint}
+	sc.DeadlineS = 0
+	cfg := ScenarioConfig{Scenario: sc.Clone(), Scheme: mac.BA}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.Scenario, sc) {
+		t.Errorf("Validate normalized the caller's scenario:\n got %+v\nwant %+v", cfg.Scenario, sc)
+	}
+}
+
+// The Run entry points keep their signatures and panic with the Validate
+// error.
+func TestRunPanicsWithValidateError(t *testing.T) {
+	expect := func(name string, want error, run func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if err, ok := r.(error); !ok || err.Error() != want.Error() {
+				t.Errorf("%s: panic %v, want the Validate error %q", name, r, want)
+			}
+		}()
+		run()
+	}
+	mesh := quickMeshCfg()
+	mesh.Shards = -1
+	expect("RunMeshTCP", mesh.Validate(), func() { RunMeshTCP(mesh) })
+
+	scn := ScenarioConfig{Scenario: testScenario(traffic.ModeOpen), Scheme: mac.BA}
+	scn.Scenario.Traffic.Mode = "bogus"
+	expect("RunScenario", scn.Validate(), func() { RunScenario(scn) })
+}

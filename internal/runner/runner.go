@@ -340,6 +340,12 @@ func runOne(i int, s Spec) (res Result) {
 		r := core.RunUDP(*s.UDP)
 		res.UDP = &r
 	case s.Mesh != nil:
+		// An invalid config reports its reason, not a panic; the error is
+		// deterministic, so it is never retried.
+		if err := s.Mesh.Validate(); err != nil {
+			res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
+			return res
+		}
 		cfg := *s.Mesh
 		if s.Timeout > 0 && cfg.WallBudget == 0 {
 			cfg.WallBudget = s.Timeout
@@ -347,6 +353,10 @@ func runOne(i int, s Spec) (res Result) {
 		r := core.RunMeshTCP(cfg)
 		res.Mesh = &r
 	default:
+		if err := s.Scenario.Validate(); err != nil {
+			res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
+			return res
+		}
 		cfg := *s.Scenario
 		if s.Timeout > 0 && cfg.WallBudget == 0 {
 			cfg.WallBudget = s.Timeout

@@ -207,6 +207,28 @@ func TestScenarioSpec(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecReportsValidateError: an invalid mesh or scenario config
+// fails with its Validate reason, not as a panic, and is not retried.
+func TestInvalidSpecReportsValidateError(t *testing.T) {
+	mesh := &core.MeshTCPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Shards: -1, Seed: 1}
+	scn := &core.ScenarioConfig{Scheme: mac.BA, Scenario: traffic.Scenario{Version: traffic.SchemaVersion}}
+	pool := Pool{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3}}
+	res, err := pool.Run(context.Background(), []Spec{{Key: "m", Mesh: mesh}, {Key: "s", Scenario: scn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range []interface{ Validate() error }{mesh, scn} {
+		r := res[i]
+		want := `runner: spec "` + r.Key + `": ` + cfg.Validate().Error()
+		if r.Err == nil || r.Err.Error() != want {
+			t.Errorf("%s: error %v, want %q", r.Key, r.Err, want)
+		}
+		if r.Attempts != 1 || Classify(r.Err) != ClassDeterministic {
+			t.Errorf("%s: %d attempts, class %v; want one deterministic attempt", r.Key, r.Attempts, Classify(r.Err))
+		}
+	}
+}
+
 // TestPanicIsolated checks a run that panics (invalid PHY rate indexes out
 // of the rate table) reports via Result.Err without sinking the sweep.
 func TestPanicIsolated(t *testing.T) {

@@ -136,6 +136,16 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 	bench := buildBinary(t, "./cmd/aggbench")
 	sim := buildBinary(t, "./cmd/aggsim")
 	storeDir := filepath.Join(t.TempDir(), "never-created")
+	// A scenario file that loads but names a PHY rate the radio lacks.
+	badRate := filepath.Join(t.TempDir(), "bad-rate.json")
+	blob, err := os.ReadFile("examples/scenarios/web-open.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = regexp.MustCompile(`"rate_mbps":\s*[0-9.]+`).ReplaceAll(blob, []byte(`"rate_mbps": 9.9`))
+	if err := os.WriteFile(badRate, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -150,6 +160,10 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 		{"sim store on single run", sim, []string{"-store", storeDir}},
 		{"sim store on mesh run", sim, []string{"-topo", "grid", "-store", storeDir}},
 		{"sim store with trace", sim, []string{"-scheme", "na,ba", "-store", storeDir, "-trace"}},
+		{"sim shards with mobility", sim, []string{"-topo", "grid", "-shards", "2", "-mobility", "waypoint"}},
+		{"sim sparse routes with faults", sim, []string{"-topo", "grid", "-sparse-routes", "-crash-mtbf", "20s"}},
+		{"sim negative shards", sim, []string{"-topo", "grid", "-shards", "-1"}},
+		{"sim scenario with bad rate", sim, []string{"-scenario", badRate, "-store", storeDir}},
 	}
 	for _, c := range cases {
 		if code := exitCode(t, c.bin, c.args...); code != 2 {
