@@ -193,3 +193,26 @@ func relDiff(a, b float64) float64 {
 	}
 	return math.Abs(a-b) / den
 }
+
+// TestParallelRejectsUnsupportedModes: the sharded path must refuse
+// configurations whose semantics it cannot reproduce.
+func TestParallelRejectsUnsupportedModes(t *testing.T) {
+	base := MeshTCPConfig{Scheme: mac.BA, Nodes: 16, Flows: 2, FileBytes: 2000,
+		Seed: 1, Deadline: 60 * time.Second, Shards: 2}
+	for name, mutate := range map[string]func(*MeshTCPConfig){
+		"mobility":  func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint },
+		"densescan": func(c *MeshTCPConfig) { c.DenseScan = true },
+		"trace":     func(c *MeshTCPConfig) { c.TraceTo = &strings.Builder{} },
+	} {
+		cfg := base
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: sharded run did not panic", name)
+				}
+			}()
+			RunMeshTCP(cfg)
+		}()
+	}
+}

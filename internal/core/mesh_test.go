@@ -167,3 +167,14 @@ func TestRunMeshTCPMobilityDrift(t *testing.T) {
 		t.Fatal("drift run scheduled no mobility ticks")
 	}
 }
+
+func TestRunMeshTCPMobilityUnknownModel(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown mobility model did not panic")
+		}
+	}()
+	cfg := quickMeshCfg()
+	cfg.Mobility = "teleport"
+	RunMeshTCP(cfg)
+}

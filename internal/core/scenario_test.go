@@ -217,3 +217,14 @@ func TestRunScenarioZeroArrivals(t *testing.T) {
 		t.Errorf("empty run executed %d events", res.EventsRun)
 	}
 }
+
+func TestRunScenarioInvalidPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("invalid scenario did not panic")
+		}
+	}()
+	sc := testScenario(traffic.ModeOpen)
+	sc.Traffic.Mode = "bogus"
+	RunScenario(ScenarioConfig{Scenario: sc, Scheme: mac.BA})
+}

@@ -72,6 +72,24 @@ func TestRunMeshTCPSparseRoutesShardedEquivalent(t *testing.T) {
 	}
 }
 
+// TestRunMeshTCPSparseRoutesRejectsDynamics: mobility and fault recovery
+// rebuild full route tables, so combining them with SparseRoutes must fail
+// loudly instead of silently measuring a different system.
+func TestRunMeshTCPSparseRoutesRejectsDynamics(t *testing.T) {
+	expectPanic := func(name string, cfg MeshTCPConfig) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: SparseRoutes accepted a dynamic topology", name)
+			}
+		}()
+		RunMeshTCP(cfg)
+	}
+	cfg := quickMeshCfg()
+	cfg.SparseRoutes = true
+	cfg.Mobility = MobilityWaypoint
+	expectPanic("mobility", cfg)
+}
+
 // scaleGated skips t unless AGGMAC_SCALE is set: the large-N tests below
 // take tens of seconds and real memory, so only the CI scale job (and
 // explicit local runs) pay for them.
