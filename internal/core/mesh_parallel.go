@@ -3,10 +3,10 @@
 // The mesh is partitioned into contiguous spatial strips (cell domains);
 // each shard rebuilds its nodes, MACs and TCP stacks on a private scheduler
 // and medium, with every medium sharing one read-only link table. The
-// shards run concurrently under sim.ShardEngine's conservative bounded-lag
-// synchronization with lookahead L = ShardLookahead (the minimum on-air
-// time of any frame), and every locally-launched transmission whose source
-// has neighbors in other shards is replayed there as a foreign frame.
+// shards run concurrently under sim.ShardEngine, in barrier-synchronized
+// windows one lookahead L = ShardLookahead wide (the minimum on-air time of
+// any frame), and every locally-launched transmission whose source has
+// neighbors in other shards is replayed there as a foreign frame.
 //
 // Correctness argument. A transmission starting at t cannot deliver before
 // t+L (no frame is shorter than L on the air), so replaying it into a

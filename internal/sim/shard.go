@@ -1,64 +1,30 @@
-// Sharded parallel execution: a conservative bounded-lag engine that runs K
-// independent Schedulers on K goroutines and synchronizes them with a fixed
-// lookahead L.
+// Sharded parallel execution: K independent Schedulers run in lock-step
+// windows on K goroutines, synchronized by a barrier between windows.
 //
-// Model. Each shard owns a Scheduler and publishes a monotone clock C_i: a
-// lower bound on the time of any event the shard will ever execute in the
-// future. Because every cross-shard effect is posted at least L after the
-// event that causes it (Post enforces at >= now+L), shard j may safely
-// execute any event strictly below its horizon
+// Model. Every cross-shard effect is posted at least a lookahead L after
+// the event that causes it (Post enforces at >= now+L). A window covers the
+// simulated interval [T, T+L), where T is the earliest pending event on any
+// shard: every shard runs its events in that interval concurrently, and
+// nothing posted during the window can land inside it. At the barrier that
+// closes the window, the coordinator moves each shard's per-destination
+// outbox into the destination's staging heap, ordered by (time, source
+// shard, source sequence). The next window starts at the earliest pending
+// event anywhere, so idle stretches of simulated time cost nothing.
 //
-//	H_j = min over connected neighbors i of (C_i + L).
-//
-// Cross-shard effects arrive as timestamped boundary events in per-directed-
-// pair inboxes and are merged through a per-shard staging heap ordered by
-// (time, source shard, source sequence), so the execution order — and
-// therefore the whole run — is a pure function of the configuration,
-// independent of goroutine scheduling, GOMAXPROCS, or wall-clock timing.
-//
-// Why draining inboxes once per horizon computation is sufficient: a shard
-// reads neighbor clocks with acquire loads, and a sender pushes to the inbox
-// before publishing the clock value (release store) that the receiver's
-// horizon was computed from. Any event a neighbor pushes after that clock
-// read carries a timestamp >= (observed clock) + L = the receiver's current
-// horizon, so it cannot belong to the current batch.
-//
-// Termination uses a double-collect: a shard with no executable work left
-// (nothing at or below the deadline, locally or staged) marks itself idle;
-// any idle shard may then snapshot all status words, verify every inbox's
-// pushed count equals its drained count, and re-verify the snapshot
-// unchanged. Shards bump an epoch in their status word before leaving the
-// idle state, so a successful double-collect proves no event was in flight.
+// Each shard merges staged and local events in time order, staged first on
+// ties. A staged event's position in its source's sequence is fixed and
+// local sequence numbers depend only on local history, so every shard's
+// event order — and therefore the whole run — is a pure function of the
+// configuration, independent of goroutine scheduling, GOMAXPROCS or
+// wall-clock timing. With one shard there is no neighbor to wait for, so
+// the single window runs to the deadline: exactly Scheduler.RunUntil.
 package sim
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// maxTime is the horizon of a shard with no neighbors (never constrained).
-const maxTime = Time(math.MaxInt64)
-
-// A blocked shard spins (Gosched between passes) up to blockedSpins times
-// waiting for a neighbor clock to move, then stops burning the core. In
-// normal builds it parks for real: a per-shard wakeup channel, signalled
-// whenever a neighbor's published clock advances, a boundary event is
-// posted to the shard, or the engine terminates, with a coarse fallback
-// timer guarding against any wakeup the signalling misses (see
-// shard_norace.go). Under the race detector every blocked pass costs
-// microseconds of instrumented atomics and channel parking serializes
-// against the shard that can progress, so race builds keep the historical
-// spin-then-nap path (shard_race.go). Wall-clock timing never affects
-// event order, so all of this is performance-only.
-const blockedNap = 20 * time.Microsecond
-
-// parkTimeout is the parked shard's fallback wakeup. The explicit wakeups
-// make it nearly unreachable; it only bounds the cost of a lost wakeup.
-const parkTimeout = time.Millisecond
 
 // boundaryEvent is one cross-shard effect: fn runs on the destination shard
 // with the destination scheduler's clock advanced exactly to at.
@@ -69,62 +35,35 @@ type boundaryEvent struct {
 	fn  func()
 }
 
-// inbox carries boundary events for one directed shard pair. The sender
-// appends under mu and then increments pushed (release); the receiver swaps
-// the slice out under mu. pushed/drained are compared by the termination
-// double-collect to detect in-flight events.
-type inbox struct {
-	mu      sync.Mutex
-	items   []boundaryEvent
-	spare   []boundaryEvent // recycled backing array for items
-	pushed  atomic.Uint64
-	drained atomic.Uint64
-}
-
-// paddedClock keeps each published clock on its own cache line so shards do
-// not false-share their hottest word.
-type paddedClock struct {
-	_ [64]byte
-	v atomic.Int64
-	_ [56]byte
-}
-
-// engineShard is the per-goroutine state.
+// engineShard is the per-goroutine state. Within a window only the shard's
+// own goroutine touches it; between windows only the coordinator does.
 type engineShard struct {
-	id    int
-	sched *Scheduler
-	nbrs  []int    // connected shards, ascending
-	in    []*inbox // indexed by source shard id; nil when not connected
-	out   []*inbox // indexed by destination shard id; nil when not connected
-	seq   []uint64 // next boundary sequence per destination shard
+	id        int
+	sched     *Scheduler
+	connected []bool            // indexed by shard id: Post may target it
+	out       [][]boundaryEvent // per destination shard, filled during a window
+	seq       []uint64          // next boundary sequence per destination shard
 
 	staging []boundaryEvent // min-heap ordered by (at, src, seq)
 
-	// status is epoch<<1 | idleBit, written only by the owner.
-	status atomic.Uint64
+	start chan Time // window end (inclusive) for a worker shard
 
-	// wake and parked implement real blocking for a shard with nothing
-	// runnable (see park). wake is buffered so wakers never block; parked
-	// is the Dekker flag that makes the token delivery race-free.
-	wake   chan struct{}
-	parked atomic.Bool
-
-	// Diagnostic span recording (EnableDiag). Owner-only state: spans is
-	// read by DiagSpans after Run returns.
-	spans       []ShardSpan
-	batchStart  time.Duration
-	batchEvents uint64
+	// Diagnostic span recording (EnableDiag). spans is read by DiagSpans
+	// after Run returns; idleSince is when the shard last finished a window.
+	spans     []ShardSpan
+	idleSince time.Duration
 
 	panicked any
 }
 
-// ShardSpan is one wall-clock interval of a shard goroutine's life,
-// recorded only when EnableDiag was called before Run: Kind "run" covers
-// one batch of executed events, "blocked" one park waiting for a
-// neighbor's horizon. Start and End are wall-clock offsets from Run's
-// start; SimAt is the shard's simulated clock when the span closed.
-// Wall-clock spans vary run to run by construction — they feed the
-// Chrome trace exporter only and never any deterministic output.
+// ShardSpan is one wall-clock interval of a shard's life, recorded only
+// when EnableDiag was called before Run: Kind "run" covers the events one
+// shard executed in one window, "blocked" the time it then waited at the
+// barrier for the next window it had work in. Start and End are
+// wall-clock offsets from Run's start; SimAt is the shard's simulated
+// clock when the span closed. Wall-clock spans vary run to run by
+// construction — they feed the Chrome trace exporter only and never any
+// deterministic output.
 type ShardSpan struct {
 	Shard  int
 	Kind   string // "run" | "blocked"
@@ -134,17 +73,14 @@ type ShardSpan struct {
 	Events uint64 // events executed during a "run" span
 }
 
-// ShardEngine couples K Schedulers under conservative synchronization.
-// Build one with NewShardEngine, declare cross-shard reachability with
-// Connect, then Run. Post may only be called from inside an event executing
-// on the source shard.
+// ShardEngine runs K Schedulers in barrier-synchronized windows of one
+// lookahead. Build one with NewShardEngine, declare cross-shard
+// reachability with Connect, then Run. Post may only be called from inside
+// an event executing on the source shard.
 type ShardEngine struct {
-	shards   []*engineShard
-	clocks   []paddedClock
-	look     Time
-	deadline Time
-	done     atomic.Bool
-	running  atomic.Bool
+	shards  []*engineShard
+	look    Time
+	running bool
 
 	diag      bool
 	wallStart time.Time
@@ -152,10 +88,10 @@ type ShardEngine struct {
 
 // EnableDiag turns on per-shard wall-clock span recording for the Chrome
 // trace exporter. Must be called before Run. Diagnostics never affect
-// event order — they only read the wall clock around batches and parks —
-// but they do cost a timestamp per batch, so they are off by default.
+// event order — they only read the wall clock around windows — but they
+// do cost two timestamps per shard and window, so they are off by default.
 func (e *ShardEngine) EnableDiag() {
-	if e.running.Load() {
+	if e.running {
 		panic("sim: EnableDiag after Run started")
 	}
 	e.diag = true
@@ -171,19 +107,6 @@ func (e *ShardEngine) DiagSpans() []ShardSpan {
 	return out
 }
 
-// closeRunSpan ends the in-progress "run" span of a batch that executed
-// at least one event.
-func (e *ShardEngine) closeRunSpan(s *engineShard) {
-	s.spans = append(s.spans, ShardSpan{
-		Shard:  s.id,
-		Kind:   "run",
-		Start:  s.batchStart,
-		End:    time.Since(e.wallStart),
-		SimAt:  s.sched.Now(),
-		Events: s.batchEvents,
-	})
-}
-
 // NewShardEngine builds an engine over the given schedulers. lookahead is
 // the minimum delay between a source event and any effect it may post to
 // another shard; it must be positive.
@@ -194,22 +117,17 @@ func NewShardEngine(scheds []*Scheduler, lookahead Time) *ShardEngine {
 	if lookahead <= 0 {
 		panic("sim: ShardEngine lookahead must be positive")
 	}
-	e := &ShardEngine{
-		shards: make([]*engineShard, len(scheds)),
-		clocks: make([]paddedClock, len(scheds)),
-		look:   lookahead,
-	}
+	e := &ShardEngine{shards: make([]*engineShard, len(scheds)), look: lookahead}
 	for i, s := range scheds {
 		if s == nil {
 			panic("sim: ShardEngine scheduler is nil")
 		}
 		e.shards[i] = &engineShard{
-			id:    i,
-			sched: s,
-			in:    make([]*inbox, len(scheds)),
-			out:   make([]*inbox, len(scheds)),
-			seq:   make([]uint64, len(scheds)),
-			wake:  make(chan struct{}, 1),
+			id:        i,
+			sched:     s,
+			connected: make([]bool, len(scheds)),
+			out:       make([][]boundaryEvent, len(scheds)),
+			seq:       make([]uint64, len(scheds)),
 		}
 	}
 	return e
@@ -218,40 +136,22 @@ func NewShardEngine(scheds []*Scheduler, lookahead Time) *ShardEngine {
 // Shards returns the number of shards.
 func (e *ShardEngine) Shards() int { return len(e.shards) }
 
-// Lookahead returns the engine's conservative lookahead L.
+// Lookahead returns the engine's lookahead L, the width of one window.
 func (e *ShardEngine) Lookahead() Time { return e.look }
 
-// Connect declares that shards a and b can affect each other: each
-// constrains the other's horizon and gets an inbox in each direction.
-// Connect the exact pairs that share a radio link across the partition
-// boundary; unconnected pairs may not Post to each other.
+// Connect declares that shards a and b can affect each other, so each may
+// Post to the other. Connect the exact pairs that share a radio link
+// across the partition boundary; unconnected pairs may not Post to each
+// other.
 func (e *ShardEngine) Connect(a, b int) {
-	if e.running.Load() {
+	if e.running {
 		panic("sim: Connect after Run started")
 	}
 	if a == b {
 		panic("sim: Connect of a shard to itself")
 	}
-	sa, sb := e.shards[a], e.shards[b]
-	if sa.out[b] != nil {
-		return
-	}
-	ab, ba := &inbox{}, &inbox{}
-	sa.out[b], sb.in[a] = ab, ab
-	sb.out[a], sa.in[b] = ba, ba
-	sa.nbrs = insertSorted(sa.nbrs, b)
-	sb.nbrs = insertSorted(sb.nbrs, a)
-}
-
-func insertSorted(s []int, v int) []int {
-	i := 0
-	for i < len(s) && s[i] < v {
-		i++
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	e.shards[a].connected[b] = true
+	e.shards[b].connected[a] = true
 }
 
 // Post schedules fn on shard dst at absolute time at. It must be called
@@ -264,47 +164,46 @@ func (e *ShardEngine) Post(src, dst int, at Time, fn func()) {
 		panic(fmt.Sprintf("sim: Post from shard %d at %v violates lookahead (now %v + L %v)",
 			src, at, s.sched.Now(), e.look))
 	}
-	box := s.out[dst]
-	if box == nil {
+	if !s.connected[dst] {
 		panic(fmt.Sprintf("sim: Post from shard %d to unconnected shard %d", src, dst))
 	}
-	ev := boundaryEvent{at: at, src: int32(src), seq: s.seq[dst], fn: fn}
+	s.out[dst] = append(s.out[dst], boundaryEvent{at: at, src: int32(src), seq: s.seq[dst], fn: fn})
 	s.seq[dst]++
-	box.mu.Lock()
-	box.items = append(box.items, ev)
-	box.mu.Unlock()
-	box.pushed.Add(1)
-	if parkBlocked {
-		e.shards[dst].wakeup()
-	}
 }
 
-// Run executes all shards concurrently until every shard has drained its
-// work at or below deadline (or halted), then advances every scheduler's
-// clock to the deadline, mirroring Scheduler.RunUntil. Run may be called
-// once per engine.
+// Run executes windows until no shard has work at or below deadline (or
+// every shard has halted), then advances every scheduler's clock to the
+// deadline, mirroring Scheduler.RunUntil. Shard 0 runs on the calling
+// goroutine, every other shard on its own. A panic on any shard ends the
+// run at the next barrier; Run re-panics with the lowest-numbered shard's
+// value once every worker has exited. Run may be called once per engine.
 func (e *ShardEngine) Run(deadline Time) {
-	if e.running.Swap(true) {
+	if e.running {
 		panic("sim: ShardEngine.Run called twice")
 	}
-	e.deadline = deadline
+	e.running = true
 	if e.diag {
 		e.wallStart = time.Now()
 	}
-	var wg sync.WaitGroup
 	for _, s := range e.shards {
+		s.sched.halted = false
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{}, len(e.shards))
+	for _, s := range e.shards[1:] {
+		s.start = make(chan Time)
 		wg.Add(1)
-		go func(s *engineShard) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					s.panicked = r
-					e.done.Store(true)
-					e.wakeAll()
-				}
-			}()
-			e.runShard(s)
-		}(s)
+			for end := range s.start {
+				e.runWindow(s, end)
+				done <- struct{}{}
+			}
+		}()
+	}
+	e.loop(deadline, done)
+	for _, s := range e.shards[1:] {
+		close(s.start)
 	}
 	wg.Wait()
 	for _, s := range e.shards {
@@ -319,105 +218,121 @@ func (e *ShardEngine) Run(deadline Time) {
 	}
 }
 
-// horizon returns the largest time strictly below which s may execute.
-func (e *ShardEngine) horizon(s *engineShard) Time {
-	h := maxTime
-	for _, n := range s.nbrs {
-		c := Time(e.clocks[n].v.Load())
-		if c+e.look < h {
-			h = c + e.look
+// loop is the coordinator: deliver the last window's boundary events, pick
+// the next window, run it on every shard with work in it, and wait at the
+// barrier.
+func (e *ShardEngine) loop(deadline Time, done chan struct{}) {
+	for {
+		e.exchange()
+		t, ok := e.nextAt()
+		if !ok || t > deadline {
+			return
 		}
-	}
-	return h
-}
-
-// publish raises shard s's clock to t (owner-only writer, so a plain
-// compare suffices; the store has release semantics). An actual advance
-// can only widen the horizons of s's neighbors, so they are woken.
-func (e *ShardEngine) publish(s *engineShard, t Time) {
-	if int64(t) > e.clocks[s.id].v.Load() {
-		e.clocks[s.id].v.Store(int64(t))
-		if parkBlocked {
-			for _, n := range s.nbrs {
-				e.shards[n].wakeup()
+		end := deadline
+		if len(e.shards) > 1 && deadline-t >= e.look {
+			end = t + e.look - 1
+		}
+		busy := 0
+		for _, s := range e.shards[1:] {
+			if at, _, ok := s.peek(); ok && at <= end {
+				s.start <- end
+				busy++
+			}
+		}
+		if at, _, ok := e.shards[0].peek(); ok && at <= end {
+			e.runWindow(e.shards[0], end)
+		}
+		for ; busy > 0; busy-- {
+			<-done
+		}
+		for _, s := range e.shards {
+			if s.panicked != nil {
+				return
 			}
 		}
 	}
 }
 
-// wakeup delivers a non-blocking token to a parked shard. The parked flag
-// is set before the sleeper's final state re-check (Dekker), so a state
-// change that the sleeper misses always finds parked == true here and the
-// token is never lost; a stale token at worst costs one spurious pass.
-func (s *engineShard) wakeup() {
-	if s.parked.Load() {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wakeAll unparks every shard; called whenever done flips so no goroutine
-// outlives termination by a park timeout.
-func (e *ShardEngine) wakeAll() {
+// exchange moves every outbox into its destination's staging heap. Events
+// for a halted shard are dropped: it executes nothing more.
+func (e *ShardEngine) exchange() {
 	for _, s := range e.shards {
-		s.wakeup()
+		for dst, box := range s.out {
+			if len(box) == 0 {
+				continue
+			}
+			if d := e.shards[dst]; !d.sched.Halted() {
+				for _, ev := range box {
+					d.stagePush(ev)
+				}
+			}
+			clear(box) // release fn for GC
+			s.out[dst] = box[:0]
+		}
 	}
 }
 
-// inboxDirty reports whether any inbound inbox has undrained events.
-func (s *engineShard) inboxDirty() bool {
-	for _, n := range s.nbrs {
-		box := s.in[n]
-		if box.pushed.Load() != box.drained.Load() {
-			return true
+// nextAt returns the earliest pending event time over all running shards.
+func (e *ShardEngine) nextAt() (Time, bool) {
+	var t Time
+	found := false
+	for _, s := range e.shards {
+		if at, _, ok := s.peek(); ok && (!found || at < t) {
+			t, found = at, true
 		}
 	}
-	return false
+	return t, found
 }
 
-// park blocks s until a neighbor clock advance, an inbound boundary event,
-// engine termination, or the fallback timeout. h is the horizon the caller
-// computed before deciding it was blocked: if the live horizon has already
-// moved past it, the nap is skipped. The Dekker protocol — store parked,
-// re-check every unblock condition, only then sleep — closes the window
-// between the caller's checks and the channel receive.
-func (e *ShardEngine) park(s *engineShard, h Time) {
-	s.parked.Store(true)
-	if e.done.Load() || e.horizon(s) > h || s.inboxDirty() {
-		s.parked.Store(false)
-		return
+// peek returns the shard's next event time and whether that event is
+// staged, which wins time ties against local events. A halted shard has
+// no next event.
+func (s *engineShard) peek() (at Time, staged, ok bool) {
+	if s.sched.Halted() {
+		return 0, false, false
 	}
-	t := time.NewTimer(parkTimeout)
-	select {
-	case <-s.wake:
-	case <-t.C:
+	lt, lok := s.sched.PeekTime()
+	if len(s.staging) > 0 && (!lok || s.staging[0].at <= lt) {
+		return s.staging[0].at, true, true
 	}
-	t.Stop()
-	s.parked.Store(false)
-	select { // drop a token raced in by the timer path
-	case <-s.wake:
-	default:
-	}
+	return lt, false, lok
 }
 
-// drain moves every pending inbox item into the staging heap.
-func (s *engineShard) drain() {
-	for _, n := range s.nbrs {
-		box := s.in[n]
-		if box.pushed.Load() == box.drained.Load() {
-			continue
+// runWindow executes the shard's events at or below end, staged before
+// local on time ties, until it runs out or halts. A panic is recovered
+// into s.panicked for the coordinator to re-raise.
+func (e *ShardEngine) runWindow(s *engineShard, end Time) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked = r
 		}
-		box.mu.Lock()
-		items := box.items
-		box.items = box.spare[:0]
-		box.mu.Unlock()
-		for _, ev := range items {
-			s.stagePush(ev)
+	}()
+	var t0 time.Duration
+	if e.diag {
+		t0 = time.Since(e.wallStart)
+		if t0 > s.idleSince {
+			s.spans = append(s.spans, ShardSpan{
+				Shard: s.id, Kind: "blocked", Start: s.idleSince, End: t0, SimAt: s.sched.Now(),
+			})
 		}
-		box.spare = items[:0]
-		box.drained.Add(uint64(len(items)))
+	}
+	sched := s.sched
+	var n uint64
+	for at, staged, ok := s.peek(); ok && at <= end; at, staged, ok = s.peek() {
+		if staged {
+			ev := s.stagePop()
+			sched.AdvanceTo(ev.at)
+			ev.fn()
+		} else {
+			sched.Step()
+		}
+		n++
+	}
+	if e.diag {
+		s.idleSince = time.Since(e.wallStart)
+		s.spans = append(s.spans, ShardSpan{
+			Shard: s.id, Kind: "run", Start: t0, End: s.idleSince, SimAt: sched.Now(), Events: n,
+		})
 	}
 }
 
@@ -469,203 +384,4 @@ func stageLess(a, b boundaryEvent) bool {
 		return a.src < b.src
 	}
 	return a.seq < b.seq
-}
-
-const statusIdle = uint64(1)
-
-// setIdle and setActive maintain status = epoch<<1 | idleBit. The epoch
-// bump on wake-up is what makes the termination double-collect sound.
-func (s *engineShard) setIdle() {
-	st := s.status.Load()
-	if st&statusIdle == 0 {
-		s.status.Store(st | statusIdle)
-	}
-}
-
-func (s *engineShard) setActive() {
-	st := s.status.Load()
-	if st&statusIdle != 0 {
-		s.status.Store((st>>1 + 1) << 1) // bump epoch, clear idle
-	}
-}
-
-// tryTerminate performs the double-collect and, on success, stops the run.
-func (e *ShardEngine) tryTerminate(snap []uint64) bool {
-	for i, s := range e.shards {
-		st := s.status.Load()
-		if st&statusIdle == 0 {
-			return false
-		}
-		snap[i] = st
-	}
-	for _, s := range e.shards {
-		for _, n := range s.nbrs {
-			box := s.in[n]
-			if box.pushed.Load() != box.drained.Load() {
-				return false
-			}
-		}
-	}
-	for i, s := range e.shards {
-		if s.status.Load() != snap[i] {
-			return false
-		}
-	}
-	e.done.Store(true)
-	e.wakeAll()
-	return true
-}
-
-// runShard is one shard's main loop.
-func (e *ShardEngine) runShard(s *engineShard) {
-	sched := s.sched
-	snap := make([]uint64, len(e.shards))
-	idlePasses := 0
-	for !e.done.Load() {
-		// Read neighbor clocks (acquire) before draining: every boundary
-		// event relevant below the resulting horizon is then visible.
-		h := e.horizon(s)
-		s.drain()
-
-		progressed := false
-		for {
-			st, sok := stagePeek(s.staging)
-			lt, lok := sched.PeekTime()
-			var t Time
-			var useStaged bool
-			switch {
-			case sok && lok:
-				// Staged-before-local on time ties: a boundary event's
-				// position in the source's sequence is fixed, while local
-				// seq numbers depend only on local history, so this rule is
-				// deterministic.
-				useStaged = st <= lt
-				t = lt
-				if useStaged {
-					t = st
-				}
-			case sok:
-				useStaged, t = true, st
-			case lok:
-				useStaged, t = false, lt
-			default:
-				goto blocked
-			}
-			if t >= h || t > e.deadline {
-				goto blocked
-			}
-			if !progressed {
-				s.setActive()
-				e.publish(s, t)
-				progressed = true
-				if e.diag {
-					s.batchStart = time.Since(e.wallStart)
-					s.batchEvents = 0
-				}
-			}
-			if e.diag {
-				s.batchEvents++
-			}
-			if useStaged {
-				ev := s.stagePop()
-				sched.AdvanceTo(ev.at)
-				ev.fn()
-			} else {
-				sched.Step()
-			}
-			if sched.Halted() {
-				// Halt is only meaningful for single-shard runs (the
-				// bit-identity path); a halted shard drains nothing more.
-				if e.diag {
-					e.closeRunSpan(s)
-				}
-				e.haltShard(s)
-				return
-			}
-		}
-
-	blocked:
-		if progressed && e.diag {
-			e.closeRunSpan(s)
-		}
-		// Publish the best promise available while blocked: the earliest
-		// thing this shard could ever execute next, capped by its own
-		// horizon (arrivals from neighbor i land at >= C_i + L >= horizon).
-		next := h
-		if st, ok := stagePeek(s.staging); ok && st < next {
-			next = st
-		}
-		if lt, ok := sched.PeekTime(); ok && lt < next {
-			next = lt
-		}
-		e.publish(s, next)
-
-		st, sok := stagePeek(s.staging)
-		lt, lok := sched.PeekTime()
-		if (!sok || st > e.deadline) && (!lok || lt > e.deadline) {
-			s.setIdle()
-			if e.tryTerminate(snap) {
-				return
-			}
-		}
-		if progressed {
-			idlePasses = 0
-		} else if idlePasses++; idlePasses <= blockedSpins {
-			runtime.Gosched()
-		} else if e.diag {
-			t0 := time.Since(e.wallStart)
-			if parkBlocked {
-				e.park(s, h)
-			} else {
-				time.Sleep(blockedNap)
-			}
-			s.spans = append(s.spans, ShardSpan{
-				Shard: s.id, Kind: "blocked",
-				Start: t0, End: time.Since(e.wallStart), SimAt: sched.Now(),
-			})
-		} else if parkBlocked {
-			e.park(s, h)
-		} else {
-			time.Sleep(blockedNap)
-		}
-	}
-}
-
-func stagePeek(h []boundaryEvent) (Time, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
-// haltShard marks a halted shard permanently idle and keeps its inboxes
-// drained (discarding arrivals) so the other shards can still terminate.
-func (e *ShardEngine) haltShard(s *engineShard) {
-	e.publish(s, maxTime-e.look)
-	idlePasses := 0
-	for !e.done.Load() {
-		for _, n := range s.nbrs {
-			box := s.in[n]
-			if box.pushed.Load() == box.drained.Load() {
-				continue
-			}
-			box.mu.Lock()
-			n := len(box.items)
-			box.items = box.items[:0]
-			box.mu.Unlock()
-			box.drained.Add(uint64(n))
-		}
-		s.setIdle()
-		snap := make([]uint64, len(e.shards))
-		if e.tryTerminate(snap) {
-			return
-		}
-		if idlePasses++; idlePasses <= blockedSpins {
-			runtime.Gosched()
-		} else if parkBlocked {
-			e.park(s, maxTime)
-		} else {
-			time.Sleep(blockedNap)
-		}
-	}
 }

@@ -111,7 +111,11 @@ func TestShardEngineDeterministic(t *testing.T) {
 
 // TestShardEngineSingleShardMatchesSequential: with one shard the engine
 // must reproduce Scheduler.RunUntil exactly, including EventsRun and Halt.
+// With several unconnected shards each shard must still match its own
+// RunUntil, which pins skip-ahead between windows and the inclusive
+// deadline (every shard schedules an event exactly at it).
 func TestShardEngineSingleShardMatchesSequential(t *testing.T) {
+	const deadline = 10 * time.Millisecond
 	build := func(s *Scheduler, log *[]string, haltAt int) {
 		n := 0
 		var tick func()
@@ -127,33 +131,93 @@ func TestShardEngineSingleShardMatchesSequential(t *testing.T) {
 			s.After(d*2, "tock", func() { *log = append(*log, fmt.Sprintf("o@%v", s.Now())) })
 		}
 		s.At(0, "tick", tick)
+		s.At(deadline, "last", func() { *log = append(*log, fmt.Sprintf("last@%v", s.Now())) })
 	}
-	for _, haltAt := range []int{0 /* never: runs to deadline */, 25} {
-		seqS := NewScheduler(7)
-		var seqLog []string
-		build(seqS, &seqLog, haltAt)
-		seqS.RunUntil(10 * time.Millisecond)
+	for _, tc := range []struct{ shards, haltAt int }{
+		{1, 0 /* never: runs to deadline */},
+		{1, 25},
+		{3, 0},
+	} {
+		seqS := make([]*Scheduler, tc.shards)
+		parS := make([]*Scheduler, tc.shards)
+		seqLog := make([][]string, tc.shards)
+		parLog := make([][]string, tc.shards)
+		for i := range seqS {
+			seqS[i] = NewScheduler(7 + int64(i))
+			build(seqS[i], &seqLog[i], tc.haltAt)
+			seqS[i].RunUntil(deadline)
 
-		parS := NewScheduler(7)
-		var parLog []string
-		build(parS, &parLog, haltAt)
-		e := NewShardEngine([]*Scheduler{parS}, testLook)
-		e.Run(10 * time.Millisecond)
-
-		if len(seqLog) != len(parLog) {
-			t.Fatalf("haltAt=%d: engine log %d entries, sequential %d", haltAt, len(parLog), len(seqLog))
+			parS[i] = NewScheduler(7 + int64(i))
+			build(parS[i], &parLog[i], tc.haltAt)
 		}
-		for i := range seqLog {
-			if seqLog[i] != parLog[i] {
-				t.Fatalf("haltAt=%d: entry %d = %q, want %q", haltAt, i, parLog[i], seqLog[i])
+		e := NewShardEngine(parS, testLook)
+		e.Run(deadline)
+
+		for k := range seqS {
+			name := fmt.Sprintf("shards=%d haltAt=%d shard %d", tc.shards, tc.haltAt, k)
+			if len(seqLog[k]) != len(parLog[k]) {
+				t.Fatalf("%s: engine log %d entries, sequential %d", name, len(parLog[k]), len(seqLog[k]))
+			}
+			for i := range seqLog[k] {
+				if seqLog[k][i] != parLog[k][i] {
+					t.Fatalf("%s: entry %d = %q, want %q", name, i, parLog[k][i], seqLog[k][i])
+				}
+			}
+			if seqS[k].EventsRun() != parS[k].EventsRun() {
+				t.Fatalf("%s: EventsRun %d, want %d", name, parS[k].EventsRun(), seqS[k].EventsRun())
+			}
+			if seqS[k].Now() != parS[k].Now() {
+				t.Fatalf("%s: Now %v, want %v", name, parS[k].Now(), seqS[k].Now())
 			}
 		}
-		if seqS.EventsRun() != parS.EventsRun() {
-			t.Fatalf("haltAt=%d: EventsRun %d, want %d", haltAt, parS.EventsRun(), seqS.EventsRun())
+	}
+}
+
+// TestShardEnginePanicPropagates: a panic on one shard mid-run ends the
+// run at the next barrier, Run re-panics with that same value, and no
+// worker goroutine outlives it. Here shard 1's wall-clock watchdog fires,
+// the path a runner timeout takes on a sharded run.
+func TestShardEnginePanicPropagates(t *testing.T) {
+	e, scheds, _ := buildPingMesh(3, 42, 3)
+	for _, s := range scheds {
+		var tick func()
+		tick = func() { s.After(time.Microsecond, "tick", tick) }
+		s.At(0, "tick", tick)
+	}
+	scheds[1].SetWallBudget(time.Nanosecond)
+
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run(50 * time.Millisecond)
+	}()
+	wb, ok := got.(*WallBudgetError)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want *WallBudgetError", got)
+	}
+	// The watchdog samples every 4096 events, so the first check is the
+	// one that fires; any other value would mean Run re-wrapped the panic.
+	if wb.Budget != time.Nanosecond || wb.Events != 4096 {
+		t.Fatalf("re-panicked with %+v, want the shard's own error (budget 1ns, 4096 events)", *wb)
+	}
+	if scheds[1].EventsRun() != 4096 {
+		t.Fatalf("shard 1 ran %d events after its panic, want 4096", scheds[1].EventsRun())
+	}
+	for i, s := range scheds {
+		if s.Now() >= wb.SimTime+testLook {
+			t.Fatalf("shard %d reached %v; the run should stop at the barrier after %v", i, s.Now(), wb.SimTime)
 		}
-		if seqS.Now() != parS.Now() {
-			t.Fatalf("haltAt=%d: Now %v, want %v", haltAt, parS.Now(), seqS.Now())
-		}
+	}
+	// A worker signals its exit to Run just before it returns, so give the
+	// last ones a moment to finish.
+	for wait := time.Millisecond; runtime.NumGoroutine() > before && wait < time.Second; wait *= 2 {
+		time.Sleep(wait)
+	}
+	// Goroutines of earlier tests may still be exiting, so only a rise
+	// counts as a leak.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Run, %d before: a shard worker leaked", n, before)
 	}
 }
 

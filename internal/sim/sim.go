@@ -175,8 +175,8 @@ func (s *Scheduler) After(d time.Duration, what string, fn func()) Timer {
 func (s *Scheduler) Halt() { s.halted = true }
 
 // Halted reports whether Halt has been called since the last Run/RunUntil
-// started. The shard engine polls it between events; Run and RunUntil clear
-// it on entry.
+// started. The shard engine polls it between events; Run, RunUntil and
+// ShardEngine.Run clear it on entry.
 func (s *Scheduler) Halted() bool { return s.halted }
 
 // PeekTime returns the deadline of the earliest pending event without
@@ -190,9 +190,10 @@ func (s *Scheduler) PeekTime() (at Time, ok bool) {
 
 // AdvanceTo moves the clock forward to t without executing anything. The
 // shard engine uses it to run externally-staged boundary events at their
-// exact timestamps. Moving backwards panics: conservative synchronization
-// guarantees staged events are never in the local past, so a violation is
-// an engine bug.
+// exact timestamps. Moving backwards panics: a boundary event lands at
+// least one lookahead after its cause, so it is staged before the window
+// that contains it and is never in the local past; a violation is an
+// engine bug.
 func (s *Scheduler) AdvanceTo(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now %v", t, s.now))

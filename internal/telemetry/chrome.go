@@ -1,11 +1,11 @@
 // Chrome trace-event export for sharded runs.
 //
 // The shard engine, with diagnostics enabled, records wall-clock spans
-// of each shard goroutine either executing events ("run") or waiting on
-// a neighbor's horizon ("blocked"). Rendered as trace events — one
-// track per shard — chrome://tracing or https://ui.perfetto.dev makes
-// shard imbalance visible at a glance: a laggard shard shows long run
-// spans while its neighbors sit blocked.
+// of each shard either executing one window's events ("run") or waiting
+// at the barrier for the next window ("blocked"). Rendered as trace
+// events — one track per shard — chrome://tracing or
+// https://ui.perfetto.dev makes shard imbalance visible at a glance: a
+// laggard shard shows long run spans while the others sit blocked.
 //
 // Unlike the JSONL metrics export this output is wall-clock and
 // therefore intentionally NOT deterministic; it never feeds golden
