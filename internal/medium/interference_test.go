@@ -1,0 +1,124 @@
+package medium
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"aggmac/internal/frame"
+	"aggmac/internal/phy"
+	"aggmac/internal/sim"
+)
+
+// scanOracle is the brute-force record of what the collision scan should
+// have written into one in-flight transmission: the same addInterf rule,
+// applied to every (active transmission, node) pair through the public
+// Connected/SNR accessors instead of the neighbor lists.
+type scanOracle struct {
+	audience []NodeID
+	collided []bool
+	interf   []float64
+	marked   []NodeID
+}
+
+func (o *scanOracle) add(dst NodeID, snrdB float64) {
+	if !o.collided[dst] {
+		o.collided[dst] = true
+		o.interf[dst] = snrdB
+		o.marked = append(o.marked, dst)
+		return
+	}
+	if snrdB > o.interf[dst] {
+		o.interf[dst] = snrdB
+	}
+}
+
+// FuzzInterferenceScan interleaves link cuts, raises, directed edits and
+// SNR overrides with overlapping control-frame launches and clock advances.
+// Before every launch it derives the expected marks by brute force over
+// m.active and every node id, reading links as they stand at that instant;
+// after every op it requires each in-flight transmission's audience,
+// collided/interfSNR entries and marked order to match. Each op is 4
+// bytes: kind, node a, node b, value. The last node stays detached, so the
+// scan must skip it.
+func FuzzInterferenceScan(f *testing.F) {
+	// Seed corpus: a shared receiver, a link cut and a link raised under an
+	// in-flight frame, a directed-only link, SNR edits mid-flight, three
+	// overlapping senders, and frames that end before the next launch.
+	f.Add([]byte{0, 0, 2, 0, 0, 1, 2, 0, 3, 0, 0, 0, 3, 1, 0, 1})
+	f.Add([]byte{0, 0, 2, 0, 0, 1, 2, 0, 3, 0, 0, 0, 1, 0, 2, 1, 3, 1, 0, 0})
+	f.Add([]byte{0, 1, 2, 0, 3, 0, 0, 0, 1, 0, 2, 0, 3, 1, 0, 0})
+	f.Add([]byte{1, 0, 2, 0, 1, 2, 0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 3, 1, 0, 1})
+	f.Add([]byte{0, 0, 3, 0, 0, 1, 3, 0, 3, 0, 0, 0, 2, 0, 3, 9, 2, 1, 3, 80, 3, 1, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 2, 0, 0, 2, 3, 0, 3, 0, 0, 0, 3, 1, 0, 1, 3, 2, 0, 0, 3, 3, 0, 1})
+	f.Add([]byte{0, 0, 1, 0, 3, 0, 0, 0, 5, 0, 0, 40, 3, 1, 0, 0, 5, 0, 0, 255, 3, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 7
+		s := sim.NewScheduler(1)
+		m := NewUnconnected(s, phy.DefaultParams(), n)
+		for i := 0; i < n-1; i++ {
+			m.Attach(NodeID(i), &fakeRadio{})
+		}
+		want := make(map[*transmission]*scanOracle)
+
+		launch := func(src NodeID, typ frame.Type) {
+			o := &scanOracle{collided: make([]bool, n), interf: make([]float64, n)}
+			for nid := NodeID(0); nid < n; nid++ {
+				if m.radios[nid] != nil && m.Connected(src, nid) {
+					o.audience = append(o.audience, nid)
+				}
+			}
+			for _, other := range m.active {
+				if other.end <= s.Now() {
+					continue
+				}
+				ow := want[other]
+				ow.add(src, 1e9)
+				for _, nid := range o.audience {
+					if m.Connected(other.src, nid) {
+						o.add(nid, m.SNR(other.src, nid))
+						ow.add(nid, m.SNR(src, nid))
+					}
+				}
+			}
+			m.TransmitControl(src, frame.Control{Type: typ, RA: frame.NodeAddr(0)})
+			want[m.active[len(m.active)-1]] = o
+		}
+
+		for i := 0; i+4 <= len(data) && i < 4*256; i += 4 {
+			op, a, b, v := data[i]%6, NodeID(int(data[i+1])%n), NodeID(int(data[i+2])%n), data[i+3]
+			switch op {
+			case 0:
+				m.SetConnected(a, b, v%2 == 0)
+			case 1:
+				m.SetConnectedDirected(a, b, v%2 == 0)
+			case 2:
+				m.SetSNR(a, b, float64(v)/4)
+			case 3, 4: // launches outnumber advances, so frames overlap
+				typ := frame.TypeCTS
+				if v%2 == 1 {
+					typ = frame.TypeRTS
+				}
+				launch(a%(n-1), typ)
+			case 5:
+				s.RunUntil(s.Now() + sim.Time(time.Duration(v)*10*time.Microsecond))
+			}
+			for _, tx := range m.active {
+				o := want[tx]
+				if !slices.Equal(tx.audience, o.audience) {
+					t.Fatalf("op %d: frame from %d has audience %v, brute force %v", i/4, tx.src, tx.audience, o.audience)
+				}
+				for nid := 0; nid < n; nid++ {
+					if tx.collided[nid] != o.collided[nid] || o.collided[nid] && tx.interfSNR[nid] != o.interf[nid] {
+						t.Fatalf("op %d: frame from %d at node %d: collided %v interf %v, brute force %v %v",
+							i/4, tx.src, nid, tx.collided[nid], tx.interfSNR[nid], o.collided[nid], o.interf[nid])
+					}
+				}
+				if !slices.Equal(tx.marked, o.marked) {
+					t.Fatalf("op %d: frame from %d marked %v, brute force %v", i/4, tx.src, tx.marked, o.marked)
+				}
+			}
+		}
+		s.Run()
+	})
+}

@@ -15,14 +15,17 @@
 // sorted out-neighbor list per node (updated by SetConnected /
 // SetConnectedDirected in O(deg) each); every transmission captures its
 // audience — the attached radios in range — exactly once at launch, and
-// carrier sensing, collision marking, delivery and carrier release all
-// iterate that audience. Collision bookkeeping resets through a dirty-mark
-// list, so recycling a transmission is O(marked), not O(N).
+// carrier sensing, delivery and carrier release all iterate that audience.
+// Collision marking merges the new frame's audience with each in-flight
+// sender's current neighbor list (both ascending): O(active·deg) integer
+// comparisons, with SNR lookups in the link table only where the two
+// overlap. Collision bookkeeping resets through a dirty-mark list, so
+// recycling a transmission is O(marked), not O(N).
 //
 // Link state itself is sparse: the neighbor lists are the primary store,
 // backed by a hash/offset map from the packed (src, dst) pair to a slot in
-// a flat link-state array, so a directed lookup (connectivity + SNR in one
-// query) is O(1) and total memory is O(N·degree + SNR overrides) — never
+// a flat link-state array, so a directed lookup (connectivity or SNR) is
+// one O(1) map probe and total memory is O(N·degree + SNR overrides) — never
 // the N×N matrix the seed kept. SetDenseScan(true) materializes a dense
 // N×N mirror inside the table and routes every lookup through it while
 // reproducing the seed's O(N) scan-every-radio launch/finish costs; it is
@@ -172,23 +175,15 @@ func (t *LinkTable) connected(from, to NodeID) bool {
 	return ok && t.slots[s].connected
 }
 
-// snrConnected returns the from→to SNR and whether to can hear from in a
-// single lookup — the hot paths' combined query.
-func (t *LinkTable) snrConnected(from, to NodeID) (float64, bool) {
-	if t.dense != nil {
-		l := &t.dense[from][to]
-		return l.snrdB, from != to && l.connected
-	}
-	if s, ok := t.idx[pairKey(from, to)]; ok {
-		return t.slots[s].snrdB, from != to && t.slots[s].connected
-	}
-	return t.defaultSNR(from, to), false
-}
-
 // snr returns the from→to SNR (the default when no slot exists).
 func (t *LinkTable) snr(from, to NodeID) float64 {
-	v, _ := t.snrConnected(from, to)
-	return v
+	if t.dense != nil {
+		return t.dense[from][to].snrdB
+	}
+	if s, ok := t.idx[pairKey(from, to)]; ok {
+		return t.slots[s].snrdB
+	}
+	return t.defaultSNR(from, to)
 }
 
 // setConnectedDirected cuts or restores the from→to direction, keeping the
@@ -729,6 +724,13 @@ func (m *Medium) enter(t *transmission) {
 	// cannot hear t, so neither reception there can newly overlap t. Nodes
 	// with no radio attached are skipped outright — the seed marked
 	// collided/interfSNR for them too, wasted work nothing ever read.
+	//
+	// The shared receivers are the intersection of t's audience with the
+	// other sender's out-neighbor list as the table holds it now (not the
+	// other frame's launch-time audience), so links cut or raised under a
+	// frame in flight count as they stand. Both lists are ascending, so a
+	// merge finds the overlap in audience order: O(active·deg) integer
+	// comparisons in all, with SNR lookups in the table only on a match.
 	for _, other := range m.active {
 		if other.end <= t.start {
 			continue
@@ -736,14 +738,19 @@ func (m *Medium) enter(t *transmission) {
 		// The new transmitter deafens itself to in-flight receptions; its
 		// own signal is infinitely strong, so capture can never save them.
 		other.addInterf(t.src, 1e9)
-		for _, nid := range t.audience {
-			osnr, ok := m.tbl.snrConnected(other.src, nid)
-			if !ok {
-				continue
+		aud, onb := t.audience, m.tbl.nbrs[other.src]
+		for i, j := 0, 0; i < len(aud) && j < len(onb); {
+			switch nid := aud[i]; {
+			case nid < onb[j]:
+				i++
+			case nid > onb[j]:
+				j++
+			default:
+				// nid hears both transmitters: both frames are damaged there.
+				t.addInterf(nid, m.tbl.snr(other.src, nid))
+				other.addInterf(nid, m.tbl.snr(t.src, nid))
+				i, j = i+1, j+1
 			}
-			// nid hears both transmitters: both frames are damaged there.
-			t.addInterf(nid, osnr)
-			other.addInterf(nid, m.tbl.snr(t.src, nid))
 		}
 	}
 	t.activeIdx = len(m.active)

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -459,5 +460,95 @@ func TestDirectedLinkAsymmetry(t *testing.T) {
 	}
 	if len(r0.ctrls) != 0 {
 		t.Fatalf("cut reverse direction delivered %d frames", len(r0.ctrls))
+	}
+}
+
+// activeFrom returns the in-flight transmission sent by src.
+func activeFrom(t *testing.T, m *Medium, src NodeID) *transmission {
+	t.Helper()
+	for _, tx := range m.active {
+		if tx.src == src {
+			return tx
+		}
+	}
+	t.Fatalf("no transmission from %d on the air", src)
+	return nil
+}
+
+// TestInterferenceUsesLinksAsTheyAreNow pins the collision scan to the link
+// table as it stands when the second frame launches, not as it stood when
+// the first one did: mobility, link flaps and partitions all rewrite links
+// under frames already on the air. X and Y cannot hear each other and Y↔R
+// is always up, so R is the only node where their frames can meet, and
+// only if X→R is connected at the moment Y launches. X's own delivery
+// still follows the audience it captured at launch.
+func TestInterferenceUsesLinksAsTheyAreNow(t *testing.T) {
+	const x, y, r = NodeID(0), NodeID(1), NodeID(2)
+	for _, tc := range []struct {
+		name string
+		// before runs ahead of X's launch, midFlight between X's and Y's.
+		before, midFlight func(m *Medium)
+		wantMarked        bool     // both frames marked collided at R
+		wantAtR           []NodeID // senders whose frames R decodes
+		wantCollisions    int
+	}{
+		{
+			name:      "cut-before-second-launch",
+			before:    func(m *Medium) { m.SetConnected(x, r, true) },
+			midFlight: func(m *Medium) { m.SetConnectedDirected(x, r, false) },
+			wantAtR:   []NodeID{x, y},
+		},
+		{
+			// R is not in X's audience, so only Y's frame is lost there.
+			name:           "raised-while-in-flight",
+			midFlight:      func(m *Medium) { m.SetConnectedDirected(x, r, true) },
+			wantMarked:     true,
+			wantCollisions: 1,
+		},
+		{
+			name:           "directed-toward-receiver",
+			before:         func(m *Medium) { m.SetConnectedDirected(x, r, true) },
+			wantMarked:     true,
+			wantCollisions: 2,
+		},
+		{
+			name:    "directed-away-from-receiver",
+			before:  func(m *Medium) { m.SetConnectedDirected(r, x, true) },
+			wantAtR: []NodeID{y},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler(1)
+			m := NewUnconnected(s, phy.DefaultParams(), 3)
+			radios := make([]*fakeRadio, 3)
+			for i := range radios {
+				radios[i] = &fakeRadio{}
+				m.Attach(NodeID(i), radios[i])
+			}
+			m.SetConnected(y, r, true)
+			if tc.before != nil {
+				tc.before(m)
+			}
+			cts := frame.Control{Type: frame.TypeCTS, RA: frame.NodeAddr(int(r))}
+			s.After(0, "tx-x", func() { m.TransmitControl(x, cts) })
+			if tc.midFlight != nil {
+				s.After(10*time.Microsecond, "links", func() { tc.midFlight(m) })
+			}
+			s.After(20*time.Microsecond, "tx-y", func() { m.TransmitControl(y, cts) })
+			s.After(30*time.Microsecond, "check", func() {
+				for _, src := range []NodeID{x, y} {
+					if got := activeFrom(t, m, src).collided[r]; got != tc.wantMarked {
+						t.Errorf("frame from %d marked collided at R = %v, want %v", src, got, tc.wantMarked)
+					}
+				}
+			})
+			s.Run()
+			if !slices.Equal(radios[r].ctrlSrcs, tc.wantAtR) {
+				t.Errorf("R decoded frames from %v, want %v", radios[r].ctrlSrcs, tc.wantAtR)
+			}
+			if got := m.Stats().Collisions; got != tc.wantCollisions {
+				t.Errorf("collisions = %d, want %d", got, tc.wantCollisions)
+			}
+		})
 	}
 }

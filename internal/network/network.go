@@ -79,12 +79,25 @@ func ipNode(ip uint32) NodeID {
 	return NodeID(ip & 0xffff)
 }
 
-// ipChecksum is the ones-complement sum over the header with the checksum
-// field zeroed.
-func ipChecksum(h []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(h); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(h[i : i+2]))
+// Checksum is the RFC 1071 Internet checksum shared by the IP-like header,
+// UDP and TCP: the ones-complement of the 16-bit ones-complement sum of b
+// (an odd trailing byte is padded with a zero). Computed over bytes whose
+// checksum field is zeroed it yields the value to store; over bytes that
+// include a correct checksum it yields 0. It accumulates eight bytes per
+// step: ones-complement addition is associative and width-invariant, so
+// folding a wide accumulator gives exactly the word-at-a-time result.
+func Checksum(b []byte) uint16 {
+	var sum uint64
+	for len(b) >= 8 {
+		v := binary.BigEndian.Uint64(b)
+		sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
+		b = b[8:]
+	}
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint64(binary.BigEndian.Uint16(b[i : i+2]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint64(b[len(b)-1]) << 8
 	}
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
@@ -119,7 +132,7 @@ func (p *Packet) Marshal() []byte {
 	binary.BigEndian.PutUint32(ip[12:16], nodeIP(p.Dst))
 	binary.BigEndian.PutUint16(ip[16:18], 0) // checksum slot
 	binary.BigEndian.PutUint16(ip[18:20], 0)
-	binary.BigEndian.PutUint16(ip[16:18], ipChecksum(ip[:IPHeaderLen]))
+	binary.BigEndian.PutUint16(ip[16:18], Checksum(ip[:IPHeaderLen]))
 
 	b = append(b, p.Payload...)
 	b = append(b, make([]byte, pad)...)
@@ -140,7 +153,7 @@ func Decode(b []byte) (Packet, error) {
 	if ip[0] != 0x45 {
 		return p, fmt.Errorf("%w: bad IP version", ErrBadPacket)
 	}
-	if ipChecksum(ip[:IPHeaderLen]) != 0 {
+	if Checksum(ip[:IPHeaderLen]) != 0 {
 		// Checksum over a header including its own checksum folds to zero.
 		return p, fmt.Errorf("%w: IP checksum", ErrBadPacket)
 	}

@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"aggmac/internal/network"
 )
 
 // HeaderLen is the TCP header size (no options).
@@ -50,30 +52,6 @@ func (s *Segment) IsPureAck() bool {
 		s.Flags&(FlagSYN|FlagFIN|FlagRST) == 0
 }
 
-// checksum is a 16-bit ones-complement sum over the marshaled segment with
-// the checksum field zeroed. It accumulates eight bytes per step (RFC 1071:
-// ones-complement addition is associative and width-invariant, so folding a
-// wide accumulator yields exactly the word-at-a-time result); segments are
-// MSS-sized on the hot path, making this the stack's densest loop.
-func checksum(b []byte) uint16 {
-	var sum uint64
-	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b)
-		sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
-		b = b[8:]
-	}
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint64(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint64(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
 // Marshal serializes the segment.
 func (s *Segment) Marshal() []byte {
 	b := make([]byte, HeaderLen+len(s.Payload))
@@ -85,7 +63,7 @@ func (s *Segment) Marshal() []byte {
 	b[13] = s.Flags
 	binary.BigEndian.PutUint16(b[14:16], s.Window)
 	copy(b[HeaderLen:], s.Payload)
-	binary.BigEndian.PutUint16(b[16:18], checksum(b))
+	binary.BigEndian.PutUint16(b[16:18], network.Checksum(b))
 	return b
 }
 
@@ -98,7 +76,7 @@ func DecodeSegment(b []byte) (Segment, error) {
 	if b[12]>>4 != 5 {
 		return s, fmt.Errorf("%w: data offset %d", ErrBadSegment, b[12]>>4)
 	}
-	if checksum(b) != 0 {
+	if network.Checksum(b) != 0 {
 		return s, fmt.Errorf("%w: checksum", ErrBadSegment)
 	}
 	s.SrcPort = binary.BigEndian.Uint16(b[0:2])

@@ -434,37 +434,3 @@ func TestConnStateString(t *testing.T) {
 		}
 	}
 }
-
-// The 8-bytes-per-step checksum must equal the word-at-a-time RFC 1071 sum
-// for every length and alignment (ones-complement addition is
-// width-invariant; this pins the unrolled implementation to the reference).
-func TestChecksumMatchesReference(t *testing.T) {
-	ref := func(b []byte) uint16 {
-		var sum uint32
-		for i := 0; i+1 < len(b); i += 2 {
-			sum += uint32(b[i])<<8 | uint32(b[i+1])
-		}
-		if len(b)%2 == 1 {
-			sum += uint32(b[len(b)-1]) << 8
-		}
-		for sum>>16 != 0 {
-			sum = sum&0xffff + sum>>16
-		}
-		return ^uint16(sum)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for n := 0; n < 70; n++ {
-		b := make([]byte, n)
-		for trial := 0; trial < 20; trial++ {
-			rng.Read(b)
-			if got, want := checksum(b), ref(b); got != want {
-				t.Fatalf("checksum(len %d) = %#x, reference %#x (bytes %x)", n, got, want, b)
-			}
-		}
-	}
-	// All-ones input exercises maximal carry folding.
-	ones := bytes.Repeat([]byte{0xff}, 61)
-	if got, want := checksum(ones), ref(ones); got != want {
-		t.Fatalf("checksum(ones) = %#x, reference %#x", got, want)
-	}
-}

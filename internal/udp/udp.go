@@ -35,20 +35,6 @@ type Datagram struct {
 	Payload          []byte
 }
 
-func checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
 // Marshal serializes the datagram.
 func (d *Datagram) Marshal() []byte {
 	b := make([]byte, HeaderLen+len(d.Payload))
@@ -56,7 +42,7 @@ func (d *Datagram) Marshal() []byte {
 	binary.BigEndian.PutUint16(b[2:4], d.DstPort)
 	binary.BigEndian.PutUint16(b[4:6], uint16(HeaderLen+len(d.Payload)))
 	copy(b[HeaderLen:], d.Payload)
-	binary.BigEndian.PutUint16(b[6:8], checksum(b))
+	binary.BigEndian.PutUint16(b[6:8], network.Checksum(b))
 	return b
 }
 
@@ -69,7 +55,7 @@ func Decode(b []byte) (Datagram, error) {
 	if int(binary.BigEndian.Uint16(b[4:6])) != len(b) {
 		return d, fmt.Errorf("%w: length", ErrBadDatagram)
 	}
-	if checksum(b) != 0 {
+	if network.Checksum(b) != 0 {
 		return d, fmt.Errorf("%w: checksum", ErrBadDatagram)
 	}
 	d.SrcPort = binary.BigEndian.Uint16(b[0:2])
