@@ -162,7 +162,6 @@ func main() {
 		crossFl   = flag.Int("cross-flows", 0, "mesh chains: vertical cross-traffic flows")
 		minHops   = flag.Int("min-hops", 2, "mesh grid/disk: minimum route length for sampled flows")
 		dense     = flag.Bool("dense-scan", false, "mesh: force the O(N) dense-scan medium (perf baseline)")
-		sparseRt  = flag.Bool("sparse-routes", false, "mesh: install routes toward flow endpoints only (large static meshes; avoids the O(N^2) all-pairs route build)")
 		shards    = flag.Int("shards", 0, "mesh: run the event core on N parallel shards (0 = sequential; static -topo only; 1 is bit-identical to sequential)")
 
 		mobility = flag.String("mobility", "", "mesh: mobility model: waypoint | drift (empty = static)")
@@ -241,7 +240,7 @@ func main() {
 		Scheme: schemes[0], Rate: rates[0],
 		Topology: *topo, Nodes: *nodes, Flows: *flows,
 		Chains: *chains, ChainHops: *chainHops, CrossFlows: *crossFl,
-		MinHops: *minHops, DenseScan: *dense, SparseRoutes: *sparseRt, Shards: *shards,
+		MinHops: *minHops, DenseScan: *dense, Shards: *shards,
 		Mobility: *mobility, Speed: *speed, Pause: *pause, MoveInterval: *moveIv,
 		Faults:    faultCfg,
 		FileBytes: *file, MaxAggBytes: *agg, Seed: *seed,
@@ -309,9 +308,6 @@ func main() {
 		if *dense || *flows != 0 || *crossFl != 0 {
 			fatal(fmt.Errorf("-dense-scan/-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
 		}
-		if *sparseRt {
-			fatal(fmt.Errorf("-sparse-routes applies to static -topo TCP runs only"))
-		}
 		if *shards != 0 || *chromeTrace != "" {
 			fatal(fmt.Errorf("-shards/-chrome-trace apply to static -topo TCP runs only"))
 		}
@@ -371,9 +367,6 @@ func main() {
 	}
 	if *shards != 0 {
 		fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
-	}
-	if *sparseRt {
-		fatal(fmt.Errorf("-sparse-routes applies to static -topo TCP runs only"))
 	}
 	if faultCfg != nil {
 		fatal(fmt.Errorf("fault flags apply to -topo mesh runs only"))

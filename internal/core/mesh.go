@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"aggmac/internal/faults"
@@ -79,18 +78,6 @@ type MeshTCPConfig struct {
 	// DenseScan forces the medium's O(N) dense-scan oracle instead of the
 	// neighbor index — the baseline the scaling benches compare against.
 	DenseScan bool
-	// SparseRoutes plans flows from BFS hop distances and installs routes
-	// only toward the flows' endpoints (one BFS tree per distinct
-	// endpoint) instead of the generators' all-pairs install — O(D·(N+E))
-	// time and O(D·N) route entries instead of O(N²), the remaining
-	// quadratic startup term at 10k+ nodes. Behaviorally identical for
-	// mesh runs: every packet a run can carry is addressed to a flow
-	// endpoint, so every forwarding decision — including BA's
-	// overheard-broadcast-ACK forwarding — reads the same table entry the
-	// full install would have written (pinned by the sparse-routes
-	// equivalence test). Static topologies only: mobility and fault
-	// recovery rebuild full tables, so Validate rejects them.
-	SparseRoutes bool
 	// Shards selects the sharded parallel engine: the mesh is partitioned
 	// into Shards contiguous spatial domains, each running its own event
 	// loop, synchronized conservatively with lookahead ShardLookahead (see
@@ -279,8 +266,7 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 			Phy:     phyParams(c.Phy),
 			OptsFor: c.optsFor,
 		},
-		Radio:       c.Radio,
-		DeferRoutes: c.SparseRoutes,
+		Radio: c.Radio,
 	}
 	switch c.Topology {
 	case MeshDisk:
@@ -316,7 +302,7 @@ func (f *meshFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.cl
 // grid/disk sample distinct multi-hop pairs from a placement-independent
 // stream.
 func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*meshFlow {
-	dist := c.hopDist(m)
+	dist := m.HopDistance
 	var flows []*meshFlow
 	addFlow := func(srv, cli int) {
 		flows = append(flows, &meshFlow{
@@ -372,46 +358,6 @@ func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*meshFlow {
 		addFlow(srv, cli)
 	}
 	return flows
-}
-
-// hopDist returns the distance function planFlows samples with: the
-// installed-route walk normally, or per-source-cached BFS over the
-// adjacency when SparseRoutes deferred route installation. The two agree
-// exactly — HopDistance walks all-pairs shortest-path routes, so both
-// report the hop-count shortest distance, -1 where unreachable — which is
-// what makes sparse runs plan the identical flow set.
-func (c *MeshTCPConfig) hopDist(m *topology.Mesh) func(a, b int) int {
-	if !c.SparseRoutes {
-		return m.HopDistance
-	}
-	n := len(m.Nodes)
-	adj := m.Adjacency()
-	cache := make(map[int][]int)
-	return func(a, b int) int {
-		d, ok := cache[a]
-		if !ok {
-			d = routing.Distances(n, adj, a)
-			cache[a] = d
-		}
-		return d[b]
-	}
-}
-
-// flowEndpoints returns the sorted distinct node ids appearing as a flow
-// server or client — the only destinations a mesh run ever addresses.
-func flowEndpoints(flows []*meshFlow) []int {
-	seen := make(map[int]bool, 2*len(flows))
-	var ids []int
-	for _, f := range flows {
-		for _, v := range [2]network.NodeID{f.server, f.client} {
-			if !seen[int(v)] {
-				seen[int(v)] = true
-				ids = append(ids, int(v))
-			}
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // startDynamics wires the topology-dynamics tick shared by RunMeshTCP and
@@ -535,9 +481,6 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	}
 	attachTrace(m.Network, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 	flows := cfg.planFlows(m)
-	if cfg.SparseRoutes {
-		routing.InstallPathsToward(m.Nodes, m.Adjacency(), flowEndpoints(flows))
-	}
 	stacks := newStacks(m.Network, cfg.TCP)
 
 	kill := wireFlows(&cfg, flows, stacks,

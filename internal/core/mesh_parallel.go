@@ -97,7 +97,7 @@ func shardSeed(base int64, s int) int64 {
 // runMeshTCPSharded runs a validated, filled config with Shards > 0.
 func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	// m0 is a throwaway sequential build: it contributes node positions,
-	// the link table, installed routes (for flow planning) and the flow
+	// the link table, its route table (for flow planning) and the flow
 	// plan, but never executes an event.
 	m0 := cfg.buildMesh()
 	flows := cfg.planFlows(m0)
@@ -142,11 +142,9 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 		nodes[i] = node
 		sh.Nodes = append(sh.Nodes, node)
 	}
-	if cfg.SparseRoutes {
-		routing.InstallPathsToward(nodes, m0.Adjacency(), flowEndpoints(flows))
-	} else {
-		routing.InstallShortestPaths(nodes, m0.Adjacency())
-	}
+	// Fill every route column up front: a lookup that computed a column
+	// would write the table shared by all shards' goroutines.
+	routing.InstallShortestPaths(nodes, m0.Adjacency())
 
 	stacks := make([]*tcp.Stack, n)
 	shardStacks := make([][]*tcp.Stack, k)

@@ -13,7 +13,7 @@ import (
 
 // Validate reports the first problem with the config: an unknown
 // topology, mobility model or trace format; an invalid fault config;
-// SparseRoutes on a dynamic topology; Shards outside 0..MaxShards, or
+// Shards outside 0..MaxShards, or
 // combined with mobility, faults, DenseScan or TraceTo; ShardTrace without
 // Shards. It never changes the config: results-store ids hash configs,
 // and pool workers share them.
@@ -36,9 +36,6 @@ func (c *MeshTCPConfig) Validate() error {
 		if err := c.Faults.Clone().Validate(); err != nil {
 			return err
 		}
-	}
-	if c.SparseRoutes && (c.Mobility != "" || c.Faults.Enabled()) {
-		return errors.New("core: SparseRoutes requires a static topology (mobility and fault recovery rebuild full route tables)")
 	}
 	if c.Shards < 0 || c.Shards > MaxShards {
 		return fmt.Errorf("core: Shards must be in 0..%d, got %d", MaxShards, c.Shards)

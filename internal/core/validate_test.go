@@ -38,8 +38,6 @@ func TestValidate(t *testing.T) {
 		{"mesh faults", mesh(func(c *MeshTCPConfig) { c.Faults = crash }), ""},
 		{"mesh faults off", mesh(func(c *MeshTCPConfig) { c.Faults = &faults.Config{}; c.Shards = 2 }), ""},
 		{"mesh jsonl trace", mesh(func(c *MeshTCPConfig) { c.TraceFormat = TraceJSONL }), ""},
-		{"mesh sparse static", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true }), ""},
-		{"mesh sparse sharded", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Shards = 2 }), ""},
 		{"mesh max shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards }), ""},
 		{"mesh shard trace", mesh(func(c *MeshTCPConfig) { c.Shards = 1; c.ShardTrace = &strings.Builder{} }), ""},
 
@@ -52,8 +50,6 @@ func TestValidate(t *testing.T) {
 		{"bad partition axis", mesh(func(c *MeshTCPConfig) {
 			c.Faults = &faults.Config{Partitions: []faults.Partition{{Duration: time.Second, Axis: "z"}}}
 		}), `axis "z"`},
-		{"sparse with mobility", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Mobility = MobilityWaypoint }), "SparseRoutes requires a static topology"},
-		{"sparse with faults", mesh(func(c *MeshTCPConfig) { c.SparseRoutes = true; c.Faults = crash }), "SparseRoutes requires a static topology"},
 		{"negative shards", mesh(func(c *MeshTCPConfig) { c.Shards = -1 }), "Shards must be in 0..64, got -1"},
 		{"too many shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards + 1 }), "Shards must be in 0..64, got 65"},
 		{"shard trace sequential", mesh(func(c *MeshTCPConfig) { c.ShardTrace = &strings.Builder{} }), "ShardTrace needs the sharded engine"},

@@ -47,13 +47,6 @@ func scalingFlows(n int) int {
 	return f
 }
 
-// sparseRouteThreshold is the mesh size past which scaling cells switch to
-// endpoint-only route installation: behaviorally identical for static mesh
-// runs (see core.MeshTCPConfig.SparseRoutes) and avoids the O(N²)
-// route-table build that dominated startup at N ≥ 6400. Every size with
-// committed goldens or bench baselines sits below it.
-const sparseRouteThreshold = 2048
-
 // ScalingMesh measures aggregate TCP goodput over generated sparse meshes
 // as the network grows — N ∈ {25, 100, 400} by default — under all three
 // base schemes. Each cell runs max(4, N/12) concurrent multi-hop flows
@@ -96,7 +89,6 @@ func ScalingCell(topo string, scheme mac.Scheme, n int, seed int64) core.MeshTCP
 		Scheme: scheme, Rate: phy.Rate2600k,
 		Topology: topo, Nodes: n, Flows: scalingFlows(n),
 		FileBytes: 30_000, Seed: seed,
-		Deadline:     1200 * time.Second,
-		SparseRoutes: n >= sparseRouteThreshold,
+		Deadline: 1200 * time.Second,
 	}
 }

@@ -1,9 +1,9 @@
 // Package network provides the network layer of a simulated Hydra node:
 // an IP-like packet format carried inside the Hydra/Click encapsulation,
 // static routing (the paper forces multi-hop topologies with static routes
-// because all nodes are in radio range), hop-by-hop forwarding, and the
-// cross-layer classifier hook that sorts pure TCP ACKs into the MAC's
-// broadcast queue.
+// because all nodes are in radio range; generated meshes share one
+// RouteTable), hop-by-hop forwarding, and the cross-layer classifier hook
+// that sorts pure TCP ACKs into the MAC's broadcast queue.
 package network
 
 import (
@@ -195,7 +195,8 @@ type Stats struct {
 type Node struct {
 	id       NodeID
 	mac      *mac.MAC
-	routes   map[NodeID]NodeID // destination -> next hop
+	table    *RouteTable       // shared mesh route table, if attached
+	routes   map[NodeID]NodeID // destination -> next hop, for nodes with no table
 	handlers map[uint8]Handler
 	classify AckClassifier
 	nextID   uint16
@@ -215,7 +216,6 @@ type Node struct {
 func NewNode(id NodeID) *Node {
 	return &Node{
 		id:       id,
-		routes:   make(map[NodeID]NodeID),
 		handlers: make(map[uint8]Handler),
 	}
 }
@@ -243,14 +243,49 @@ func (n *Node) MAC() *mac.MAC { return n.mac }
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// AddRoute installs a route: packets for dst leave via next.
-func (n *Node) AddRoute(dst, next NodeID) { n.routes[dst] = next }
+// SetRouteTable makes the node read its routes from a table shared with
+// the rest of its mesh. It panics if the node already holds routes of its
+// own or its id is not a node of the table: both are wiring bugs.
+func (n *Node) SetRouteTable(t *RouteTable) {
+	if len(n.routes) > 0 {
+		panic("network: route table attached to a node with routes of its own")
+	}
+	if uint(n.id) >= uint(len(t.cols)) {
+		panic(fmt.Sprintf("network: node %d is outside a %d-node route table", n.id, len(t.cols)))
+	}
+	n.table = t
+}
 
-// DelRoute removes the route for dst (route expiry).
-func (n *Node) DelRoute(dst NodeID) { delete(n.routes, dst) }
+// RouteTable returns the shared route table, or nil if the node keeps
+// routes of its own.
+func (n *Node) RouteTable() *RouteTable { return n.table }
 
-// Route reports the installed next hop for dst.
+// AddRoute installs a route: packets for dst leave via next. It panics on
+// a node with a shared route table, whose routes only the table sets.
+func (n *Node) AddRoute(dst, next NodeID) {
+	if n.table != nil {
+		panic("network: AddRoute on a node with a shared route table")
+	}
+	if n.routes == nil {
+		n.routes = make(map[NodeID]NodeID)
+	}
+	n.routes[dst] = next
+}
+
+// DelRoute removes the route for dst (route expiry). It panics on a node
+// with a shared route table.
+func (n *Node) DelRoute(dst NodeID) {
+	if n.table != nil {
+		panic("network: DelRoute on a node with a shared route table")
+	}
+	delete(n.routes, dst)
+}
+
+// Route reports the next hop for dst.
 func (n *Node) Route(dst NodeID) (NodeID, bool) {
+	if n.table != nil {
+		return n.table.Next(n.id, dst)
+	}
 	next, ok := n.routes[dst]
 	return next, ok
 }
@@ -278,7 +313,7 @@ func (n *Node) Send(pkt Packet) error {
 		out.Dst = frame.Broadcast
 		viaBroadcastQueue = true
 	} else {
-		next, ok := n.routes[pkt.Dst]
+		next, ok := n.Route(pkt.Dst)
 		if !ok {
 			n.stats.NoRoute++
 			if n.OnNoRoute != nil {

@@ -312,3 +312,42 @@ func TestChecksumMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteTableNodes: a node on a shared table reads its routes from it,
+// never routes to itself or to ids outside the table, and rejects per-node
+// route edits; a table cannot be attached over per-node routes.
+func TestRouteTableNodes(t *testing.T) {
+	line := [][]int{0: {1}, 1: {0, 2}, 2: {1}, 3: {}}
+	tab := NewRouteTable(len(line), func(i int) []int { return line[i] })
+	nodes := make([]*Node, len(line))
+	for i := range nodes {
+		nodes[i] = NewNode(NodeID(i))
+		nodes[i].SetRouteTable(tab)
+	}
+	if next, ok := nodes[0].Route(2); !ok || next != 1 {
+		t.Errorf("route 0->2 via %v (ok=%v), want via 1", next, ok)
+	}
+	for _, dst := range []NodeID{0, 3, 4, BroadcastID} {
+		if next, ok := nodes[0].Route(dst); ok {
+			t.Errorf("route 0->%d via %v, want none", dst, next)
+		}
+	}
+	if got := tab.Fill(); got != 6 { // the ordered pairs among 0, 1, 2
+		t.Errorf("Fill counted %d routes, want 6", got)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("AddRoute on a table node", func() { nodes[0].AddRoute(2, 2) })
+	mustPanic("DelRoute on a table node", func() { nodes[0].DelRoute(2) })
+	own := NewNode(1)
+	own.AddRoute(2, 2)
+	mustPanic("table over per-node routes", func() { own.SetRouteTable(tab) })
+	mustPanic("node outside the table", func() { NewNode(4).SetRouteTable(tab) })
+}

@@ -1,141 +1,57 @@
 // Static shortest-path route computation for generated mesh topologies.
 // The paper's testbed forces multi-hop paths with static routes; mesh
 // scenarios do the same at scale: instead of flooding AODV discoveries
-// through hundreds of nodes, the generators compute hop-count shortest
-// paths over the connectivity graph up front and install them into the
-// network layer's tables, so transports start with full reachability.
-// Mobile scenarios re-run the computation periodically with
-// RecomputeShortestPaths, which also accounts for how many table entries
-// each round changed (the route-flap metric).
+// through hundreds of nodes, every node of a generated mesh reads hop-count
+// shortest-path next hops from one shared network.RouteTable, so
+// transports start with full reachability. Mobile scenarios re-run the
+// computation periodically with RecomputeShortestPaths, which also
+// accounts for how many table entries each round changed (the route-flap
+// metric).
 package routing
 
 import "aggmac/internal/network"
 
 // InstallShortestPaths computes hop-count shortest-path next hops by a BFS
-// per destination over the given adjacency and installs them into every
-// node's routing table (network.Node.AddRoute). neighbors(i) must list the
-// nodes adjacent to i in ascending order and must be symmetric (mesh
-// generators derive it from bidirectional links); ties between equal-length
-// paths break toward the lowest-id next hop, so the tables — and every
-// simulation run on top of them — are deterministic. Unreachable pairs get
-// no route. Cost is O(N·(N+E)); it returns the number of routes installed.
+// per destination over the given adjacency into a new route table, fills
+// every column, and attaches the table to every node, replacing any table
+// they had. nodes[i] must have id i. neighbors(i) must list the nodes
+// adjacent to i in ascending order and must be symmetric (mesh generators
+// derive it from bidirectional links); a tie between equal-length paths
+// goes to the neighbour the BFS from the destination dequeues first (see
+// network.RouteTable), so the tables — and every simulation run on top of
+// them — are deterministic. Unreachable pairs get no route. Cost is
+// O(N·(N+E)); it returns the number of routes installed. The filled table
+// is read-only, so nodes running on different goroutines may share it.
 func InstallShortestPaths(nodes []*network.Node, neighbors func(i int) []int) int {
-	n := len(nodes)
-	next := make([]int, n)  // next hop toward the current destination
-	queue := make([]int, n) // BFS ring
-	installed := 0
-	for d := 0; d < n; d++ {
-		bfsNextHops(d, neighbors, next, queue)
-		for v := 0; v < n; v++ {
-			if v == d || next[v] == -1 {
-				continue
-			}
-			nodes[v].AddRoute(network.NodeID(d), network.NodeID(next[v]))
-			installed++
-		}
-	}
-	return installed
-}
-
-// bfsNextHops fills next[v] with v's next hop toward destination d (-1
-// where unreachable, d at d itself) by one BFS from d over the adjacency.
-// next and queue are caller-provided scratch of length n.
-func bfsNextHops(d int, neighbors func(i int) []int, next, queue []int) {
-	for i := range next {
-		next[i] = -1
-	}
-	next[d] = d
-	queue[0] = d
-	head, tail := 0, 1
-	for head < tail {
-		u := queue[head]
-		head++
-		for _, v := range neighbors(u) {
-			if next[v] != -1 {
-				continue
-			}
-			// v reaches d through u: u is one hop closer.
-			next[v] = u
-			queue[tail] = v
-			tail++
-		}
-	}
-}
-
-// InstallPathsToward installs hop-count shortest-path next hops toward just
-// the listed destinations: one BFS per destination over the adjacency, with
-// exactly InstallShortestPaths' tie-breaking, installed at every node that
-// reaches the destination. Duplicate destinations are skipped. For D
-// destinations the cost is O(D·(N+E)) time and O(D·N) route entries — the
-// large-mesh alternative to the all-pairs install when the set of node ids
-// that will ever appear as a packet destination is known up front (a mesh
-// run's flow endpoints, say). Any forwarding decision a run actually makes
-// then reads the same table entry the full install would have written.
-func InstallPathsToward(nodes []*network.Node, neighbors func(i int) []int, dests []int) int {
-	n := len(nodes)
-	next := make([]int, n)
-	queue := make([]int, n)
-	seen := make(map[int]bool, len(dests))
-	installed := 0
-	for _, d := range dests {
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
-		bfsNextHops(d, neighbors, next, queue)
-		for v := 0; v < n; v++ {
-			if v == d || next[v] == -1 {
-				continue
-			}
-			nodes[v].AddRoute(network.NodeID(d), network.NodeID(next[v]))
-			installed++
-		}
+	t := network.NewRouteTable(len(nodes), neighbors)
+	installed := t.Fill()
+	for _, n := range nodes {
+		n.SetRouteTable(t)
 	}
 	return installed
 }
 
 // RecomputeShortestPaths recomputes hop-count shortest-path next hops over
-// the (possibly changed) adjacency and syncs every node's routing table
-// with the result: newly reachable destinations gain routes, unreachable
-// ones lose theirs, and changed next hops are rewritten in place. It
-// returns the number of route-table entries that changed (added + removed
-// + rerouted) — the route-flap count the mobility experiments report.
-// Ties break toward the lowest-id next hop exactly like
-// InstallShortestPaths, so recomputing over an unchanged graph changes
-// nothing and returns 0.
+// the (possibly changed) adjacency into the nodes' shared route table:
+// newly reachable destinations gain routes, unreachable ones lose theirs,
+// and changed next hops are rewritten in place. It returns the number of
+// route-table entries that changed (added + removed + rerouted) — the
+// route-flap count the mobility experiments report. The nodes must share
+// a route table, attached by a mesh generator or InstallShortestPaths.
+// Columns no node had looked up yet count as if they had been installed
+// eagerly. Ties break exactly like InstallShortestPaths, so recomputing
+// over an unchanged graph changes nothing and returns 0.
 func RecomputeShortestPaths(nodes []*network.Node, neighbors func(i int) []int) int {
-	n := len(nodes)
-	next := make([]int, n)
-	queue := make([]int, n)
-	changed := 0
-	for d := 0; d < n; d++ {
-		bfsNextHops(d, neighbors, next, queue)
-		for v := 0; v < n; v++ {
-			if v == d {
-				continue
-			}
-			old, had := nodes[v].Route(network.NodeID(d))
-			if next[v] == -1 {
-				if had {
-					nodes[v].DelRoute(network.NodeID(d))
-					changed++
-				}
-				continue
-			}
-			if !had || old != network.NodeID(next[v]) {
-				nodes[v].AddRoute(network.NodeID(d), network.NodeID(next[v]))
-				changed++
-			}
-		}
+	if len(nodes) == 0 {
+		return 0
 	}
-	return changed
+	return nodes[0].RouteTable().Recompute(neighbors)
 }
 
 // Distances returns the hop distance from src to every node over the given
-// adjacency (-1 where unreachable) — the batch complement of
-// InstallShortestPaths for callers that need reachability or path lengths
-// without installing routes (the topology tests validate generated-mesh
-// connectivity with it).
+// adjacency (-1 where unreachable), for callers that need reachability or
+// path lengths without a route table (the topology tests validate
+// generated-mesh connectivity with it).
 func Distances(n int, neighbors func(i int) []int, src int) []int {
 	dist := make([]int, n)
 	for i := range dist {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"aggmac/internal/network"
@@ -27,18 +28,48 @@ func TestInstallShortestPaths(t *testing.T) {
 	if installed != 12 { // every ordered pair of the connected 4-node graph
 		t.Errorf("installed %d routes, want 12", installed)
 	}
-	// 1 reaches 3 in two hops either way; the tie must break toward the
-	// lowest-id next hop (0), deterministically.
+	// 1 reaches 3 in two hops either way; the tie goes to the neighbour
+	// the BFS from 3 dequeues first (0, discovered before 2).
 	if next, ok := nodes[1].Route(3); !ok || next != 0 {
 		t.Errorf("route 1->3 via %v (ok=%v), want via 0", next, ok)
 	}
-	// 2's route to 0 ties between 1 and 3; lowest id wins.
+	// 2's route to 0 ties between 1 and 3; the BFS from 0 dequeues 1
+	// first.
 	if next, ok := nodes[2].Route(0); !ok || next != 1 {
 		t.Errorf("route 2->0 via %v (ok=%v), want via 1", next, ok)
 	}
 	// Direct neighbors route directly.
 	if next, _ := nodes[0].Route(3); next != 3 {
 		t.Errorf("route 0->3 via %v, want direct", next)
+	}
+}
+
+// TestTieBreakFollowsBFSOrder pins the tie-break on a graph where it is
+// not the lowest-id rule: node 10 reaches 0 in three hops through 9 (10–9–
+// 3–0) or through 7 (10–7–5–0). The BFS from 0 dequeues 3 before 5, so 3
+// discovers 9 before 5 discovers 7, and 9 dequeues before 7: 9 discovers 10
+// first and 10 routes via 9, not via the lower-id 7.
+func TestTieBreakFollowsBFSOrder(t *testing.T) {
+	adj := make([][]int, 11)
+	for _, l := range [][2]int{{0, 3}, {0, 5}, {3, 9}, {5, 7}, {7, 10}, {9, 10}} {
+		adj[l[0]] = append(adj[l[0]], l[1])
+		adj[l[1]] = append(adj[l[1]], l[0])
+	}
+	for _, nbrs := range adj {
+		slices.Sort(nbrs)
+	}
+	neighbors := func(i int) []int { return adj[i] }
+	nodes := make([]*network.Node, len(adj))
+	for i := range nodes {
+		nodes[i] = network.NewNode(network.NodeID(i))
+	}
+	InstallShortestPaths(nodes, neighbors)
+	if next, ok := nodes[10].Route(0); !ok || next != 9 {
+		t.Errorf("eager route 10->0 via %v (ok=%v), want via 9", next, ok)
+	}
+	lazy := network.NewRouteTable(len(adj), neighbors)
+	if next, ok := lazy.Next(10, 0); !ok || next != 9 {
+		t.Errorf("lazy route 10->0 via %v (ok=%v), want via 9", next, ok)
 	}
 }
 
@@ -184,7 +215,7 @@ func tableDiff(old, new map[[2]int]int) int {
 }
 
 // TestRecomputePartitionAndHeal drives a 4×4 grid through a partition and
-// its heal. The incremental recompute must leave exactly the table a
+// its heal. The recompute must leave exactly the table a
 // from-scratch install over the same adjacency produces (the dense-BFS
 // oracle), report a flap count equal to the snapshot diff, and withdraw —
 // not stale-route — every cross-partition destination.

@@ -13,9 +13,8 @@ import (
 // link matrix and all-pairs pair scan dominated startup. The acceptance
 // shape: ns/op and B/op grow ~linearly in N (constant per-node cost at
 // fixed degree), so the N=25600 row runs ~16× the N=1600 row, not ~256×.
-// Routes are deferred exactly as large-N runs defer them
-// (core.MeshTCPConfig.SparseRoutes); the all-pairs route install would
-// otherwise re-quadratize the measurement.
+// Routes are deferred (DeferRoutes), so no route table or adjacency
+// snapshot is part of the measurement.
 //
 //	go test ./internal/topology -bench GridConstruct -benchtime 5x
 func BenchmarkGridConstruct(b *testing.B) {

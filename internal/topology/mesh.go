@@ -2,7 +2,8 @@
 // layouts real deployments have (grids, random disk graphs, parallel
 // chains), as opposed to the paper's single collision domain. Connectivity
 // and per-link SNR derive from node positions through a disk radio model;
-// shortest-path routes are computed up front (internal/routing) so the
+// every node reads shortest-path routes from one shared route table
+// (network.RouteTable), computed per destination on first lookup, so the
 // stacks start with full reachability. Per-transmission simulation cost on
 // these layouts is O(degree), not O(N) — see the medium's complexity model.
 package topology
@@ -13,7 +14,7 @@ import (
 	"math/rand"
 
 	"aggmac/internal/medium"
-	"aggmac/internal/routing"
+	"aggmac/internal/network"
 )
 
 // Point is a node position, in units of the nominal node spacing.
@@ -50,11 +51,9 @@ type MeshConfig struct {
 	// Radio overrides the disk radio model; a zero Range selects the
 	// default model at the PHY's calibrated SNR.
 	Radio RadioModel
-	// DeferRoutes skips the generators' all-pairs shortest-path install —
-	// O(N·(N+E)) time and O(N²) route entries, the remaining quadratic
-	// term at large N. Callers then install only the routes they need
-	// (routing.InstallPathsToward); HopDistance returns -1 for any pair
-	// whose destination has no routes yet.
+	// DeferRoutes attaches no route table: the nodes start with no routes
+	// and the caller installs its own (routing.InstallShortestPaths, say);
+	// until then HopDistance returns -1 for every distinct pair.
 	DeferRoutes bool
 }
 
@@ -107,7 +106,7 @@ type LinkOverlay interface {
 func (m *Mesh) SetOverlay(o LinkOverlay) { m.overlay = o }
 
 // newMesh builds nodes at the given positions and wires every pair within
-// radio range with a distance-derived SNR. Routes are not yet installed.
+// radio range with a distance-derived SNR. Routes are not yet attached.
 // Extent defaults to the bounding box of the positions (NewRandomDisk
 // widens it to the full placement square).
 func newMesh(pos []Point, cfg MeshConfig) *Mesh {
@@ -189,13 +188,17 @@ func (m *Mesh) Adjacency() func(i int) []int {
 	return func(i int) []int { return adj[i] }
 }
 
-// installRoutes computes and installs shortest-path next hops everywhere,
-// unless the config deferred routing to the caller.
-func (m *Mesh) installRoutes(cfg MeshConfig) {
+// attachRoutes gives every node one shared shortest-path route table over
+// the current links, with no column computed yet, unless the config
+// deferred routing to the caller.
+func (m *Mesh) attachRoutes(cfg MeshConfig) {
 	if cfg.DeferRoutes {
 		return
 	}
-	routing.InstallShortestPaths(m.Nodes, m.Adjacency())
+	t := network.NewRouteTable(len(m.Nodes), m.Adjacency())
+	for _, n := range m.Nodes {
+		n.SetRouteTable(t)
+	}
 }
 
 // bridgeComponents joins disconnected components (possible in random
@@ -273,8 +276,9 @@ func (m *Mesh) AvgDegree() float64 {
 	return float64(total) / float64(len(m.Nodes))
 }
 
-// HopDistance walks the installed routes from a to b and returns the hop
-// count (-1 if no route).
+// HopDistance walks the routes from a to b and returns the hop count (-1
+// if no route). On a shared route table it computes b's column if no node
+// has looked it up yet.
 func (m *Mesh) HopDistance(a, b int) int {
 	if a == b {
 		return 0
@@ -295,7 +299,7 @@ func (m *Mesh) HopDistance(a, b int) int {
 }
 
 // NewGrid builds a k×k grid mesh at unit spacing with shortest-path routes
-// installed. With the default radio model every interior node has its
+// attached. With the default radio model every interior node has its
 // 8-neighborhood; per-transmission cost is O(degree) however large k grows.
 func NewGrid(k int, cfg MeshConfig) *Mesh {
 	if k < 2 {
@@ -308,7 +312,7 @@ func NewGrid(k int, cfg MeshConfig) *Mesh {
 		}
 	}
 	m := newMesh(pos, cfg)
-	m.installRoutes(cfg)
+	m.attachRoutes(cfg)
 	return m
 }
 
@@ -316,7 +320,7 @@ func NewGrid(k int, cfg MeshConfig) *Mesh {
 // density, so expected degree is fixed as n grows) using a placement
 // stream derived from cfg.Seed but decoupled from the simulation's RNG,
 // connects pairs within radio range, bridges any disconnected components
-// through their closest node pairs, and installs shortest-path routes.
+// through their closest node pairs, and attaches shortest-path routes.
 func NewRandomDisk(n int, cfg MeshConfig) *Mesh {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: disk mesh needs n >= 2, got %d", n))
@@ -330,7 +334,7 @@ func NewRandomDisk(n int, cfg MeshConfig) *Mesh {
 	m := newMesh(pos, cfg)
 	m.Extent = Point{X: side, Y: side}
 	m.bridgeComponents()
-	m.installRoutes(cfg)
+	m.attachRoutes(cfg)
 	return m
 }
 
@@ -356,7 +360,7 @@ func NewParallelChains(chains, hops int, rowSpacing float64, cfg MeshConfig) *Me
 		}
 	}
 	m := newMesh(pos, cfg)
-	m.installRoutes(cfg)
+	m.attachRoutes(cfg)
 	return m
 }
 

@@ -141,3 +141,97 @@ func TestAvgDegreeMatchesLinkCount(t *testing.T) {
 		t.Errorf("AvgDegree = %v, want %v", got, want)
 	}
 }
+
+// namedMesh is one case of the route-table tests.
+type namedMesh struct {
+	name string
+	m    *Mesh
+}
+
+// lazyMeshes builds one small mesh of each generator, every one with its
+// shared route table attached and no column computed yet.
+func lazyMeshes() []namedMesh {
+	return []namedMesh{
+		{"grid", NewGrid(5, meshCfg(3))},
+		{"disk", NewRandomDisk(30, meshCfg(5))},
+		{"chains", NewParallelChains(3, 4, 0, meshCfg(2))},
+	}
+}
+
+// TestLazyRoutesMatchEagerInstall: every (node, destination) lookup on the
+// generator's lazily filled table returns what an eager all-pairs install
+// over the same adjacency holds.
+func TestLazyRoutesMatchEagerInstall(t *testing.T) {
+	for _, c := range lazyMeshes() {
+		name, m := c.name, c.m
+		eager := make([]*network.Node, len(m.Nodes))
+		for i := range eager {
+			eager[i] = network.NewNode(network.NodeID(i))
+		}
+		routing.InstallShortestPaths(eager, m.Adjacency())
+		for v := range m.Nodes {
+			for d := range m.Nodes {
+				got, ok := m.Nodes[v].Route(network.NodeID(d))
+				want, wantOK := eager[v].Route(network.NodeID(d))
+				if got != want || ok != wantOK {
+					t.Fatalf("%s: route %d->%d = %d (ok=%v), eager install %d (ok=%v)", name, v, d, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestLazyRouteLookupFillsOneColumn: a generator attaches the table empty,
+// and one lookup computes its destination's column and no other.
+func TestLazyRouteLookupFillsOneColumn(t *testing.T) {
+	for _, c := range lazyMeshes() {
+		name, m := c.name, c.m
+		tab := m.Nodes[0].RouteTable()
+		for _, n := range m.Nodes {
+			if n.RouteTable() != tab {
+				t.Fatalf("%s: node %d does not share node 0's route table", name, n.ID())
+			}
+		}
+		dst := network.NodeID(len(m.Nodes) - 1)
+		for d := range m.Nodes {
+			if tab.Filled(network.NodeID(d)) {
+				t.Fatalf("%s: column %d computed before any lookup", name, d)
+			}
+		}
+		if _, ok := m.Nodes[0].Route(dst); !ok {
+			t.Fatalf("%s: no route 0->%d", name, dst)
+		}
+		for d := range m.Nodes {
+			if filled := tab.Filled(network.NodeID(d)); filled != (network.NodeID(d) == dst) {
+				t.Errorf("%s: after a lookup toward %d, column %d filled=%v", name, dst, d, filled)
+			}
+		}
+	}
+}
+
+// TestRouteLookupAllocatesNothing pins Node.Route on a computed column at
+// zero allocations: it is on every forwarded packet's path.
+func TestRouteLookupAllocatesNothing(t *testing.T) {
+	for _, c := range lazyMeshes() {
+		name, m := c.name, c.m
+		src, dst := m.Nodes[0], network.NodeID(len(m.Nodes)-1)
+		src.Route(dst)
+		if allocs := testing.AllocsPerRun(100, func() { src.Route(dst) }); allocs != 0 {
+			t.Errorf("%s: Route on a computed column allocates %v times", name, allocs)
+		}
+	}
+}
+
+// TestDeferRoutesAttachesNoTable: with DeferRoutes the nodes start with no
+// routes at all.
+func TestDeferRoutesAttachesNoTable(t *testing.T) {
+	c := meshCfg(1)
+	c.DeferRoutes = true
+	m := NewGrid(3, c)
+	if m.Nodes[0].RouteTable() != nil {
+		t.Fatal("DeferRoutes attached a route table")
+	}
+	if d := m.HopDistance(0, 8); d != -1 {
+		t.Errorf("HopDistance with no routes = %d, want -1", d)
+	}
+}

@@ -161,7 +161,6 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 		{"sim store on mesh run", sim, []string{"-topo", "grid", "-store", storeDir}},
 		{"sim store with trace", sim, []string{"-scheme", "na,ba", "-store", storeDir, "-trace"}},
 		{"sim shards with mobility", sim, []string{"-topo", "grid", "-shards", "2", "-mobility", "waypoint"}},
-		{"sim sparse routes with faults", sim, []string{"-topo", "grid", "-sparse-routes", "-crash-mtbf", "20s"}},
 		{"sim negative shards", sim, []string{"-topo", "grid", "-shards", "-1"}},
 		{"sim scenario with bad rate", sim, []string{"-scenario", badRate, "-store", storeDir}},
 	}
