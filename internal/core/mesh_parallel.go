@@ -174,8 +174,9 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 			if mask == 0 {
 				return
 			}
-			// Spans alias the pooled transmission; copy once, shared
-			// read-only by every destination shard.
+			// Body and Spans alias the pooled transmission; copy once,
+			// shared read-only by every destination shard.
+			ff.Body = append([]byte(nil), ff.Body...)
 			ff.Spans = append([]frame.Span(nil), ff.Spans...)
 			at := ff.Start + look
 			for rest := mask; rest != 0; rest &= rest - 1 {

@@ -331,9 +331,7 @@ func (a *Aggregate) Marshal() (body []byte, spans []Span) {
 }
 
 // AppendMarshal is Marshal appending into caller-provided slices, so the
-// channel model can reuse a pooled span array across transmissions (the body
-// is shared with every receiver and must come in fresh — pass a slice no one
-// else retains).
+// channel model can reuse a pooled body and span array across transmissions.
 func (a *Aggregate) AppendMarshal(body []byte, spans []Span) ([]byte, []Span) {
 	writeBcast := func() {
 		for _, sf := range a.Broadcast {

@@ -44,16 +44,20 @@ func (m *MAC) assemble() *frame.Aggregate {
 	}
 
 	takeBroadcast := func(limit int) {
-		for len(m.bq) > 0 && (limit <= 0 || len(agg.Broadcast) < limit) {
-			sf := mkSub(&m.bq[0])
+		n := 0
+		for n < len(m.bq) && (limit <= 0 || len(agg.Broadcast) < limit) {
+			sf := mkSub(&m.bq[n])
 			w := sf.WireSize()
 			if size > 0 && size+w > maxBytes {
 				break
 			}
-			m.bq = m.bq[1:]
+			n++
 			agg.Broadcast = append(agg.Broadcast, sf)
 			size += w
 		}
+		// Shift the rest down instead of reslicing past the taken head,
+		// so the queue keeps its capacity and Enqueue need not regrow it.
+		m.bq = m.bq[:copy(m.bq, m.bq[n:])]
 	}
 
 	if !s.AggregateBroadcast {

@@ -44,8 +44,10 @@ const (
 
 // Outgoing is one frame handed down by the network layer.
 type Outgoing struct {
-	Dst     frame.Addr // Addr1: next hop, or the broadcast address
-	Src     frame.Addr // Addr3: original source
+	Dst frame.Addr // Addr1: next hop, or the broadcast address
+	Src frame.Addr // Addr3: original source
+	// Payload stays the MAC's to read until the frame leaves for good;
+	// then it goes back through the release hook (see SetRelease).
 	Payload []byte
 	seq     uint64
 }
@@ -68,15 +70,16 @@ type MAC struct {
 	bq, uq []Outgoing
 	seq    uint64
 
+	// The bools sit together so the struct keeps its allocation size class.
 	cw           int
 	retries      int
 	backoffSlots int // -1: not drawn
-	inAccess     bool
 	state        txState
-	respBusy     bool // transmitting a CTS/ACK response
 	current      *frame.Aggregate
 	currentUni   int // unicast subframes in current (for drop accounting)
 	nav          sim.Time
+	inAccess     bool
+	respBusy     bool // transmitting a CTS/ACK response
 	flushDue     bool
 	down         bool // crashed: no tx, no rx, no responses (fault injection)
 
@@ -89,7 +92,17 @@ type MAC struct {
 	// Precomputed event callbacks: the DCF schedules thousands of timers per
 	// simulated second, so the hot path hands the scheduler these stable
 	// funcs instead of allocating a fresh closure (or method value) per At.
-	resumeFn, difsFn, slotFn, timeoutFn, startDataFn, dataEndFn, respEndFn, flushFn func()
+	resumeFn, difsFn, slotFn, timeoutFn, startDataFn, dataEndFn, respFn, respEndFn, flushFn func()
+	// resp is the CTS/ACK that respFn puts on the air SIFS after the frame
+	// it answers. At most one response is pending: respBusy holds from
+	// transmitResponse until the response leaves the air.
+	resp frame.Control
+
+	// release, when set, takes back a payload once its frame has left the
+	// MAC for good (acknowledged, sent as broadcast, dropped or refused).
+	// The network layer installs it to recycle its packet buffers; the MAC
+	// itself never reuses a payload.
+	release func([]byte)
 
 	// rxScratch is the reusable aggregate-decode buffer; RxAggregate and
 	// everything it calls run synchronously, so one per MAC suffices.
@@ -130,6 +143,7 @@ func New(sched *sim.Scheduler, med *medium.Medium, id medium.NodeID, opts Option
 	m.timeoutFn = m.onExchangeTimeout
 	m.startDataFn = m.startData
 	m.dataEndFn = m.onDataEnd
+	m.respFn = m.sendResponse
 	m.respEndFn = func() { m.respBusy = false; m.resumeAccess() }
 	m.flushFn = func() { m.flushDue = true; m.maybeStartAccess() }
 	med.Attach(id, m)
@@ -153,6 +167,35 @@ func (m *MAC) QueueLen() (broadcast, unicast int) { return len(m.bq), len(m.uq) 
 // valid and free; observation itself never allocates, so metrics-off
 // runs and golden hashes are untouched either way.
 func (m *MAC) SetAggSizeHist(h *telemetry.Histogram) { m.aggHist = h }
+
+// SetRelease installs the hook that takes back each payload once its frame
+// has left the MAC for good: after the exchange that carried it ends (acked,
+// broadcast sent, or retry limit reached), when a block ACK covers it, when
+// Reset flushes it, or when Enqueue refuses it. Until then the MAC and the
+// medium may still read it, so the caller must not touch it. nil (the
+// default) drops payloads to the garbage collector.
+func (m *MAC) SetRelease(release func([]byte)) { m.release = release }
+
+// releasePayloads hands the payloads of frames that left the MAC for good
+// back through the release hook.
+func (m *MAC) releasePayloads(sfs []*frame.Subframe) {
+	if m.release == nil {
+		return
+	}
+	for _, sf := range sfs {
+		m.release(sf.Payload)
+	}
+}
+
+// releaseQueued is releasePayloads for frames still queued.
+func (m *MAC) releaseQueued(q []Outgoing) {
+	if m.release == nil {
+		return
+	}
+	for i := range q {
+		m.release(q[i].Payload)
+	}
+}
 
 // SetDown marks the MAC crashed (true) or recovered (false). A down MAC
 // accepts no frames, starts no access cycles, and ignores everything it
@@ -182,13 +225,12 @@ func (m *MAC) Reset() {
 	m.respSifsTimer.Stop()
 	m.respEndTimer.Stop()
 	m.c.Drops += len(m.bq) + len(m.uq) + m.currentUni
+	m.releaseQueued(m.bq)
+	m.releaseQueued(m.uq)
 	m.bq = m.bq[:0]
 	m.uq = m.uq[:0]
-	m.current = nil
-	m.currentUni = 0
+	m.resetExchange()
 	m.state = stIdle
-	m.cw = m.opts.CWmin
-	m.retries = 0
 	m.backoffSlots = -1
 	m.inAccess = false
 	m.respBusy = false
@@ -206,10 +248,11 @@ func (m *MAC) PreambleBytesPerTx() float64 {
 // Enqueue accepts a frame from the network layer. viaBroadcastQueue routes
 // the frame through the broadcast queue (true for broadcast-addressed
 // frames and for classified TCP ACKs). It reports false when the queue is
-// full and the frame was dropped.
+// full and the frame was dropped; the payload then goes straight back
+// through the release hook.
 func (m *MAC) Enqueue(out Outgoing, viaBroadcastQueue bool) bool {
 	if m.down {
-		m.c.QueueDrops++
+		m.refuse(out.Payload)
 		return false
 	}
 	out.seq = m.seq
@@ -219,12 +262,20 @@ func (m *MAC) Enqueue(out Outgoing, viaBroadcastQueue bool) bool {
 		q = &m.bq
 	}
 	if len(*q) >= m.opts.QueueLimit {
-		m.c.QueueDrops++
+		m.refuse(out.Payload)
 		return false
 	}
 	*q = append(*q, out)
 	m.maybeStartAccess()
 	return true
+}
+
+// refuse counts a frame Enqueue turned away and hands its payload back.
+func (m *MAC) refuse(payload []byte) {
+	m.c.QueueDrops++
+	if m.release != nil {
+		m.release(payload)
+	}
 }
 
 func (m *MAC) queued() int { return len(m.bq) + len(m.uq) }
@@ -520,7 +571,13 @@ func (m *MAC) onExchangeTimeout() {
 	m.resumeAccess()
 }
 
+// resetExchange ends the current exchange: its frames have left for good,
+// so their payloads go back through the release hook.
 func (m *MAC) resetExchange() {
+	if m.current != nil {
+		m.releasePayloads(m.current.Broadcast)
+		m.releasePayloads(m.current.Unicast)
+	}
 	m.current = nil
 	m.currentUni = 0
 	m.retries = 0
@@ -619,32 +676,43 @@ func (m *MAC) respondCTS(rts frame.Control) {
 func (m *MAC) transmitResponse(c frame.Control) {
 	m.respBusy = true
 	m.freezeAccess()
-	m.respSifsTimer = m.sched.After(m.opts.SIFS, "mac:respSIFS", func() {
-		air := m.med.TransmitControl(m.id, c)
-		m.respEndTimer = m.sched.After(air, "mac:respEnd", m.respEndFn)
-	})
+	m.resp = c
+	m.respSifsTimer = m.sched.After(m.opts.SIFS, "mac:respSIFS", m.respFn)
+}
+
+// sendResponse puts the pending CTS/ACK on the air once SIFS has passed.
+func (m *MAC) sendResponse() {
+	air := m.med.TransmitControl(m.id, m.resp)
+	m.respEndTimer = m.sched.After(air, "mac:respEnd", m.respEndFn)
 }
 
 // handleBlockAck removes acknowledged subframes; unacked ones retry.
 func (m *MAC) handleBlockAck(bitmap uint16) {
 	agg := m.current
-	var remain []*frame.Subframe
+	// Filter in place: the acknowledged subframes have left for good, and
+	// broadcasts are not repeated (they were delivered with the first
+	// attempt), so their payloads go back through the release hook.
+	remain := agg.Unicast[:0]
 	for i, sf := range agg.Unicast {
 		if i < 16 && bitmap&(1<<uint(i)) != 0 {
+			if m.release != nil {
+				m.release(sf.Payload)
+			}
 			continue
 		}
 		remain = append(remain, sf)
 	}
+	// agg.Unicast keeps its length until reassigned, and every unicast
+	// subframe shares one receiver, so the rate controller still sees it.
 	m.notifyRateResult(len(remain) == 0)
+	m.releasePayloads(agg.Broadcast)
+	agg.Unicast, agg.Broadcast = remain, nil
 	m.state = stIdle
 	if len(remain) == 0 {
 		m.completeSuccess()
 		return
 	}
-	// Partial: keep only the unacknowledged subframes; broadcasts are not
-	// repeated (they were delivered with the first attempt).
-	agg.Unicast = remain
-	agg.Broadcast = nil
+	// Partial: retry only the unacknowledged subframes.
 	m.currentUni = len(remain)
 	m.retries++
 	if m.retries > m.opts.RetryLimit {

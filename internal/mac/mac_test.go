@@ -637,3 +637,29 @@ func TestCountersAvgHelpersZeroSafe(t *testing.T) {
 		t.Fatal("zero-valued counters must not divide by zero")
 	}
 }
+
+// TestResponseAllocFree pins the exchange's steady state: once warm, an
+// RTS/CTS/DATA/ACK exchange allocates nothing — in particular the CTS and
+// ACK responses go out through one stable callback, not a closure each.
+func TestResponseAllocFree(t *testing.T) {
+	s := sim.NewScheduler(42)
+	med := medium.New(s, phy.DefaultParams(), 2)
+	delivered := 0
+	src := New(s, med, 0, DefaultOptions(UA, phy.Rate1300k), nil)
+	dst := New(s, med, 1, DefaultOptions(UA, phy.Rate1300k), func(frame.DecodedSubframe, bool) { delivered++ })
+	p := payload(1000, 1)
+	enqueue := func() { src.Enqueue(Outgoing{Dst: frame.NodeAddr(1), Src: frame.NodeAddr(0), Payload: p}, false) }
+	step := func() {
+		s.After(0, "enq", enqueue)
+		s.Run()
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("an exchange allocates %.2f objects, want 0", allocs)
+	}
+	if c := dst.Counters(); delivered != 111 || c.CTSTx != 111 || c.AckTx != 111 {
+		t.Fatalf("delivered %d, CTS %d, ACK %d; want 111 each", delivered, c.CTSTx, c.AckTx)
+	}
+}

@@ -43,6 +43,7 @@ func TestForeignControlDelivery(t *testing.T) {
 
 	var hooked []ForeignFrame
 	ma.SetBoundary(func(ff ForeignFrame) {
+		ff.Body = append([]byte(nil), ff.Body...)
 		ff.Spans = append([]frame.Span(nil), ff.Spans...)
 		hooked = append(hooked, ff)
 	})
@@ -82,13 +83,14 @@ func TestForeignControlDelivery(t *testing.T) {
 	}
 }
 
-// TestForeignAggregateDelivery: aggregates replay with their marshaled body
-// shared and decode cleanly on the far side.
+// TestForeignAggregateDelivery: aggregates replay with the hook's copy of
+// their marshaled body and decode cleanly on the far side.
 func TestForeignAggregateDelivery(t *testing.T) {
 	sa, sb, ma, mb, radios := splitSetup(t)
 	agg := dataAgg(3, 200, frame.NodeAddr(2))
 	var hooked *ForeignFrame
 	ma.SetBoundary(func(ff ForeignFrame) {
+		ff.Body = append([]byte(nil), ff.Body...)
 		ff.Spans = append([]frame.Span(nil), ff.Spans...)
 		hooked = &ff
 	})

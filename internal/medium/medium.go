@@ -60,11 +60,11 @@ type Radio interface {
 	// RxAggregate delivers an aggregate's PHY header and (possibly
 	// corrupted) body bytes at the end of its airtime.
 	//
-	// The body is shared: every receiver that heard the frame cleanly gets
-	// the same backing array (corrupted receivers get a private copy).
-	// Receivers may retain subslices — the medium never reuses a body — but
-	// MUST NOT write into it; mutating it would corrupt the frame for the
-	// other receivers.
+	// The body is borrowed: it is valid only until RxAggregate returns,
+	// after which the medium reuses its bytes for later frames, so a
+	// receiver copies anything it keeps. Every receiver that heard the frame
+	// cleanly gets the same bytes, and a receiver MUST NOT write into them;
+	// doing so would corrupt the frame for the receivers after it.
 	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte)
 }
 
@@ -284,17 +284,19 @@ func (t *LinkTable) materializeDense() {
 func (t *LinkTable) dropDense() { t.dense = nil }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
-// audience/collided/interfSNR/spans backing arrays) through a free list, so
-// putting a frame on the air allocates only its marshaled body — which is
-// shared with receivers and therefore the one thing that must not be reused.
+// body/audience/collided/interfSNR/spans backing arrays) through a free
+// list, so putting a frame on the air allocates nothing in steady state.
 type transmission struct {
 	src        NodeID
 	start, end sim.Time
 	isControl  bool
 	control    frame.Control
 	hdr        frame.PHYHeader
-	body       []byte
-	spans      []frame.Span
+	// body is what receivers get: buf for a local launch, the boundary
+	// hook's copy for a foreign one. buf is this transmission's own marshal
+	// buffer, kept across recycling; a foreign body is never adopted as buf.
+	body, buf []byte
+	spans     []frame.Span
 	// audience is the set of attached in-range radios, captured once at
 	// launch (ascending node id); energy detect, collision marking,
 	// delivery and carrier release all iterate it.
@@ -364,10 +366,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // ForeignFrame describes a locally-launched transmission in the form the
-// sharded engine replays into neighboring shards' media. Body is the shared
-// immutable marshaled aggregate (nil for control frames) and may be
-// retained; Spans aliases the live transmission's pooled backing array, so
-// a boundary hook that keeps the frame past its own return MUST copy Spans.
+// sharded engine replays into neighboring shards' media. Body (the marshaled
+// aggregate, nil for control frames) and Spans both alias the live
+// transmission's pooled buffers, which the medium reuses once the frame
+// ends, so a boundary hook that keeps the frame past its own return MUST
+// copy both. InjectForeign delivers the hook's copy of Body read-only and
+// never writes into it or reuses it.
 type ForeignFrame struct {
 	Src        NodeID
 	Start, End sim.Time
@@ -398,8 +402,11 @@ type Medium struct {
 	// launch so the sharded engine can replay it into neighboring shards.
 	boundary func(ForeignFrame)
 
-	active   []*transmission
-	txFree   []*transmission // recycled transmissions (pooled arrays)
+	active []*transmission
+	txFree []*transmission // recycled transmissions (pooled arrays)
+	// corrupt is the scratch copy a corrupted receiver is handed; delivery
+	// is synchronous and one receiver at a time, so one per medium suffices.
+	corrupt  []byte
 	stats    Stats
 	observer Observer
 	// captureDB, when > 0, lets the stronger frame of a collision survive
@@ -472,8 +479,9 @@ func (m *Medium) getTx() *transmission {
 }
 
 // putTx recycles a finished transmission, clearing only the collision
-// entries the run actually marked. The body is deliberately dropped, not
-// reused: receivers may retain subslices of it (see Radio.RxAggregate).
+// entries the run actually marked. Its buf goes back with it for the next
+// launch to marshal into: receivers only borrowed the body for the length
+// of their RxAggregate call, and the boundary hook copied it.
 func (m *Medium) putTx(t *transmission) {
 	t.body = nil
 	t.spans = t.spans[:0]
@@ -665,15 +673,17 @@ func (m *Medium) TransmitControl(src NodeID, c frame.Control) time.Duration {
 }
 
 // TransmitAggregate marshals and puts an aggregate on the air, returning
-// its airtime. The body is marshaled exactly once; clean receivers all share
-// it (see Radio.RxAggregate).
+// its airtime. The body is marshaled exactly once, into the pooled
+// transmission's own buffer; clean receivers all borrow it (see
+// Radio.RxAggregate).
 func (m *Medium) TransmitAggregate(src NodeID, agg *frame.Aggregate) time.Duration {
 	d := m.AggregateAirtime(agg)
 	t := m.getTx()
 	t.src, t.start, t.end = src, m.sched.Now(), m.sched.Now()+d
 	t.isControl = false
 	t.hdr = agg.Header()
-	t.body, t.spans = agg.AppendMarshal(make([]byte, 0, agg.Bytes()), t.spans[:0])
+	t.buf, t.spans = agg.AppendMarshal(t.buf[:0], t.spans[:0])
+	t.body = t.buf
 	m.stats.AggregateTx++
 	if m.observer != nil {
 		m.emit(Event{Kind: "tx-agg", Src: src, Dst: -1, Dur: d,
@@ -938,10 +948,12 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		if m.sched.Rand().Float64() >= p {
 			continue
 		}
-		// Copy-on-corrupt: the shared clean body stays immutable; only a
-		// receiver whose copy of the air was damaged gets private bytes.
+		// Copy-on-corrupt: the shared clean body stays immutable; a
+		// receiver whose copy of the air was damaged gets the medium's
+		// scratch copy, which the next corrupted delivery overwrites.
 		if !copied {
-			body = append([]byte(nil), t.body...)
+			m.corrupt = append(m.corrupt[:0], t.body...)
+			body = m.corrupt
 			copied = true
 		}
 		corruptSpan(body[sp.Off:sp.Off+sp.Size], m.sched)

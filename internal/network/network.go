@@ -108,34 +108,53 @@ func Checksum(b []byte) uint16 {
 // Marshal produces the subframe payload: encap, IP header, transport
 // payload, and trailing pad up to the PHY minimum frame size.
 func (p *Packet) Marshal() []byte {
-	wire := frame.SubframeOverhead + HeaderLen + len(p.Payload)
-	pad := 0
-	if wire < MinSubframeBytes {
-		pad = MinSubframeBytes - wire
+	return p.AppendMarshal(make([]byte, 0, p.wireLen()))
+}
+
+// padLen is the trailing pad that lifts the packet to the PHY minimum frame.
+func (p *Packet) padLen() int {
+	if wire := frame.SubframeOverhead + HeaderLen + len(p.Payload); wire < MinSubframeBytes {
+		return MinSubframeBytes - wire
 	}
-	b := make([]byte, HeaderLen, HeaderLen+len(p.Payload)+pad)
+	return 0
+}
+
+// wireLen is the marshaled packet's length.
+func (p *Packet) wireLen() int { return HeaderLen + len(p.Payload) + p.padLen() }
+
+// AppendMarshal is Marshal appending to b. Every header and pad byte is
+// written, so b may be a reused buffer holding stale bytes beyond its
+// length.
+func (p *Packet) AppendMarshal(b []byte) []byte {
+	pad := p.padLen()
+	start := len(b)
+	// The header is appended zeroed: the encap's reserved bytes and the IP
+	// checksum slot must read zero whatever the buffer held before.
+	b = append(b, make([]byte, HeaderLen)...)
+	h := b[start:]
 
 	// Encap: magic(2) flags(1) padLen(2) reserved(34).
-	binary.BigEndian.PutUint16(b[0:2], encapMagic)
-	b[2] = 1 // version
-	binary.BigEndian.PutUint16(b[3:5], uint16(pad))
+	binary.BigEndian.PutUint16(h[0:2], encapMagic)
+	h[2] = 1 // version
+	binary.BigEndian.PutUint16(h[3:5], uint16(pad))
 
-	// IP-like header.
-	ip := b[EncapLen:]
+	// IP-like header; bytes 3 and 16–19 (checksum slot) stay zero.
+	ip := h[EncapLen:]
 	ip[0] = 0x45
 	ip[1] = p.Proto
 	ip[2] = p.TTL
-	ip[3] = 0
 	binary.BigEndian.PutUint16(ip[4:6], uint16(IPHeaderLen+len(p.Payload)))
 	binary.BigEndian.PutUint16(ip[6:8], p.ID)
 	binary.BigEndian.PutUint32(ip[8:12], nodeIP(p.Src))
 	binary.BigEndian.PutUint32(ip[12:16], nodeIP(p.Dst))
-	binary.BigEndian.PutUint16(ip[16:18], 0) // checksum slot
-	binary.BigEndian.PutUint16(ip[18:20], 0)
 	binary.BigEndian.PutUint16(ip[16:18], Checksum(ip[:IPHeaderLen]))
 
 	b = append(b, p.Payload...)
-	b = append(b, make([]byte, pad)...)
+	// A byte at a time: the race build heap-allocates the make in an
+	// append(b, make([]byte, pad)...) whose length is not a constant.
+	for range pad {
+		b = append(b, 0)
+	}
 	return b
 }
 
@@ -201,6 +220,10 @@ type Node struct {
 	classify AckClassifier
 	nextID   uint16
 	stats    Stats
+	// free holds packet buffers the MAC handed back through its release
+	// hook (see AttachMAC); Send marshals into them, so steady-state
+	// traffic allocates no packet bytes.
+	free [][]byte
 
 	// OnNoRoute, when set, fires whenever Send finds no route for dst —
 	// the hook an on-demand routing protocol uses to start discovery.
@@ -225,14 +248,31 @@ func (n *Node) Bind() mac.DeliverFunc {
 	return func(d frame.DecodedSubframe, viaBroadcast bool) { n.fromMAC(d, viaBroadcast) }
 }
 
-// AttachMAC wires the node's transmit path. It panics if called twice or
-// skipped before Send: both are wiring bugs.
+// AttachMAC wires the node's transmit path and installs the MAC's release
+// hook, through which every packet buffer Send hands down returns to the
+// node's free list once its frame has left the MAC. It panics if called
+// twice or skipped before Send: both are wiring bugs.
 func (n *Node) AttachMAC(m *mac.MAC) {
 	if n.mac != nil {
 		panic("network: MAC attached twice")
 	}
 	n.mac = m
+	m.SetRelease(n.release)
 }
+
+// release takes back a packet buffer the MAC is done with.
+func (n *Node) release(b []byte) {
+	if poisonReleased {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	n.free = append(n.free, b)
+}
+
+// poisonReleased, set only by tests, fills every released buffer with 0xA5
+// so that a buffer still in use after its release changes the run's bytes.
+var poisonReleased bool
 
 // ID returns the node's identifier.
 func (n *Node) ID() NodeID { return n.id }
@@ -299,6 +339,8 @@ func (n *Node) SetAckClassifier(c AckClassifier) { n.classify = c }
 // Send originates or forwards a packet. Broadcast packets go out the
 // broadcast queue unacknowledged; unicast packets are routed, and pure TCP
 // ACKs ride the broadcast queue when the MAC's scheme classifies them.
+// The packet is marshaled into a buffer of the node's own, so the caller
+// may reuse pkt.Payload as soon as Send returns.
 func (n *Node) Send(pkt Packet) error {
 	if pkt.TTL == 0 {
 		pkt.TTL = defaultTTL
@@ -307,7 +349,7 @@ func (n *Node) Send(pkt Packet) error {
 		n.nextID++
 		pkt.ID = n.nextID
 	}
-	out := mac.Outgoing{Src: frame.NodeAddr(int(pkt.Src)), Payload: pkt.Marshal()}
+	out := mac.Outgoing{Src: frame.NodeAddr(int(pkt.Src))}
 	viaBroadcastQueue := false
 	if pkt.Dst == BroadcastID {
 		out.Dst = frame.Broadcast
@@ -328,6 +370,15 @@ func (n *Node) Send(pkt Packet) error {
 			n.stats.AcksBcast++
 		}
 	}
+	var buf []byte
+	if k := len(n.free); k > 0 {
+		buf = n.free[k-1]
+		n.free = n.free[:k-1]
+	}
+	if need := pkt.wireLen(); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	out.Payload = pkt.AppendMarshal(buf[:0])
 	if !n.mac.Enqueue(out, viaBroadcastQueue) {
 		n.stats.QueueFull++
 		return ErrQueueFull

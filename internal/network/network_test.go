@@ -89,6 +89,19 @@ func TestPacketBroadcastRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalOverStaleBytes: a reused buffer's leftover bytes must not
+// leak into the packet — the encap's reserved bytes, the IP checksum slot
+// and the pad all come out as Marshal writes them.
+func TestAppendMarshalOverStaleBytes(t *testing.T) {
+	for _, n := range []int{0, 20, 1377} {
+		p := Packet{Proto: ProtoTCP, TTL: 3, Src: 4, Dst: 5, ID: 6, Payload: bytes.Repeat([]byte{7}, n)}
+		stale := bytes.Repeat([]byte{0xff}, 2*MinSubframeBytes+n)
+		if got := p.AppendMarshal(stale[:0]); !bytes.Equal(got, p.Marshal()) {
+			t.Fatalf("%d-byte payload: AppendMarshal over stale bytes differs from Marshal", n)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("nil decoded")
@@ -107,7 +120,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestOneHopDelivery(t *testing.T) {
 	r := newRig(t, 2, mac.UA)
 	var got []Packet
-	r.nodes[1].Handle(ProtoUDP, func(p Packet) { got = append(got, p) })
+	r.nodes[1].Handle(ProtoUDP, func(p Packet) {
+		p.Payload = bytes.Clone(p.Payload) // borrowed only for the call
+		got = append(got, p)
+	})
 	r.s.After(0, "send", func() {
 		if err := r.nodes[0].Send(Packet{Proto: ProtoUDP, Src: 0, Dst: 1, Payload: []byte("abc")}); err != nil {
 			t.Errorf("send: %v", err)
@@ -350,4 +366,43 @@ func TestRouteTableNodes(t *testing.T) {
 	own.AddRoute(2, 2)
 	mustPanic("table over per-node routes", func() { own.SetRouteTable(tab) })
 	mustPanic("node outside the table", func() { NewNode(4).SetRouteTable(tab) })
+}
+
+// TestSendAllocFree pins the packet path's steady state: once the nodes'
+// free lists are warm, originating a packet (0 → 1) or forwarding one
+// (0 → 2 via 1), and carrying it over the air to its handler, allocates
+// nothing.
+func TestSendAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dst  NodeID
+	}{{"originate", 1}, {"forward", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3, mac.UA)
+			delivered := 0
+			r.nodes[tc.dst].Handle(ProtoUDP, func(Packet) { delivered++ })
+			payload := make([]byte, 1000)
+			send := func() {
+				if err := r.nodes[0].Send(Packet{Proto: ProtoUDP, Src: 0, Dst: tc.dst, Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step := func() {
+				r.s.After(0, "send", send)
+				r.s.Run()
+			}
+			for i := 0; i < 10; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Fatalf("Send allocates %.2f objects per packet, want 0", allocs)
+			}
+			if delivered != 111 {
+				t.Fatalf("%d/111 packets delivered", delivered)
+			}
+			if tc.dst == 2 && r.nodes[1].Stats().Forwarded != 111 {
+				t.Fatalf("relay forwarded %d/111 packets", r.nodes[1].Stats().Forwarded)
+			}
+		})
+	}
 }

@@ -156,7 +156,9 @@ func (c *Conn) Cwnd() int { return int(c.cwnd) }
 // SRTT returns the smoothed RTT estimate (zero before the first sample).
 func (c *Conn) SRTT() time.Duration { return c.srtt }
 
-// Send queues stream data for transmission.
+// Send queues stream data for transmission. When nothing is buffered the
+// connection keeps data itself instead of a copy, so the caller must not
+// modify data until the peer has acknowledged it.
 func (c *Conn) Send(data []byte) error {
 	switch c.state {
 	case StateEstablished, StateSynSent, StateSynReceived, StateCloseWait:
@@ -166,7 +168,13 @@ func (c *Conn) Send(data []byte) error {
 	if c.closeReq {
 		return fmt.Errorf("tcp: Send after Close")
 	}
-	c.buf = append(c.buf, data...)
+	if len(c.buf) == 0 {
+		// Capped at its length: a later append copies rather than writing
+		// into the caller's array past data.
+		c.buf = data[:len(data):len(data)]
+	} else {
+		c.buf = append(c.buf, data...)
+	}
 	c.trySend()
 	return nil
 }

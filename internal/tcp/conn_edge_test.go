@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -236,5 +237,29 @@ func TestStackStringer(t *testing.T) {
 	_ = s
 	if a.String() == "" {
 		t.Fatal("empty stack name")
+	}
+}
+
+// TestSendNeverWritesPastCallerSlice: Send keeps the caller's slice when
+// nothing is buffered, so a later Send must copy rather than append into
+// the caller's array beyond that slice.
+func TestSendNeverWritesPastCallerSlice(t *testing.T) {
+	_, a, _ := loopPair(t)
+	a.sendOverride = func(network.NodeID, Segment) error { return nil }
+	c := a.newConn(1, 10001, 80)
+	c.state = StateEstablished
+	c.cwnd = 0 // hold everything in the send buffer
+	arr := make([]byte, 8)
+	if err := c.Send(arr[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send([]byte{9, 9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(arr, make([]byte, 8)) {
+		t.Fatalf("second Send wrote into the caller's array: %v", arr)
+	}
+	if want := []byte{0, 0, 0, 0, 9, 9, 9, 9}; !bytes.Equal(c.buf, want) {
+		t.Fatalf("send buffer %v, want %v", c.buf, want)
 	}
 }

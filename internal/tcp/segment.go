@@ -54,16 +54,23 @@ func (s *Segment) IsPureAck() bool {
 
 // Marshal serializes the segment.
 func (s *Segment) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(s.Payload))
-	binary.BigEndian.PutUint16(b[0:2], s.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], s.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], s.Seq)
-	binary.BigEndian.PutUint32(b[8:12], s.Ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = s.Flags
-	binary.BigEndian.PutUint16(b[14:16], s.Window)
-	copy(b[HeaderLen:], s.Payload)
-	binary.BigEndian.PutUint16(b[16:18], network.Checksum(b))
+	return s.AppendMarshal(make([]byte, 0, HeaderLen+len(s.Payload)))
+}
+
+// AppendMarshal is Marshal appending to b, which may be a reused buffer.
+func (s *Segment) AppendMarshal(b []byte) []byte {
+	start := len(b)
+	b = binary.BigEndian.AppendUint16(b, s.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, s.DstPort)
+	b = binary.BigEndian.AppendUint32(b, s.Seq)
+	b = binary.BigEndian.AppendUint32(b, s.Ack)
+	b = append(b, 5<<4, s.Flags) // data offset: 5 words
+	b = binary.BigEndian.AppendUint16(b, s.Window)
+	// The checksum (bytes 16–17) must read zero while the sum is taken,
+	// and the urgent pointer (18–19) is always zero.
+	b = append(b, 0, 0, 0, 0)
+	b = append(b, s.Payload...)
+	binary.BigEndian.PutUint16(b[start+16:start+18], network.Checksum(b[start:]))
 	return b
 }
 

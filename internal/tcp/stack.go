@@ -39,7 +39,12 @@ type Stack struct {
 	// stack (closed or aborted), so Totals never loses history.
 	retired Stats
 
-	sendOverride func(network.NodeID, *Segment) error // tests only
+	// scratch holds the segment being sent; network.Node.Send copies it.
+	scratch []byte
+
+	// sendOverride takes the segment by value, so that handing it over
+	// does not move every emitted segment to the heap.
+	sendOverride func(network.NodeID, Segment) error // tests only
 }
 
 // NewStack attaches a TCP entity to the node. It registers the protocol
@@ -188,13 +193,14 @@ func (st *Stack) Abort() int {
 // send marshals a segment into a network packet. Tests may intercept it.
 func (st *Stack) send(peer network.NodeID, seg *Segment) error {
 	if st.sendOverride != nil {
-		return st.sendOverride(peer, seg)
+		return st.sendOverride(peer, *seg)
 	}
+	st.scratch = seg.AppendMarshal(st.scratch[:0])
 	return st.node.Send(network.Packet{
 		Proto:   network.ProtoTCP,
 		Src:     st.node.ID(),
 		Dst:     peer,
-		Payload: seg.Marshal(),
+		Payload: st.scratch,
 	})
 }
 

@@ -30,6 +30,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalOverStaleBytes: a reused buffer's leftover bytes must not
+// leak into the segment — neither into the checksum nor the urgent pointer.
+func TestAppendMarshalOverStaleBytes(t *testing.T) {
+	s := Segment{SrcPort: 1, DstPort: 2, Seq: 3, Ack: 4, Flags: FlagACK, Window: 5, Payload: []byte("xyz")}
+	stale := bytes.Repeat([]byte{0xff}, 64)
+	if got := s.AppendMarshal(stale[:0]); !bytes.Equal(got, s.Marshal()) {
+		t.Fatal("AppendMarshal over stale bytes differs from Marshal")
+	}
+}
+
 func TestSegmentChecksumDetectsCorruption(t *testing.T) {
 	s := Segment{SrcPort: 1, DstPort: 2, Seq: 3, Flags: FlagACK, Payload: []byte("xyz")}
 	b := s.Marshal()
@@ -301,14 +311,14 @@ func loopPair(t *testing.T) (*sim.Scheduler, *Stack, *Stack) {
 	}
 	a, b := mkStack(0), mkStack(1)
 	// Instant, reliable delivery: bypass the air entirely.
-	a.sendOverride = func(peer network.NodeID, seg *Segment) error {
+	a.sendOverride = func(peer network.NodeID, seg Segment) error {
 		m := seg.Marshal()
 		s.After(500*time.Microsecond, "pipeAB", func() {
 			b.onPacket(network.Packet{Proto: network.ProtoTCP, Src: 0, Dst: 1, Payload: m})
 		})
 		return nil
 	}
-	b.sendOverride = func(peer network.NodeID, seg *Segment) error {
+	b.sendOverride = func(peer network.NodeID, seg Segment) error {
 		m := seg.Marshal()
 		s.After(500*time.Microsecond, "pipeBA", func() {
 			a.onPacket(network.Packet{Proto: network.ProtoTCP, Src: 1, Dst: 0, Payload: m})
@@ -377,7 +387,7 @@ func TestFastRetransmitOnDupAcks(t *testing.T) {
 	dataCount := 0
 	dropped := false
 	orig := a.sendOverride
-	a.sendOverride = func(peer network.NodeID, seg *Segment) error {
+	a.sendOverride = func(peer network.NodeID, seg Segment) error {
 		if len(seg.Payload) > 0 {
 			dataCount++
 			if dataCount == 8 && !dropped {
@@ -432,5 +442,45 @@ func TestConnStateString(t *testing.T) {
 		if st.String() == "" {
 			t.Error("empty state name")
 		}
+	}
+}
+
+// TestEmitAllocFree pins the segment path's steady state: once the nodes'
+// buffers are warm, emitting a data segment or a pure ACK (which BA sends
+// as a broadcast subframe) and carrying it over the air allocates nothing.
+// The peer runs no connection, so it drops what it receives.
+func TestEmitAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		flags   uint8
+		payload []byte
+	}{{"data", FlagACK | FlagPSH, make([]byte, 1357)}, {"pure-ack", FlagACK, nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newChain(t, 2, mac.BA, phy.Rate2600k, DefaultConfig())
+			c := r.stacks[0].newConn(1, 10001, 80)
+			c.state = StateEstablished
+			emit := func() {
+				if err := c.emit(tc.flags, c.sndNxt, tc.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step := func() {
+				r.s.After(0, "emit", emit)
+				r.s.Run()
+			}
+			for i := 0; i < 10; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Fatalf("emit allocates %.2f objects per segment, want 0", allocs)
+			}
+			st := r.nodes[0].Stats()
+			if st.Sent != 111 {
+				t.Fatalf("node sent %d/111 segments", st.Sent)
+			}
+			if wantBcast := len(tc.payload) == 0; (st.AcksBcast == st.Sent) != wantBcast {
+				t.Fatalf("%d of %d segments went out as broadcast ACKs", st.AcksBcast, st.Sent)
+			}
+		})
 	}
 }

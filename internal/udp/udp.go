@@ -37,12 +37,19 @@ type Datagram struct {
 
 // Marshal serializes the datagram.
 func (d *Datagram) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(d.Payload))
-	binary.BigEndian.PutUint16(b[0:2], d.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], d.DstPort)
-	binary.BigEndian.PutUint16(b[4:6], uint16(HeaderLen+len(d.Payload)))
-	copy(b[HeaderLen:], d.Payload)
-	binary.BigEndian.PutUint16(b[6:8], network.Checksum(b))
+	return d.AppendMarshal(make([]byte, 0, HeaderLen+len(d.Payload)))
+}
+
+// AppendMarshal is Marshal appending to b, which may be a reused buffer.
+func (d *Datagram) AppendMarshal(b []byte) []byte {
+	start := len(b)
+	b = binary.BigEndian.AppendUint16(b, d.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, d.DstPort)
+	b = binary.BigEndian.AppendUint16(b, uint16(HeaderLen+len(d.Payload)))
+	// The checksum slot (bytes 6–7) must read zero while the sum is taken.
+	b = append(b, 0, 0)
+	b = append(b, d.Payload...)
+	binary.BigEndian.PutUint16(b[start+6:start+8], network.Checksum(b[start:]))
 	return b
 }
 
@@ -69,6 +76,8 @@ type Endpoint struct {
 	sched *sim.Scheduler
 	node  *network.Node
 	ports map[uint16]func(src network.NodeID, d Datagram)
+	// scratch holds the datagram being sent; network.Node.Send copies it.
+	scratch []byte
 }
 
 // NewEndpoint attaches a UDP entity to the node.
@@ -83,11 +92,12 @@ func (e *Endpoint) Listen(port uint16, fn func(src network.NodeID, d Datagram)) 
 	e.ports[port] = fn
 }
 
-// Send transmits one datagram.
+// Send transmits one datagram. The payload is copied before Send returns.
 func (e *Endpoint) Send(dst network.NodeID, srcPort, dstPort uint16, payload []byte) error {
 	d := Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
+	e.scratch = d.AppendMarshal(e.scratch[:0])
 	return e.node.Send(network.Packet{
-		Proto: network.ProtoUDP, Src: e.node.ID(), Dst: dst, Payload: d.Marshal(),
+		Proto: network.ProtoUDP, Src: e.node.ID(), Dst: dst, Payload: e.scratch,
 	})
 }
 
@@ -128,6 +138,9 @@ type Sender struct {
 	running bool
 	timer   sim.Timer
 	tickFn  func() // stable callback for the scheduler (no per-tick closure)
+	// payload is reused by every datagram: Endpoint.Send copies it, and
+	// only the timestamp bytes ever change.
+	payload []byte
 }
 
 // Start begins generation; it runs until Stop.
@@ -158,7 +171,10 @@ func (s *Sender) Stop() {
 }
 
 func (s *Sender) sendOne() {
-	p := make([]byte, s.PayloadBytes)
+	if len(s.payload) != s.PayloadBytes {
+		s.payload = make([]byte, s.PayloadBytes)
+	}
+	p := s.payload
 	if s.Timestamp && len(p) >= 8 {
 		binary.BigEndian.PutUint64(p, uint64(s.Endpoint.sched.Now()))
 	}

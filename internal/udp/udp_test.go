@@ -56,6 +56,16 @@ func TestPropertyDatagramRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalOverStaleBytes: a reused buffer's leftover bytes must not
+// leak into the datagram, least of all into the checksum slot.
+func TestAppendMarshalOverStaleBytes(t *testing.T) {
+	d := Datagram{SrcPort: 9001, DstPort: 9000, Payload: []byte("datagram")}
+	stale := bytes.Repeat([]byte{0xff}, 64)
+	if got := d.AppendMarshal(stale[:0]); !bytes.Equal(got, d.Marshal()) {
+		t.Fatal("AppendMarshal over stale bytes differs from Marshal")
+	}
+}
+
 func TestPaperPayloadSizesFrameTo1140(t *testing.T) {
 	d := Datagram{SrcPort: 1, DstPort: 2, Payload: make([]byte, PaperPayloadBytes)}
 	pkt := network.Packet{Proto: network.ProtoUDP, TTL: 2, Src: 0, Dst: 1, Payload: d.Marshal()}
@@ -88,6 +98,7 @@ func TestEndpointSendReceive(t *testing.T) {
 	var got []Datagram
 	var from network.NodeID
 	eps[1].Listen(9000, func(src network.NodeID, d Datagram) {
+		d.Payload = bytes.Clone(d.Payload) // borrowed only for the call
 		got = append(got, d)
 		from = src
 	})
@@ -211,5 +222,27 @@ func TestDelayGrowsWithQueueing(t *testing.T) {
 	light, heavy := run(1), run(10)
 	if heavy <= light {
 		t.Fatalf("queueing did not raise delay: burst=1 %v vs burst=10 %v", light, heavy)
+	}
+}
+
+// TestSenderTickAllocFree pins the traffic generator's steady state: once
+// the node's buffers are warm, a tick that sends a timestamped datagram
+// and carries it over the air allocates nothing.
+func TestSenderTickAllocFree(t *testing.T) {
+	s, eps, _ := rig(t)
+	got := 0
+	eps[1].Listen(9000, func(network.NodeID, Datagram) { got++ })
+	snd := &Sender{Endpoint: eps[0], Dst: 1, SrcPort: 9001, DstPort: 9000,
+		Interval: 20 * time.Millisecond, Burst: 1, Timestamp: true}
+	s.After(0, "start", snd.Start)
+	step := func() { s.RunUntil(s.Now() + snd.Interval) }
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("a sender tick allocates %.2f objects, want 0", allocs)
+	}
+	if got < 100 || snd.Dropped != 0 {
+		t.Fatalf("%d datagrams delivered, %d dropped", got, snd.Dropped)
 	}
 }
