@@ -106,10 +106,8 @@ func BenchmarkTCPStarBA(b *testing.B) {
 // benchMesh runs one mesh scaling cell per iteration (many concurrent TCP
 // flows over a generated sparse topology), reporting aggregate goodput and
 // simulation speed. The configs come from experiments.ScalingCell, so these
-// benches measure exactly what `aggbench -exp scaling` runs; the Dense
-// variant forces the O(N) dense-scan medium the neighbor index replaced —
-// its simsec/sec against BenchmarkMeshGrid100BA is the tentpole's ≥5x
-// acceptance ratio (see also BenchmarkMediumTx in internal/medium).
+// benches measure exactly what `aggbench -exp scaling` runs (see also
+// BenchmarkMediumTx in internal/medium for the per-transmission cost).
 func benchMesh(b *testing.B, cfg core.MeshTCPConfig) {
 	b.Helper()
 	b.ReportAllocs()
@@ -135,11 +133,6 @@ func BenchmarkMeshGrid400BA(b *testing.B) {
 }
 func BenchmarkMeshDisk100BA(b *testing.B) {
 	benchMesh(b, experiments.ScalingCell(core.MeshDisk, mac.BA, 100, 0))
-}
-func BenchmarkMeshGrid100BADense(b *testing.B) {
-	cfg := experiments.ScalingCell(core.MeshGrid, mac.BA, 100, 0)
-	cfg.DenseScan = true
-	benchMesh(b, cfg)
 }
 
 // The sharded variants run the identical scaling cell on the parallel

@@ -33,9 +33,6 @@
 //
 //	aggbench -cpuprofile cpu.pprof -exp fig7   # profile the hot path
 //	aggbench -memprofile mem.pprof -exp fig7
-//	aggbench -benchjson > BENCH_baseline.json  # headline benches as JSON
-//	aggbench -benchfmt BENCH_baseline.json     # JSON -> `go test -bench`
-//	                                           # text, for benchstat
 //
 // Crash-safe sweeps (see README "Crash-safe sweeps"): -store DIR flushes
 // every completed cell durably as it lands; -resume additionally serves
@@ -86,9 +83,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment names and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		benchjson  = flag.Bool("benchjson", false, "run the headline benchmarks and emit name → ns/op, allocs/op, simsec/sec as JSON")
-		benchsel   = flag.String("benchfilter", "", "with -benchjson: run only benches whose name contains this substring (baseline rows are append-only, so new rows are measured alone and merged)")
-		benchfmt   = flag.String("benchfmt", "", "read a -benchjson file and print it in `go test -bench` text form (benchstat input)")
 		meshSizes  = flag.String("mesh-sizes", "", "scaling experiment: comma list of network sizes (default 25,100,400)")
 		meshTopos  = flag.String("mesh-topos", "", "scaling experiment: comma list of topologies: grid|disk|chains (default grid,disk)")
 		storeDir   = flag.String("store", "", "durable results store directory; completed cells are flushed there as they land")
@@ -123,21 +117,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "aggbench:", err)
 			}
 		}()
-	}
-
-	if *benchfmt != "" {
-		if err := writeBenchText(os.Stdout, *benchfmt); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchjson {
-		if err := writeBenchJSON(os.Stdout, *benchsel); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	all := experiments.All()

@@ -161,7 +161,6 @@ func main() {
 		chainHops = flag.Int("chain-hops", 4, "mesh chains: hops per chain")
 		crossFl   = flag.Int("cross-flows", 0, "mesh chains: vertical cross-traffic flows")
 		minHops   = flag.Int("min-hops", 2, "mesh grid/disk: minimum route length for sampled flows")
-		dense     = flag.Bool("dense-scan", false, "mesh: force the O(N) dense-scan medium (perf baseline)")
 		shards    = flag.Int("shards", 0, "mesh: run the event core on N parallel shards (0 = sequential; static -topo only; 1 is bit-identical to sequential)")
 
 		mobility = flag.String("mobility", "", "mesh: mobility model: waypoint | drift (empty = static)")
@@ -240,7 +239,7 @@ func main() {
 		Scheme: schemes[0], Rate: rates[0],
 		Topology: *topo, Nodes: *nodes, Flows: *flows,
 		Chains: *chains, ChainHops: *chainHops, CrossFlows: *crossFl,
-		MinHops: *minHops, DenseScan: *dense, Shards: *shards,
+		MinHops: *minHops, Shards: *shards,
 		Mobility: *mobility, Speed: *speed, Pause: *pause, MoveInterval: *moveIv,
 		Faults:    faultCfg,
 		FileBytes: *file, MaxAggBytes: *agg, Seed: *seed,
@@ -305,8 +304,8 @@ func main() {
 		}
 		// Mesh-only knobs the workload engine does not thread through must
 		// fail loudly, not silently measure something else.
-		if *dense || *flows != 0 || *crossFl != 0 {
-			fatal(fmt.Errorf("-dense-scan/-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
+		if *flows != 0 || *crossFl != 0 {
+			fatal(fmt.Errorf("-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
 		}
 		if *shards != 0 || *chromeTrace != "" {
 			fatal(fmt.Errorf("-shards/-chrome-trace apply to static -topo TCP runs only"))

@@ -75,9 +75,6 @@ type MeshTCPConfig struct {
 	FileBytes int
 	// MaxAggBytes caps aggregation; defaults to 5120.
 	MaxAggBytes int
-	// DenseScan forces the medium's O(N) dense-scan oracle instead of the
-	// neighbor index — the baseline the scaling benches compare against.
-	DenseScan bool
 	// Shards selects the sharded parallel engine: the mesh is partitioned
 	// into Shards contiguous spatial domains, each running its own event
 	// loop, synchronized conservatively with lookahead ShardLookahead (see
@@ -86,7 +83,7 @@ type MeshTCPConfig struct {
 	// equivalent (cross-shard carrier sense inside the first lookahead
 	// window of a frame is approximated) and deterministic for a given
 	// shard count. At most MaxShards. Static topologies only: Validate
-	// rejects Mobility, Faults, DenseScan and TraceTo.
+	// rejects Mobility, Faults and TraceTo.
 	Shards int
 	// Mobility selects a node-motion model: "" (static, the default),
 	// MobilityWaypoint or MobilityDrift. Moving nodes change link
@@ -476,9 +473,6 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	}
 
 	m := cfg.buildMesh()
-	if cfg.DenseScan {
-		m.Medium.SetDenseScan(true)
-	}
 	attachTrace(m.Network, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 	flows := cfg.planFlows(m)
 	stacks := newStacks(m.Network, cfg.TCP)

@@ -200,9 +200,8 @@ func TestParallelRejectsUnsupportedModes(t *testing.T) {
 	base := MeshTCPConfig{Scheme: mac.BA, Nodes: 16, Flows: 2, FileBytes: 2000,
 		Seed: 1, Deadline: 60 * time.Second, Shards: 2}
 	for name, mutate := range map[string]func(*MeshTCPConfig){
-		"mobility":  func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint },
-		"densescan": func(c *MeshTCPConfig) { c.DenseScan = true },
-		"trace":     func(c *MeshTCPConfig) { c.TraceTo = &strings.Builder{} },
+		"mobility": func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint },
+		"trace":    func(c *MeshTCPConfig) { c.TraceTo = &strings.Builder{} },
 	} {
 		cfg := base
 		mutate(&cfg)

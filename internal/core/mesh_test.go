@@ -60,23 +60,6 @@ func TestRunMeshTCPDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunMeshTCPDenseScanEquivalent pins the tentpole's end-to-end safety:
-// the neighbor-indexed medium and the seed's dense-scan path produce
-// bit-identical mesh simulations — same event count, same goodput floats,
-// same per-node counters.
-func TestRunMeshTCPDenseScanEquivalent(t *testing.T) {
-	fast := RunMeshTCP(quickMeshCfg())
-	cfg := quickMeshCfg()
-	cfg.DenseScan = true
-	dense := RunMeshTCP(cfg)
-	if fast.EventsRun != dense.EventsRun {
-		t.Fatalf("EventsRun diverged: indexed %d, dense %d", fast.EventsRun, dense.EventsRun)
-	}
-	if !reflect.DeepEqual(fast, dense) {
-		t.Fatal("indexed and dense-scan mesh runs diverged")
-	}
-}
-
 func TestRunMeshTCPChainsWithCrossTraffic(t *testing.T) {
 	res := RunMeshTCP(MeshTCPConfig{
 		Scheme: mac.UA, Rate: phy.Rate2600k,

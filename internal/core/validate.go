@@ -13,10 +13,9 @@ import (
 
 // Validate reports the first problem with the config: an unknown
 // topology, mobility model or trace format; an invalid fault config;
-// Shards outside 0..MaxShards, or
-// combined with mobility, faults, DenseScan or TraceTo; ShardTrace without
-// Shards. It never changes the config: results-store ids hash configs,
-// and pool workers share them.
+// Shards outside 0..MaxShards, or combined with mobility, faults or
+// TraceTo; ShardTrace without Shards. It never changes the config:
+// results-store ids hash configs, and pool workers share them.
 func (c *MeshTCPConfig) Validate() error {
 	switch c.Topology {
 	case "", MeshGrid, MeshDisk, MeshChains:
@@ -49,8 +48,6 @@ func (c *MeshTCPConfig) Validate() error {
 		return errors.New("core: Shards supports static topologies only (unset Mobility)")
 	case c.Faults.Enabled():
 		return errors.New("core: fault injection needs the sequential engine (unset Faults or Shards)")
-	case c.DenseScan:
-		return errors.New("core: Shards requires the neighbor-indexed medium (unset DenseScan)")
 	case c.TraceTo != nil:
 		return errors.New("core: channel tracing is unsupported with Shards (unset TraceTo)")
 	}

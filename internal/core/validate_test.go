@@ -55,7 +55,6 @@ func TestValidate(t *testing.T) {
 		{"shard trace sequential", mesh(func(c *MeshTCPConfig) { c.ShardTrace = &strings.Builder{} }), "ShardTrace needs the sharded engine"},
 		{"shards with mobility", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Mobility = MobilityWaypoint }), "static topologies only"},
 		{"shards with faults", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Faults = crash }), "sequential engine"},
-		{"shards with dense scan", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.DenseScan = true }), "neighbor-indexed medium"},
 		{"shards with trace", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.TraceTo = &strings.Builder{} }), "channel tracing is unsupported"},
 
 		{"scenario default", scn(func(c *ScenarioConfig) {}), ""},

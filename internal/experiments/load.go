@@ -62,9 +62,9 @@ func LoadScenario(mode string, arrivalRate float64, users int, quick bool) traff
 	}
 }
 
-// LoadCell builds one offered-load run config. cmd/aggbench's -benchjson
-// mode and bench_test.go reuse it so the committed bench records measure
-// exactly the experiment's configuration.
+// LoadCell builds one offered-load run config.
+// bench_test.go and the perfbench module reuse it so their benchmarks
+// measure exactly the experiment's configuration.
 func LoadCell(mode string, scheme mac.Scheme, arrivalRate float64, users int, seed int64, quick bool) core.ScenarioConfig {
 	sc := LoadScenario(mode, arrivalRate, users, quick)
 	return core.ScenarioConfig{Scenario: sc, Scheme: scheme, Seed: seed}

@@ -73,8 +73,8 @@ func Mobility(o Options) Table {
 }
 
 // MobilityCell builds the mesh config of one mobility-experiment cell.
-// cmd/aggbench's -benchjson mode and bench_test.go reuse it so the
-// committed bench records measure exactly the experiment's configuration.
+// bench_test.go and the perfbench module reuse it so their benchmarks
+// measure exactly the experiment's configuration.
 func MobilityCell(scheme mac.Scheme, speed float64, interval time.Duration, seed int64) core.MeshTCPConfig {
 	return core.MeshTCPConfig{
 		Scheme: scheme, Rate: phy.Rate2600k,

@@ -82,8 +82,8 @@ func ScalingMesh(o Options) Table {
 }
 
 // ScalingCell builds the mesh config of one scaling-experiment cell.
-// cmd/aggbench's -benchjson mode and bench_test.go reuse it so the
-// committed bench records measure exactly the experiment's configuration.
+// bench_test.go and the perfbench module reuse it so their benchmarks
+// measure exactly the experiment's configuration.
 func ScalingCell(topo string, scheme mac.Scheme, n int, seed int64) core.MeshTCPConfig {
 	return core.MeshTCPConfig{
 		Scheme: scheme, Rate: phy.Rate2600k,

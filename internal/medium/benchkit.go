@@ -1,7 +1,6 @@
-// Bench harness for the MediumTx workload, in non-test code so
-// cmd/aggbench records the exact same measurement the in-package
-// BenchmarkMediumTx runs — the committed baseline and the CI bench gate
-// then compare like with like.
+// Bench harness for the MediumTx workload, in non-test code so the
+// benchmark module outside this package drives the exact same measurement
+// the in-package BenchmarkMediumTx runs.
 package medium
 
 import (
@@ -32,9 +31,14 @@ type TxBench struct {
 	txs   []func()
 }
 
-// NewTxBench builds the k×k grid workload; dense selects the O(N)
-// dense-scan oracle instead of the neighbor-indexed sparse table.
+// NewTxBench builds the k×k grid workload on the neighbor-indexed medium.
+// The medium no longer has a dense-scan mode: dense stays in the signature
+// only because the perfbench module, which changes separately from this
+// package, calls NewTxBench(k, false). It panics when dense is true.
 func NewTxBench(k int, dense bool) *TxBench {
+	if dense {
+		panic("medium: NewTxBench: the dense-scan medium was removed")
+	}
 	s := sim.NewScheduler(1)
 	p := phy.DefaultParams()
 	m := NewUnconnected(s, p, k*k)
@@ -51,7 +55,6 @@ func NewTxBench(k int, dense bool) *TxBench {
 			m.Attach(id(r, c), nopRadio{})
 		}
 	}
-	m.SetDenseScan(dense)
 	h := k / 2
 	srcs := []NodeID{
 		0, NodeID(k - 1), NodeID(k * (k - 1)), NodeID(k*k - 1), // corners

@@ -153,26 +153,3 @@ func TestForeignInjectWindow(t *testing.T) {
 	})
 	sb.Run()
 }
-
-// TestBoundaryDenseScanExclusion: the two modes cannot be combined.
-func TestBoundaryDenseScanExclusion(t *testing.T) {
-	s := sim.NewScheduler(1)
-	m := New(s, phy.DefaultParams(), 2)
-	m.SetDenseScan(true)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetBoundary under dense scan did not panic")
-			}
-		}()
-		m.SetBoundary(func(ForeignFrame) {})
-	}()
-	m.SetDenseScan(false)
-	m.SetBoundary(func(ForeignFrame) {})
-	defer func() {
-		if recover() == nil {
-			t.Error("SetDenseScan under boundary hook did not panic")
-		}
-	}()
-	m.SetDenseScan(true)
-}

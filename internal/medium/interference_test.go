@@ -38,7 +38,11 @@ func (o *scanOracle) add(dst NodeID, snrdB float64) {
 // Before every launch it derives the expected marks by brute force over
 // m.active and every node id, reading links as they stand at that instant;
 // after every op it requires each in-flight transmission's audience,
-// collided/interfSNR entries and marked order to match. Each op is 4
+// collided/interfSNR entries and marked order to match, and every node's
+// energy-detect refcount to equal the number of in-flight frames whose
+// brute-force audience holds it. Once the scheduler drains, every refcount
+// must be back to zero and every radio's carrier busy/idle edges must
+// balance, however the links changed under frames in flight. Each op is 4
 // bytes: kind, node a, node b, value. The last node stays detached, so the
 // scan must skip it.
 func FuzzInterferenceScan(f *testing.F) {
@@ -56,8 +60,9 @@ func FuzzInterferenceScan(f *testing.F) {
 		const n = 7
 		s := sim.NewScheduler(1)
 		m := NewUnconnected(s, phy.DefaultParams(), n)
+		radios := make([]fakeRadio, n)
 		for i := 0; i < n-1; i++ {
-			m.Attach(NodeID(i), &fakeRadio{})
+			m.Attach(NodeID(i), &radios[i])
 		}
 		want := make(map[*transmission]*scanOracle)
 
@@ -118,7 +123,26 @@ func FuzzInterferenceScan(f *testing.F) {
 					t.Fatalf("op %d: frame from %d marked %v, brute force %v", i/4, tx.src, tx.marked, o.marked)
 				}
 			}
+			for nid := NodeID(0); nid < n; nid++ {
+				hearing := 0
+				for _, tx := range m.active {
+					if slices.Contains(want[tx].audience, nid) {
+						hearing++
+					}
+				}
+				if m.busy[nid] != hearing {
+					t.Fatalf("op %d: node %d energy-detect refcount %d, brute force %d", i/4, nid, m.busy[nid], hearing)
+				}
+			}
 		}
 		s.Run()
+		for nid := range radios {
+			if m.busy[nid] != 0 || m.txBusy[nid] != 0 {
+				t.Fatalf("drained: node %d busy %d txBusy %d, want 0", nid, m.busy[nid], m.txBusy[nid])
+			}
+			if r := &radios[nid]; r.busyEdges != r.idleEdges {
+				t.Fatalf("drained: node %d carrier busy edges %d, idle edges %d", nid, r.busyEdges, r.idleEdges)
+			}
+		}
 	})
 }

@@ -11,7 +11,8 @@
 // # Complexity model
 //
 // Per-transmission cost is proportional to the transmitter's neighborhood
-// degree, not the network size. The medium maintains an incrementally
+// degree, not the network size; launch and finish each have one path, the
+// neighbor-indexed one. The medium maintains an incrementally
 // sorted out-neighbor list per node (updated by SetConnected /
 // SetConnectedDirected in O(deg) each); every transmission captures its
 // audience — the attached radios in range — exactly once at launch, and
@@ -26,11 +27,7 @@
 // backed by a hash/offset map from the packed (src, dst) pair to a slot in
 // a flat link-state array, so a directed lookup (connectivity or SNR) is
 // one O(1) map probe and total memory is O(N·degree + SNR overrides) — never
-// the N×N matrix the seed kept. SetDenseScan(true) materializes a dense
-// N×N mirror inside the table and routes every lookup through it while
-// reproducing the seed's O(N) scan-every-radio launch/finish costs; it is
-// the equivalence oracle the sparse store is pinned against and the
-// baseline the scaling benchmarks compare with.
+// the N×N matrix the seed kept.
 package medium
 
 import (
@@ -103,11 +100,6 @@ type LinkTable struct {
 	free  []int32
 	// directed counts connected directed links (Σ len(nbrs)).
 	directed int
-	// dense, when non-nil, is the materialized N×N mirror that SetDenseScan
-	// maintains: every read routes through it so it is a genuinely
-	// independent oracle for the sparse store, and the dense-scan launch/
-	// finish paths reproduce the seed's costs against it.
-	dense [][]link
 }
 
 // pairKey packs a directed pair into the sparse index key. NodeIDs index
@@ -168,18 +160,12 @@ func (t *LinkTable) connected(from, to NodeID) bool {
 	if from == to {
 		return false
 	}
-	if t.dense != nil {
-		return t.dense[from][to].connected
-	}
 	s, ok := t.idx[pairKey(from, to)]
 	return ok && t.slots[s].connected
 }
 
 // snr returns the from→to SNR (the default when no slot exists).
 func (t *LinkTable) snr(from, to NodeID) float64 {
-	if t.dense != nil {
-		return t.dense[from][to].snrdB
-	}
 	if s, ok := t.idx[pairKey(from, to)]; ok {
 		return t.slots[s].snrdB
 	}
@@ -187,8 +173,8 @@ func (t *LinkTable) snr(from, to NodeID) float64 {
 }
 
 // setConnectedDirected cuts or restores the from→to direction, keeping the
-// neighbor list, the sparse index, and the dense mirror (when materialized)
-// in step. Reports whether anything changed.
+// neighbor list and the sparse index in step. Reports whether anything
+// changed.
 func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 	if from == to {
 		return false // self-links are meaningless (Connected is always false)
@@ -214,9 +200,6 @@ func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 		t.nbrs[from] = removeSorted(t.nbrs[from], to)
 		t.directed--
 	}
-	if t.dense != nil {
-		t.dense[from][to].connected = connected
-	}
 	return true
 }
 
@@ -232,9 +215,6 @@ func (t *LinkTable) setSNRDirected(from, to NodeID, snrdB float64) {
 		}
 	} else if snrdB != t.defaultSNR(from, to) {
 		t.idx[k] = t.alloc(link{snrdB: snrdB})
-	}
-	if t.dense != nil {
-		t.dense[from][to].snrdB = snrdB
 	}
 }
 
@@ -254,34 +234,7 @@ func (t *LinkTable) connectFull() {
 		t.nbrs[i] = nb
 	}
 	t.directed = t.n * (t.n - 1)
-	if t.dense != nil {
-		panic("medium: connectFull on a table with a dense mirror")
-	}
 }
-
-// materializeDense builds the N×N mirror from the sparse state and switches
-// every read onto it. Idempotent.
-func (t *LinkTable) materializeDense() {
-	if t.dense != nil {
-		return
-	}
-	d := make([][]link, t.n)
-	for i := range d {
-		d[i] = make([]link, t.n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j].snrdB = t.defSNR
-			}
-		}
-	}
-	for k, s := range t.idx {
-		d[NodeID(k>>32)][NodeID(uint32(k))] = t.slots[s]
-	}
-	t.dense = d
-}
-
-// dropDense discards the mirror; reads return to the sparse store.
-func (t *LinkTable) dropDense() { t.dense = nil }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
 // body/audience/collided/interfSNR/spans backing arrays) through a free
@@ -305,10 +258,7 @@ type transmission struct {
 	interfSNR []float64 // strongest interferer per node, for capture
 	// marked lists the node ids whose collided/interfSNR entries were
 	// touched, so recycling resets O(marked) entries instead of O(N).
-	marked []NodeID
-	// dense records which launch path put this frame on the air, so finish
-	// stays consistent even if SetDenseScan is flipped mid-flight.
-	dense     bool
+	marked    []NodeID
 	activeIdx int    // position in Medium.active, for O(1) removal
 	finishFn  func() // pooled txEnd callback: m.finish(this)
 }
@@ -394,10 +344,6 @@ type Medium struct {
 	// tbl holds the link matrix and neighbor index. Normally private to
 	// this medium; shard media share one read-only table (see LinkTable).
 	tbl *LinkTable
-	// denseScan, when set, makes launch/finish scan every radio against
-	// the link matrix (the seed behavior) instead of using the neighbor
-	// index. It exists as a test oracle and benchmark baseline.
-	denseScan bool
 	// boundary, when set, observes every locally-originated transmission at
 	// launch so the sharded engine can replay it into neighboring shards.
 	boundary func(ForeignFrame)
@@ -490,7 +436,6 @@ func (m *Medium) putTx(t *transmission) {
 		t.collided[id] = false
 	}
 	t.marked = t.marked[:0]
-	t.dense = false
 	t.control = frame.Control{}
 	t.hdr = frame.PHYHeader{}
 	m.txFree = append(m.txFree, t)
@@ -582,33 +527,11 @@ func (m *Medium) Neighbors(src NodeID) []NodeID { return m.tbl.nbrs[src] }
 // Degree returns how many nodes can hear src.
 func (m *Medium) Degree(src NodeID) int { return len(m.tbl.nbrs[src]) }
 
-// SetDenseScan switches the medium between the sparse neighbor-indexed hot
-// paths (default) and the seed's dense scan over every radio backed by a
-// materialized N×N matrix. The two are behaviorally identical — the
-// equivalence tests assert it — but dense mode costs O(N²) memory and O(N)
-// per transmission; it is kept as a test oracle and as the baseline the
-// scaling benchmarks compare against. Enabling it materializes the matrix
-// from the sparse state; disabling drops the matrix.
-func (m *Medium) SetDenseScan(dense bool) {
-	if dense && m.boundary != nil {
-		panic("medium: dense scan is incompatible with a boundary hook (sharded runs are neighbor-indexed only)")
-	}
-	m.denseScan = dense
-	if dense {
-		m.tbl.materializeDense()
-	} else {
-		m.tbl.dropDense()
-	}
-}
-
 // SetBoundary installs the sharded engine's hook: it observes every
 // locally-originated transmission at launch (after local collision marking
 // and energy detect) so the engine can replay it into neighboring shards.
 // See ForeignFrame for the aliasing rules. nil disables.
 func (m *Medium) SetBoundary(post func(ForeignFrame)) {
-	if post != nil && m.denseScan {
-		panic("medium: boundary hook is incompatible with dense scan")
-	}
 	m.boundary = post
 }
 
@@ -705,10 +628,6 @@ func (m *Medium) captureAudience(t *transmission) {
 }
 
 func (m *Medium) launch(t *transmission) {
-	if m.denseScan {
-		m.launchDense(t)
-		return
-	}
 	m.stats.AirtimeTotal += t.end - t.start
 	m.enter(t)
 	if m.boundary != nil {
@@ -778,44 +697,6 @@ func (m *Medium) enter(t *transmission) {
 	m.sched.After(t.end-m.sched.Now(), "medium:txEnd", t.finishFn)
 }
 
-// launchDense is the seed's launch: collision marking and energy detect
-// each scan every node id, O(N) (and O(active·N) for marking) regardless
-// of how few are in range. Kept verbatim in cost so the scaling benchmarks
-// compare the neighbor index against the real pre-index behavior; the
-// equivalence tests pin that both paths observe identical channels.
-func (m *Medium) launchDense(t *transmission) {
-	d := t.end - t.start
-	m.stats.AirtimeTotal += d
-	t.dense = true
-	for _, other := range m.active {
-		if other.end <= t.start {
-			continue
-		}
-		other.addInterf(t.src, 1e9)
-		for id := range m.radios {
-			nid := NodeID(id)
-			if m.Connected(t.src, nid) && m.Connected(other.src, nid) {
-				t.addInterf(nid, m.tbl.snr(other.src, nid))
-				other.addInterf(nid, m.tbl.snr(t.src, nid))
-			}
-		}
-	}
-	t.activeIdx = len(m.active)
-	m.active = append(m.active, t)
-	m.txBusy[t.src]++
-	for id := range m.radios {
-		nid := NodeID(id)
-		if m.radios[id] == nil || !m.Connected(t.src, nid) {
-			continue
-		}
-		m.busy[id]++
-		if m.busy[id] == 1 {
-			m.radios[id].CarrierBusy()
-		}
-	}
-	m.sched.After(d, "medium:txEnd", t.finishFn)
-}
-
 func (m *Medium) finish(t *transmission) {
 	m.txBusy[t.src]--
 	// O(1) removal from the active list: swap the tail into our slot.
@@ -827,10 +708,6 @@ func (m *Medium) finish(t *transmission) {
 	m.active[last] = nil
 	m.active = m.active[:last]
 
-	if t.dense {
-		m.finishDense(t)
-		return
-	}
 	// Deliver to the audience captured at launch, then release carrier.
 	// Delivery happens before idle notifications so MACs see the frame
 	// before they resume backoff. Using the launch-time audience keeps the
@@ -845,35 +722,6 @@ func (m *Medium) finish(t *transmission) {
 			m.radios[nid].CarrierIdle()
 		}
 	}
-	m.putTx(t)
-}
-
-// finishDense is the seed's finish: two more O(N) scans (deliver, then
-// release carrier) plus an O(N) collision-state reset on recycle.
-func (m *Medium) finishDense(t *transmission) {
-	for id := range m.radios {
-		nid := NodeID(id)
-		if m.radios[id] == nil || !m.Connected(t.src, nid) {
-			continue
-		}
-		m.deliver(t, nid)
-	}
-	for id := range m.radios {
-		nid := NodeID(id)
-		if m.radios[id] == nil || !m.Connected(t.src, nid) {
-			continue
-		}
-		m.busy[id]--
-		if m.busy[id] == 0 {
-			m.radios[id].CarrierIdle()
-		}
-	}
-	// The seed reset every per-node entry on reuse; reproduce that cost.
-	for i := range t.collided {
-		t.collided[i] = false
-		t.interfSNR[i] = -1e9
-	}
-	t.marked = t.marked[:0]
 	m.putTx(t)
 }
 

@@ -177,9 +177,7 @@ func applyOp(m *Medium, st *shadowTable, op int, a, b int, v float64) {
 // TestSparseTableMatchesShadowDenseOracle churns the sparse link table with
 // randomized asymmetric cuts, SNR overrides, detach/reattach sweeps and
 // redundant writes, comparing every observable against an independent dense
-// shadow matrix after every few steps — with the dense mirror materialized
-// and dropped mid-churn so both read paths and the materialization itself
-// are covered.
+// shadow matrix after every few steps.
 func TestSparseTableMatchesShadowDenseOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -204,12 +202,6 @@ func TestSparseTableMatchesShadowDenseOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(1234))
 			for i := 0; i < 3000; i++ {
 				applyOp(m, st, rng.Intn(7), rng.Intn(n), rng.Intn(n), float64(rng.Intn(40)))
-				switch i {
-				case 1000:
-					m.SetDenseScan(true) // materialize the mirror mid-churn
-				case 2000:
-					m.SetDenseScan(false) // and drop it again
-				}
 				if i%97 == 0 {
 					st.check(t, m, i)
 					checkTableInvariants(t, m.Table(), i)
@@ -243,9 +235,6 @@ func FuzzLinkTable(f *testing.F) {
 			op, a, b := int(data[i]), int(data[i+1])%n, int(data[i+2])%n
 			v := float64(data[i+3]) / 4
 			applyOp(m, st, op, a, b, v)
-			if op%11 == 5 { // occasionally flip the dense mirror
-				m.SetDenseScan(!m.denseScan)
-			}
 			checkTableInvariants(t, m.Table(), i)
 		}
 		st.check(t, m, len(data))

@@ -384,7 +384,7 @@ type LinkDelta struct {
 // Cuts walk the existing neighbor lists (O(E)); candidate raises come from
 // binning nodes into radio-range-sized cells, so only same-cell and
 // adjacent-cell pairs are examined — O(N · local density), never an O(N²)
-// all-pairs scan and never the medium's O(N) dense path. The setters are
+// all-pairs scan. The setters are
 // idempotent state writes with no RNG draws, so the outcome is independent
 // of pair visit order and map-ordered bin iteration is safe.
 //

@@ -3,8 +3,8 @@
 // position and advances it to any simulated instant on demand; the mesh's
 // UpdateLinks then reconciles the medium's connectivity and per-link SNR
 // with the new distances through the incremental SetConnected/SetSNR
-// paths, so the topology becomes a function of time without ever paying a
-// dense O(N²) rescan on the hot path.
+// paths, so the topology becomes a function of time without ever paying an
+// all-pairs O(N²) rescan on the hot path.
 //
 // Both models are seeded and fully deterministic: the same (seed, config)
 // replays the same trajectories. The random streams are derived from the
