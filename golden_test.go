@@ -52,9 +52,11 @@ func hashNodes(w *strings.Builder, nodes []core.NodeReport) {
 	}
 }
 
-func tcpGolden(scheme mac.Scheme) (string, uint64) {
+// tcpGolden hashes a seeded TCP run over an N-hop chain, or over the
+// two-session star when star is set (hops is then ignored).
+func tcpGolden(scheme mac.Scheme, hops int, star bool) (string, uint64) {
 	res := core.RunTCP(core.TCPConfig{
-		Scheme: scheme, Rate: phy.Rate2600k, Hops: 2,
+		Scheme: scheme, Rate: phy.Rate2600k, Hops: hops, Star: star,
 		FileBytes: 30_000, Seed: 1,
 	})
 	var w strings.Builder
@@ -296,11 +298,17 @@ func goldenSchemes() []mac.Scheme {
 func runGoldens() map[string]goldenEntry {
 	got := make(map[string]goldenEntry)
 	for _, s := range goldenSchemes() {
-		h, ev := tcpGolden(s)
+		h, ev := tcpGolden(s, 2, false)
 		got["tcp/"+s.Name()] = goldenEntry{Hash: h, EventsRun: ev}
 		h, ev = udpGolden(s)
 		got["udp/"+s.Name()] = goldenEntry{Hash: h, EventsRun: ev}
 	}
+	// The star and a chain with three relays pin the topology builders'
+	// routes beyond the 2-hop chain above.
+	h, ev := tcpGolden(mac.BA, 0, true)
+	got["tcp-star/BA"] = goldenEntry{Hash: h, EventsRun: ev}
+	h, ev = tcpGolden(mac.DBA, 4, false)
+	got["tcp-4hop/DBA"] = goldenEntry{Hash: h, EventsRun: ev}
 	for _, s := range []mac.Scheme{mac.NA, mac.UA, mac.BA} {
 		h, ev := meshGolden(core.MeshGrid, s)
 		got["mesh-grid/"+s.Name()] = goldenEntry{Hash: h, EventsRun: ev}
