@@ -206,11 +206,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *traceFmt {
-	case core.TraceText, core.TraceJSONL:
-	default:
-		fatal(fmt.Errorf("unknown -trace-format %q (text|jsonl)", *traceFmt))
-	}
 	if *traceFmt != core.TraceText && !*doTrace {
 		fatal(fmt.Errorf("-trace-format requires -trace"))
 	}
@@ -377,6 +372,9 @@ func main() {
 		}
 		if *metricsPath != "" {
 			fatal(fmt.Errorf("-metrics applies to single, mesh and scenario runs, not sweeps"))
+		}
+		if *doTrace {
+			fatal(fmt.Errorf("-trace applies to single, mesh and scenario runs, not sweeps"))
 		}
 		var fixedBC *phy.Rate
 		if *bcRate > 0 {
@@ -634,6 +632,9 @@ func runSingle(a singleArgs) {
 			}
 			cfg.FixedBroadcastRate = &br
 		}
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
 		res := core.RunTCP(cfg)
 		writeMetrics(rec, a.metrics)
 		if a.jsonOut {
@@ -657,12 +658,16 @@ func runSingle(a singleArgs) {
 			}
 		}
 	case "udp":
-		res := core.RunUDP(core.UDPConfig{
+		cfg := core.UDPConfig{
 			Scheme: sch, Rate: a.rate, Hops: a.hops, MaxAggBytes: a.agg,
 			FloodInterval: a.flood, Duration: a.dur, Seed: a.seed,
 			TraceTo: a.traceTo, TraceNodes: a.traceNodes,
 			TraceFormat: a.traceFormat, Metrics: rec,
-		})
+		}
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
+		res := core.RunUDP(cfg)
 		writeMetrics(rec, a.metrics)
 		if a.jsonOut {
 			writeJSON(jsonResult{Kind: "udp", UDP: &res, Telemetry: rec.Summary()})

@@ -1,6 +1,6 @@
 // Integration tests: cross-module scenarios running the full stack —
-// PHY model, channel, DCF MAC with aggregation, network layer, routing,
-// TCP/UDP/flooding — together.
+// PHY model, channel, DCF MAC with aggregation, network layer, static
+// routes, TCP/UDP/flooding — together.
 package main
 
 import (
@@ -15,8 +15,6 @@ import (
 	"aggmac/internal/medium"
 	"aggmac/internal/network"
 	"aggmac/internal/phy"
-	"aggmac/internal/rate"
-	"aggmac/internal/routing"
 	"aggmac/internal/tcp"
 	"aggmac/internal/topology"
 	"aggmac/internal/udp"
@@ -208,51 +206,6 @@ func TestNoUndetectedCorruption(t *testing.T) {
 	}
 }
 
-// TestFullStackTogether combines dynamic routing, rate adaptation, block
-// ACKs and BA aggregation in one network.
-func TestFullStackTogether(t *testing.T) {
-	opts := func(i, n int) mac.Options {
-		o := mac.DefaultOptions(mac.BA, phy.Rate650k)
-		o.RateController = rate.NewRBAR(phy.DefaultParams(), phy.Rate650k)
-		o.BlockAck = true
-		o.AutoAggSize = true
-		return o
-	}
-	net := topology.NewLinear(3, topology.Config{Seed: 19, Phy: phy.DefaultParams(), OptsFor: opts})
-	// Radio-limit to adjacent hops and drop static routes: discovery runs.
-	for i := 0; i < 4; i++ {
-		for j := i + 2; j < 4; j++ {
-			net.Medium.SetConnected(medium.NodeID(i), medium.NodeID(j), false)
-		}
-	}
-	for _, n := range net.Nodes {
-		for d := network.NodeID(0); d < 4; d++ {
-			n.DelRoute(d)
-		}
-	}
-	for _, n := range net.Nodes {
-		routing.New(net.Sched, n, routing.DefaultConfig())
-	}
-	stacks := make([]*tcp.Stack, 4)
-	for i, n := range net.Nodes {
-		stacks[i] = tcp.NewStack(net.Sched, n, tcp.DefaultConfig())
-	}
-	var rcvd int
-	lis := stacks[3].Listen(80)
-	lis.Setup = func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { rcvd += len(b) }
-		c.OnPeerClose = func() { c.Close() }
-	}
-	net.Sched.After(0, "go", func() {
-		c := stacks[0].Connect(3, 80)
-		c.OnEstablished = func() { _ = c.Send(make([]byte, 60_000)); c.Close() }
-	})
-	net.Sched.RunUntil(180 * time.Second)
-	if rcvd != 60_000 {
-		t.Fatalf("full-stack transfer moved %d of 60000 bytes", rcvd)
-	}
-}
-
 // TestExperimentDeterminism: identical configs and seeds give identical
 // results across the whole experiment surface.
 func TestExperimentDeterminism(t *testing.T) {
@@ -307,30 +260,47 @@ func TestTinyQueuesStillComplete(t *testing.T) {
 
 // TestRadioLimitedChainWithRTS: hidden terminals exist when radios only
 // reach neighbours; RTS/CTS keeps the loss bounded and the transfer
-// completes.
+// completes over the builder's static routes — with plain BA, and with
+// BA plus the §7 block-ACK and coherence-capped aggregation extensions.
 func TestRadioLimitedChainWithRTS(t *testing.T) {
-	net := topology.NewLinear(3, topology.Config{Seed: 37, Phy: phy.DefaultParams(), OptsFor: baOpts})
-	for i := 0; i < 4; i++ {
-		for j := i + 2; j < 4; j++ {
-			net.Medium.SetConnected(medium.NodeID(i), medium.NodeID(j), false)
-		}
-	}
-	stacks := make([]*tcp.Stack, 4)
-	for i, n := range net.Nodes {
-		stacks[i] = tcp.NewStack(net.Sched, n, tcp.DefaultConfig())
-	}
-	var rcvd int
-	lis := stacks[3].Listen(80)
-	lis.Setup = func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { rcvd += len(b) }
-		c.OnPeerClose = func() { c.Close() }
-	}
-	net.Sched.After(0, "go", func() {
-		c := stacks[0].Connect(3, 80)
-		c.OnEstablished = func() { _ = c.Send(make([]byte, 60_000)); c.Close() }
-	})
-	net.Sched.RunUntil(180 * time.Second)
-	if rcvd != 60_000 {
-		t.Fatalf("hidden-terminal chain moved %d of 60000 bytes", rcvd)
+	for _, tc := range []struct {
+		name string
+		seed int64
+		opts func(i, n int) mac.Options
+	}{
+		{"BA", 37, baOpts},
+		{"BA+BlockAck+AutoAggSize", 19, func(i, n int) mac.Options {
+			o := mac.DefaultOptions(mac.BA, phy.Rate650k)
+			o.BlockAck = true
+			o.AutoAggSize = true
+			return o
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := topology.NewLinear(3, topology.Config{Seed: tc.seed, Phy: phy.DefaultParams(), OptsFor: tc.opts})
+			for i := 0; i < 4; i++ {
+				for j := i + 2; j < 4; j++ {
+					net.Medium.SetConnected(medium.NodeID(i), medium.NodeID(j), false)
+				}
+			}
+			stacks := make([]*tcp.Stack, 4)
+			for i, n := range net.Nodes {
+				stacks[i] = tcp.NewStack(net.Sched, n, tcp.DefaultConfig())
+			}
+			var rcvd int
+			lis := stacks[3].Listen(80)
+			lis.Setup = func(c *tcp.Conn) {
+				c.OnData = func(b []byte) { rcvd += len(b) }
+				c.OnPeerClose = func() { c.Close() }
+			}
+			net.Sched.After(0, "go", func() {
+				c := stacks[0].Connect(3, 80)
+				c.OnEstablished = func() { _ = c.Send(make([]byte, 60_000)); c.Close() }
+			})
+			net.Sched.RunUntil(180 * time.Second)
+			if rcvd != 60_000 {
+				t.Fatalf("hidden-terminal chain moved %d of 60000 bytes", rcvd)
+			}
+		})
 	}
 }

@@ -170,8 +170,12 @@ type session struct {
 	finish         sim.Time
 }
 
-// RunTCP executes the experiment.
+// RunTCP executes the experiment. It panics with the Validate error on an
+// invalid config.
 func RunTCP(cfg TCPConfig) TCPResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.fill()
 
 	var net *topology.Network
@@ -331,7 +335,11 @@ type UDPResult struct {
 }
 
 // RunUDP executes the experiment on a linear chain, node 0 → node Hops.
+// It panics with the Validate error on an invalid config.
 func RunUDP(cfg UDPConfig) UDPResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.Hops == 0 {
 		cfg.Hops = 2
 	}

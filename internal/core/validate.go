@@ -11,6 +11,26 @@ import (
 	"aggmac/internal/traffic"
 )
 
+// Validate reports the first problem with the config: a negative hop
+// count or an unknown trace format. It never changes the config.
+func (c *TCPConfig) Validate() error {
+	return checkChain(c.Hops, c.TraceFormat)
+}
+
+// Validate reports the first problem with the config: a negative hop
+// count or an unknown trace format. It never changes the config.
+func (c *UDPConfig) Validate() error {
+	return checkChain(c.Hops, c.TraceFormat)
+}
+
+// checkChain holds the rules TCPConfig and UDPConfig share.
+func checkChain(hops int, traceFormat string) error {
+	if hops < 0 {
+		return fmt.Errorf("core: Hops must be >= 0, got %d", hops)
+	}
+	return checkTraceFormat(traceFormat)
+}
+
 // Validate reports the first problem with the config: an unknown
 // topology, mobility model or trace format; an invalid fault config;
 // Shards outside 0..MaxShards, or combined with mobility, faults or

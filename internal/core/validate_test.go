@@ -68,6 +68,14 @@ func TestValidate(t *testing.T) {
 		{"scenario bad mix", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mix[0].Weight = -1 }), "weight"},
 		{"scenario bad rate", scn(func(c *ScenarioConfig) { c.Scenario.RateMbps = 9.9 }), `scenario "engine-test"`},
 		{"scenario trace format", scn(func(c *ScenarioConfig) { c.TraceFormat = "xml" }), `unknown trace format "xml"`},
+
+		{"tcp chain", &TCPConfig{Hops: 2, TraceFormat: TraceJSONL}, ""},
+		{"tcp star", &TCPConfig{Star: true}, ""},
+		{"tcp negative hops", &TCPConfig{Hops: -1}, "Hops must be >= 0, got -1"},
+		{"tcp trace format", &TCPConfig{Hops: 2, TraceFormat: "xml"}, `unknown trace format "xml"`},
+		{"udp default hops", &UDPConfig{}, ""},
+		{"udp negative hops", &UDPConfig{Hops: -3}, "Hops must be >= 0, got -3"},
+		{"udp trace format", &UDPConfig{Hops: 1, TraceFormat: "xml"}, `unknown trace format "xml"`},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -129,4 +137,9 @@ func TestRunPanicsWithValidateError(t *testing.T) {
 	scn := ScenarioConfig{Scenario: testScenario(traffic.ModeOpen), Scheme: mac.BA}
 	scn.Scenario.Traffic.Mode = "bogus"
 	expect("RunScenario", scn.Validate(), func() { RunScenario(scn) })
+
+	tcpCfg := TCPConfig{Scheme: mac.BA, Hops: -1}
+	expect("RunTCP", tcpCfg.Validate(), func() { RunTCP(tcpCfg) })
+	udpCfg := UDPConfig{Scheme: mac.BA, Hops: 1, TraceFormat: "xml"}
+	expect("RunUDP", udpCfg.Validate(), func() { RunUDP(udpCfg) })
 }

@@ -58,7 +58,8 @@ func TestFloodsAggregateWithUnicastUnderBA(t *testing.T) {
 	s, nodes := rig(t, 2, mac.BA)
 	g := NewGenerator(s, nodes[0], 20*time.Millisecond)
 	NewCounter(nodes[1])
-	nodes[0].AddRoute(1, 1)
+	pair := [][]int{{1}, {0}}
+	nodes[0].SetRouteTable(network.NewRouteTable(2, func(i int) []int { return pair[i] }))
 	// Unicast traffic from the same node: BA combines floods with it.
 	s.After(0, "start", func() {
 		g.Start()

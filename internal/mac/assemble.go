@@ -11,9 +11,6 @@ import "aggmac/internal/frame"
 func (m *MAC) assemble() *frame.Aggregate {
 	s := m.opts.Scheme
 	unicastRate := m.opts.UnicastRate
-	if rc := m.opts.RateController; rc != nil && len(m.uq) > 0 {
-		unicastRate = rc.TxRate(m.uq[0].Dst)
-	}
 	maxBytes := m.opts.MaxAggBytes
 	if m.opts.AutoAggSize {
 		if b := m.med.Params().MaxBytesWithinCoherence(unicastRate); b < maxBytes {

@@ -384,16 +384,9 @@ func (m *MAC) transmitNow() {
 		return
 	}
 	agg := m.current
-	if agg.HasUnicast() {
-		// Rate adaptation re-evaluates on every attempt, so retransmitted
-		// bundles can step down (classic ARF behaviour).
-		if rc := m.opts.RateController; rc != nil {
-			agg.UnicastRate = rc.TxRate(agg.Unicast[0].Addr1)
-		}
-		if m.opts.UseRTSCTS {
-			m.sendRTS(agg)
-			return
-		}
+	if agg.HasUnicast() && m.opts.UseRTSCTS {
+		m.sendRTS(agg)
+		return
 	}
 	m.sendData(false)
 }
@@ -542,21 +535,10 @@ func (m *MAC) accountDataTx(agg *frame.Aggregate, air time.Duration) {
 	m.c.HeaderTime += air - pre - payloadTime
 }
 
-// notifyRateResult reports the unicast exchange outcome to the rate
-// controller.
-func (m *MAC) notifyRateResult(ok bool) {
-	rc := m.opts.RateController
-	if rc == nil || m.current == nil || !m.current.HasUnicast() {
-		return
-	}
-	rc.OnResult(m.current.Unicast[0].Addr1, m.current.UnicastRate, ok)
-}
-
 func (m *MAC) onExchangeTimeout() {
 	if m.state != stAwaitCTS && m.state != stAwaitAck {
 		return
 	}
-	m.notifyRateResult(false)
 	m.state = stIdle
 	m.retries++
 	if m.retries > m.opts.RetryLimit {
@@ -621,12 +603,6 @@ func (m *MAC) RxControl(src medium.NodeID, c frame.Control, snrdB float64) {
 		if m.state == stAwaitCTS && c.RA == m.addr {
 			m.respTimer.Stop()
 			m.c.ControlTime += m.med.ControlAirtime(&c)
-			if rc := m.opts.RateController; rc != nil && m.current.HasUnicast() {
-				// Hydra's explicit-feedback RTS/CTS: with reciprocal
-				// links, the CTS reception SNR stands in for the
-				// receiver's RTS measurement.
-				rc.OnFeedback(m.current.Unicast[0].Addr1, snrdB)
-			}
 			m.sendData(true)
 			return
 		}
@@ -636,7 +612,6 @@ func (m *MAC) RxControl(src medium.NodeID, c frame.Control, snrdB float64) {
 			m.respTimer.Stop()
 			m.c.ControlTime += m.med.ControlAirtime(&c)
 			m.c.IFSTime += m.opts.SIFS // DATA→ACK gap
-			m.notifyRateResult(true)
 			m.completeSuccess()
 		}
 	case frame.TypeBlockAck:
@@ -702,9 +677,6 @@ func (m *MAC) handleBlockAck(bitmap uint16) {
 		}
 		remain = append(remain, sf)
 	}
-	// agg.Unicast keeps its length until reassigned, and every unicast
-	// subframe shares one receiver, so the rate controller still sees it.
-	m.notifyRateResult(len(remain) == 0)
 	m.releasePayloads(agg.Broadcast)
 	agg.Unicast, agg.Broadcast = remain, nil
 	m.state = stIdle

@@ -5,18 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"aggmac/internal/frame"
 	"aggmac/internal/phy"
 )
-
-// RateController adapts the unicast-portion rate per destination; the
-// algorithms live in internal/rate (ARF, RBAR, Fixed). A nil controller
-// pins Options.UnicastRate, which is the paper's experimental setup.
-type RateController interface {
-	TxRate(dst frame.Addr) phy.Rate
-	OnResult(dst frame.Addr, r phy.Rate, ok bool)
-	OnFeedback(dst frame.Addr, snrdB float64)
-}
 
 // Scheme selects which of the paper's aggregation techniques are active.
 type Scheme struct {
@@ -88,12 +78,9 @@ type Options struct {
 	Scheme Scheme
 
 	// UnicastRate is the PHY rate for the unicast portion (and for NA/UA
-	// transmissions of every kind).
+	// transmissions of every kind). It is fixed, as in the paper's
+	// experiments (§5).
 	UnicastRate phy.Rate
-	// RateController, when non-nil, overrides UnicastRate per destination
-	// and learns from exchange outcomes and CTS SNR feedback (Hydra's
-	// RBAR/ARF support, §4.1.2).
-	RateController RateController
 	// BroadcastRate is the rate for the broadcast portion. The paper
 	// evaluates both a fixed broadcast rate (Fig. 10) and
 	// broadcast-at-unicast-rate (Fig. 11 onward).

@@ -1,9 +1,10 @@
 // Package network provides the network layer of a simulated Hydra node:
 // an IP-like packet format carried inside the Hydra/Click encapsulation,
 // static routing (the paper forces multi-hop topologies with static routes
-// because all nodes are in radio range; generated meshes share one
-// RouteTable), hop-by-hop forwarding, and the cross-layer classifier hook
-// that sorts pure TCP ACKs into the MAC's broadcast queue.
+// because all nodes are in radio range; every node of a network reads its
+// unicast next hops from one shared RouteTable), hop-by-hop forwarding,
+// and the cross-layer classifier hook that sorts pure TCP ACKs into the
+// MAC's broadcast queue.
 package network
 
 import (
@@ -214,8 +215,7 @@ type Stats struct {
 type Node struct {
 	id       NodeID
 	mac      *mac.MAC
-	table    *RouteTable       // shared mesh route table, if attached
-	routes   map[NodeID]NodeID // destination -> next hop, for nodes with no table
+	table    *RouteTable // the routes this node reads; nil means none
 	handlers map[uint8]Handler
 	classify AckClassifier
 	nextID   uint16
@@ -224,10 +224,6 @@ type Node struct {
 	// hook (see AttachMAC); Send marshals into them, so steady-state
 	// traffic allocates no packet bytes.
 	free [][]byte
-
-	// OnNoRoute, when set, fires whenever Send finds no route for dst —
-	// the hook an on-demand routing protocol uses to start discovery.
-	OnNoRoute func(dst NodeID)
 }
 
 // NewNode creates the network layer for a node. Construct the MAC with the
@@ -283,51 +279,26 @@ func (n *Node) MAC() *mac.MAC { return n.mac }
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// SetRouteTable makes the node read its routes from a table shared with
-// the rest of its mesh. It panics if the node already holds routes of its
-// own or its id is not a node of the table: both are wiring bugs.
+// SetRouteTable makes the node read its unicast routes from a table
+// shared with the rest of its network. It panics if the node's id is not a
+// node of the table: that is a wiring bug.
 func (n *Node) SetRouteTable(t *RouteTable) {
-	if len(n.routes) > 0 {
-		panic("network: route table attached to a node with routes of its own")
-	}
 	if uint(n.id) >= uint(len(t.cols)) {
 		panic(fmt.Sprintf("network: node %d is outside a %d-node route table", n.id, len(t.cols)))
 	}
 	n.table = t
 }
 
-// RouteTable returns the shared route table, or nil if the node keeps
-// routes of its own.
+// RouteTable returns the node's route table, or nil if none is attached.
 func (n *Node) RouteTable() *RouteTable { return n.table }
 
-// AddRoute installs a route: packets for dst leave via next. It panics on
-// a node with a shared route table, whose routes only the table sets.
-func (n *Node) AddRoute(dst, next NodeID) {
-	if n.table != nil {
-		panic("network: AddRoute on a node with a shared route table")
-	}
-	if n.routes == nil {
-		n.routes = make(map[NodeID]NodeID)
-	}
-	n.routes[dst] = next
-}
-
-// DelRoute removes the route for dst (route expiry). It panics on a node
-// with a shared route table.
-func (n *Node) DelRoute(dst NodeID) {
-	if n.table != nil {
-		panic("network: DelRoute on a node with a shared route table")
-	}
-	delete(n.routes, dst)
-}
-
-// Route reports the next hop for dst.
+// Route reports the next hop for dst. A node with no route table has no
+// unicast route.
 func (n *Node) Route(dst NodeID) (NodeID, bool) {
-	if n.table != nil {
-		return n.table.Next(n.id, dst)
+	if n.table == nil {
+		return 0, false
 	}
-	next, ok := n.routes[dst]
-	return next, ok
+	return n.table.Next(n.id, dst)
 }
 
 // Handle registers the upper-layer handler for an IP protocol number.
@@ -358,9 +329,6 @@ func (n *Node) Send(pkt Packet) error {
 		next, ok := n.Route(pkt.Dst)
 		if !ok {
 			n.stats.NoRoute++
-			if n.OnNoRoute != nil {
-				n.OnNoRoute(pkt.Dst)
-			}
 			return fmt.Errorf("%w: %d", ErrNoRoute, pkt.Dst)
 		}
 		out.Dst = frame.NodeAddr(int(next))

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,17 +33,14 @@ func newRig(t *testing.T, n int, scheme mac.Scheme) *rig {
 		r.nodes = append(r.nodes, node)
 	}
 	// Linear chain routes: next hop toward either end.
-	for i := 0; i < n; i++ {
-		for d := 0; d < n; d++ {
-			if d == i {
-				continue
-			}
-			next := i + 1
-			if d < i {
-				next = i - 1
-			}
-			r.nodes[i].AddRoute(NodeID(d), NodeID(next))
-		}
+	chain := make([][]int, n)
+	for i := 1; i < n; i++ {
+		chain[i-1] = append(chain[i-1], i)
+		chain[i] = append(chain[i], i-1)
+	}
+	tab := NewRouteTable(n, func(i int) []int { return chain[i] })
+	for _, node := range r.nodes {
+		node.SetRouteTable(tab)
 	}
 	return r
 }
@@ -329,9 +327,9 @@ func TestChecksumMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouteTableNodes: a node on a shared table reads its routes from it,
-// never routes to itself or to ids outside the table, and rejects per-node
-// route edits; a table cannot be attached over per-node routes.
+// TestRouteTableNodes: a node on a shared table reads its routes from it
+// and never routes to itself or to ids outside the table; a node with no
+// table has no unicast route, and a table cannot take a node outside it.
 func TestRouteTableNodes(t *testing.T) {
 	line := [][]int{0: {1}, 1: {0, 2}, 2: {1}, 3: {}}
 	tab := NewRouteTable(len(line), func(i int) []int { return line[i] })
@@ -351,21 +349,22 @@ func TestRouteTableNodes(t *testing.T) {
 	if got := tab.Fill(); got != 6 { // the ordered pairs among 0, 1, 2
 		t.Errorf("Fill counted %d routes, want 6", got)
 	}
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		f()
+
+	// A node with no table refuses unicast before it touches its MAC.
+	bare := NewNode(0)
+	if err := bare.Send(Packet{Proto: ProtoUDP, Src: 0, Dst: 1}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("Send with no route table: err %v, want ErrNoRoute", err)
 	}
-	mustPanic("AddRoute on a table node", func() { nodes[0].AddRoute(2, 2) })
-	mustPanic("DelRoute on a table node", func() { nodes[0].DelRoute(2) })
-	own := NewNode(1)
-	own.AddRoute(2, 2)
-	mustPanic("table over per-node routes", func() { own.SetRouteTable(tab) })
-	mustPanic("node outside the table", func() { NewNode(4).SetRouteTable(tab) })
+	if got := bare.Stats().NoRoute; got != 1 {
+		t.Errorf("Send with no route table counted NoRoute %d, want 1", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("attaching a table to a node outside it did not panic")
+		}
+	}()
+	NewNode(4).SetRouteTable(tab)
 }
 
 // TestSendAllocFree pins the packet path's steady state: once the nodes'

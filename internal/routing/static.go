@@ -1,12 +1,10 @@
-// Static shortest-path route computation for generated mesh topologies.
-// The paper's testbed forces multi-hop paths with static routes; mesh
-// scenarios do the same at scale: instead of flooding AODV discoveries
-// through hundreds of nodes, every node of a generated mesh reads hop-count
-// shortest-path next hops from one shared network.RouteTable, so
-// transports start with full reachability. Mobile scenarios re-run the
-// computation periodically with RecomputeShortestPaths, which also
-// accounts for how many table entries each round changed (the route-flap
-// metric).
+// Package routing computes static hop-count shortest-path routes. The
+// paper's testbed forces multi-hop paths with static routes (§5); every
+// topology here does the same: the nodes of a network read their next hops
+// from one shared network.RouteTable, so transports start with full
+// reachability. Mobile and faulted meshes re-run the computation with
+// RecomputeShortestPaths, which also counts how many table entries each
+// round changed (the route-flap metric).
 package routing
 
 import "aggmac/internal/network"

@@ -332,6 +332,23 @@ func runOne(i int, s Spec) (res Result) {
 		res.Err = fmt.Errorf("runner: spec %q must set exactly one of TCP, UDP, Mesh or Scenario", s.Key)
 		return res
 	}
+	// An invalid config reports its reason, not a panic; the error is
+	// deterministic, so it is never retried.
+	var spec interface{ Validate() error }
+	switch {
+	case s.TCP != nil:
+		spec = s.TCP
+	case s.UDP != nil:
+		spec = s.UDP
+	case s.Mesh != nil:
+		spec = s.Mesh
+	default:
+		spec = s.Scenario
+	}
+	if err := spec.Validate(); err != nil {
+		res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
+		return res
+	}
 	switch {
 	case s.TCP != nil:
 		r := core.RunTCP(*s.TCP)
@@ -340,12 +357,6 @@ func runOne(i int, s Spec) (res Result) {
 		r := core.RunUDP(*s.UDP)
 		res.UDP = &r
 	case s.Mesh != nil:
-		// An invalid config reports its reason, not a panic; the error is
-		// deterministic, so it is never retried.
-		if err := s.Mesh.Validate(); err != nil {
-			res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
-			return res
-		}
 		cfg := *s.Mesh
 		if s.Timeout > 0 && cfg.WallBudget == 0 {
 			cfg.WallBudget = s.Timeout
@@ -353,10 +364,6 @@ func runOne(i int, s Spec) (res Result) {
 		r := core.RunMeshTCP(cfg)
 		res.Mesh = &r
 	default:
-		if err := s.Scenario.Validate(); err != nil {
-			res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
-			return res
-		}
 		cfg := *s.Scenario
 		if s.Timeout > 0 && cfg.WallBudget == 0 {
 			cfg.WallBudget = s.Timeout

@@ -207,17 +207,20 @@ func TestScenarioSpec(t *testing.T) {
 	}
 }
 
-// TestInvalidSpecReportsValidateError: an invalid mesh or scenario config
-// fails with its Validate reason, not as a panic, and is not retried.
+// TestInvalidSpecReportsValidateError: an invalid config of any kind fails
+// with its Validate reason, not as a panic, and is not retried.
 func TestInvalidSpecReportsValidateError(t *testing.T) {
+	tcpCfg := &core.TCPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Hops: -1, Seed: 1}
+	udpCfg := &core.UDPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Hops: 1, TraceFormat: "xml", Seed: 1}
 	mesh := &core.MeshTCPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Shards: -1, Seed: 1}
 	scn := &core.ScenarioConfig{Scheme: mac.BA, Scenario: traffic.Scenario{Version: traffic.SchemaVersion}}
 	pool := Pool{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3}}
-	res, err := pool.Run(context.Background(), []Spec{{Key: "m", Mesh: mesh}, {Key: "s", Scenario: scn}})
+	res, err := pool.Run(context.Background(), []Spec{
+		{Key: "t", TCP: tcpCfg}, {Key: "u", UDP: udpCfg}, {Key: "m", Mesh: mesh}, {Key: "s", Scenario: scn}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, cfg := range []interface{ Validate() error }{mesh, scn} {
+	for i, cfg := range []interface{ Validate() error }{tcpCfg, udpCfg, mesh, scn} {
 		r := res[i]
 		want := `runner: spec "` + r.Key + `": ` + cfg.Validate().Error()
 		if r.Err == nil || r.Err.Error() != want {

@@ -124,17 +124,14 @@ func newChain(t testing.TB, n int, scheme mac.Scheme, rate phy.Rate, cfg Config)
 		r.nodes = append(r.nodes, node)
 		r.stacks = append(r.stacks, NewStack(r.s, node, cfg))
 	}
-	for i := 0; i < n; i++ {
-		for d := 0; d < n; d++ {
-			if d == i {
-				continue
-			}
-			next := i + 1
-			if d < i {
-				next = i - 1
-			}
-			r.nodes[i].AddRoute(network.NodeID(d), network.NodeID(next))
-		}
+	chain := make([][]int, n)
+	for i := 1; i < n; i++ {
+		chain[i-1] = append(chain[i-1], i)
+		chain[i] = append(chain[i], i-1)
+	}
+	routes := network.NewRouteTable(n, func(i int) []int { return chain[i] })
+	for _, node := range r.nodes {
+		node.SetRouteTable(routes)
 	}
 	return r
 }
@@ -302,11 +299,13 @@ func loopPair(t *testing.T) (*sim.Scheduler, *Stack, *Stack) {
 	t.Helper()
 	s := sim.NewScheduler(5)
 	med := medium.New(s, phy.DefaultParams(), 2)
+	pair := [][]int{{1}, {0}}
+	routes := network.NewRouteTable(2, func(i int) []int { return pair[i] })
 	mkStack := func(i int) *Stack {
 		node := network.NewNode(network.NodeID(i))
 		m := mac.New(s, med, medium.NodeID(i), mac.DefaultOptions(mac.UA, phy.Rate2600k), node.Bind())
 		node.AttachMAC(m)
-		node.AddRoute(network.NodeID(1-i), network.NodeID(1-i))
+		node.SetRouteTable(routes)
 		return NewStack(s, node, DefaultConfig())
 	}
 	a, b := mkStack(0), mkStack(1)

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"aggmac/internal/medium"
-	"aggmac/internal/network"
 )
 
 // Point is a node position, in units of the nominal node spacing.
@@ -192,12 +191,8 @@ func (m *Mesh) Adjacency() func(i int) []int {
 // the current links, with no column computed yet, unless the config
 // deferred routing to the caller.
 func (m *Mesh) attachRoutes(cfg MeshConfig) {
-	if cfg.DeferRoutes {
-		return
-	}
-	t := network.NewRouteTable(len(m.Nodes), m.Adjacency())
-	for _, n := range m.Nodes {
-		n.SetRouteTable(t)
+	if !cfg.DeferRoutes {
+		m.shareRoutes(m.Adjacency())
 	}
 }
 

@@ -212,8 +212,14 @@ func TestLazyRouteLookupFillsOneColumn(t *testing.T) {
 // TestRouteLookupAllocatesNothing pins Node.Route on a computed column at
 // zero allocations: it is on every forwarded packet's path.
 func TestRouteLookupAllocatesNothing(t *testing.T) {
+	names := []string{"linear", "star"}
+	nets := []*Network{NewLinear(4, cfg(1)), NewStar(cfg(1))}
 	for _, c := range lazyMeshes() {
-		name, m := c.name, c.m
+		names = append(names, c.name)
+		nets = append(nets, c.m.Network)
+	}
+	for i, m := range nets {
+		name := names[i]
 		src, dst := m.Nodes[0], network.NodeID(len(m.Nodes)-1)
 		src.Route(dst)
 		if allocs := testing.AllocsPerRun(100, func() { src.Route(dst) }); allocs != 0 {

@@ -1,9 +1,11 @@
 // Package topology assembles complete simulated networks: scheduler,
 // medium, MACs and network nodes, wired into the paper's experimental
 // layouts — N-hop linear chains (Figure 5) and the two-session star
-// (Figure 6). All nodes share one collision domain, exactly like the
-// testbed (§5: every node is in transmission range; static routes force
-// the multi-hop paths).
+// (Figure 6) — and into generated meshes (mesh.go). The paper layouts put
+// all nodes in one collision domain, exactly like the testbed (§5: every
+// node is in transmission range; static routes force the multi-hop
+// paths): the medium is fully connected, while the nodes' shared route
+// table is computed over the chain or star adjacency alone.
 package topology
 
 import (
@@ -51,23 +53,27 @@ func buildOn(newMedium func(*sim.Scheduler, phy.Params, int) *medium.Medium, n i
 	return net
 }
 
+// shareRoutes gives every node one shared shortest-path route table over
+// the routing adjacency neighbors (ascending ids per node; see
+// network.NewRouteTable), with no column computed yet.
+func (net *Network) shareRoutes(neighbors func(i int) []int) {
+	t := network.NewRouteTable(len(net.Nodes), neighbors)
+	for _, n := range net.Nodes {
+		n.SetRouteTable(t)
+	}
+}
+
 // NewLinear builds a linear chain with the given hop count (hops+1 nodes):
 // node 0 — node 1 — … — node hops. Routes force the chain.
 func NewLinear(hops int, cfg Config) *Network {
 	n := hops + 1
 	net := build(n, cfg)
-	for i := 0; i < n; i++ {
-		for d := 0; d < n; d++ {
-			if d == i {
-				continue
-			}
-			next := i + 1
-			if d < i {
-				next = i - 1
-			}
-			net.Nodes[i].AddRoute(network.NodeID(d), network.NodeID(next))
-		}
+	adj := make([][]int, n)
+	for i := 1; i < n; i++ {
+		adj[i-1] = append(adj[i-1], i)
+		adj[i] = append(adj[i], i-1)
 	}
+	net.shareRoutes(func(i int) []int { return adj[i] })
 	return net
 }
 
@@ -83,24 +89,12 @@ const (
 // is 2 hops.
 func NewStar(cfg Config) *Network {
 	net := build(4, cfg)
-	leaves := []network.NodeID{0, 2, 3}
-	for _, leaf := range leaves {
-		for d := network.NodeID(0); d < 4; d++ {
-			if d == leaf {
-				continue
-			}
-			if d == StarCenter {
-				net.Nodes[leaf].AddRoute(d, d)
-			} else {
-				net.Nodes[leaf].AddRoute(d, StarCenter)
-			}
-		}
+	adj := make([][]int, 4)
+	for _, leaf := range []int{StarClient, 2, 3} {
+		adj[leaf] = []int{StarCenter}
+		adj[StarCenter] = append(adj[StarCenter], leaf)
 	}
-	for d := network.NodeID(0); d < 4; d++ {
-		if d != StarCenter {
-			net.Nodes[StarCenter].AddRoute(d, d)
-		}
-	}
+	net.shareRoutes(func(i int) []int { return adj[i] })
 	return net
 }
 

@@ -35,6 +35,19 @@ func TestLinearBuild(t *testing.T) {
 			}
 		}
 	}
+	// ...while the routes force the chain, one neighbour at a time.
+	for i := 0; i < 4; i++ {
+		for d := 0; d < 4; d++ {
+			want, wantOK := i+1, d != i
+			if d < i {
+				want = i - 1
+			}
+			next, ok := net.Nodes[i].Route(network.NodeID(d))
+			if ok != wantOK || (ok && int(next) != want) {
+				t.Errorf("route %d->%d via %d (ok=%v), want via %d (ok=%v)", i, d, next, ok, want, wantOK)
+			}
+		}
+	}
 }
 
 func TestLinearRoles(t *testing.T) {

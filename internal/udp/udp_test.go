@@ -80,13 +80,15 @@ func rig(t *testing.T) (*sim.Scheduler, []*Endpoint, []*network.Node) {
 	t.Helper()
 	s := sim.NewScheduler(17)
 	med := medium.New(s, phy.DefaultParams(), 2)
+	pair := [][]int{{1}, {0}}
+	routes := network.NewRouteTable(2, func(i int) []int { return pair[i] })
 	var eps []*Endpoint
 	var nodes []*network.Node
 	for i := 0; i < 2; i++ {
 		node := network.NewNode(network.NodeID(i))
 		m := mac.New(s, med, medium.NodeID(i), mac.DefaultOptions(mac.UA, phy.Rate2600k), node.Bind())
 		node.AttachMAC(m)
-		node.AddRoute(network.NodeID(1-i), network.NodeID(1-i))
+		node.SetRouteTable(routes)
 		eps = append(eps, NewEndpoint(s, node))
 		nodes = append(nodes, node)
 	}
