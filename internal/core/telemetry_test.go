@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,25 +101,54 @@ func TestMeshMetricsCoverLayers(t *testing.T) {
 	}
 }
 
-// TestTCPMetricsSessionSeries: the chain run's per-session cwnd and SRTT
-// gauges sample real transport state.
+// tcpCatalogSeries is the shared layer catalog a TCP run exports, in
+// registration order, ahead of its per-session gauges.
+var tcpCatalogSeries = []string{
+	"medium.airtime_frac", "medium.collisions", "medium.foreign_tx",
+	"mac.queue_depth", "mac.agg_fill_ratio", "mac.retries", "mac.acks_tx",
+	"mac.acks_suppressed", "net.tcp_acks_bcast",
+	"tcp.open_conns", "tcp.cwnd_bytes", "tcp.rto_events", "tcp.retransmits",
+	"sim.events_run", "sim.pending_events", "sim.pool_slots",
+	"mac.agg_body_bytes",
+}
+
+// TestTCPMetricsSessionSeries: the chain and star runs export exactly the
+// layer catalog plus one cwnd and one SRTT gauge per session (no mesh
+// flow-stall series), and those gauges sample real transport state.
 func TestTCPMetricsSessionSeries(t *testing.T) {
-	rec := telemetry.NewRecorder(50 * time.Millisecond)
-	res := RunTCP(TCPConfig{
-		Scheme: mac.BA, Hops: 2, FileBytes: 100000, Seed: 1, Metrics: rec,
-	})
-	if res.ThroughputMbps <= 0 {
-		t.Fatalf("run produced no throughput")
-	}
-	byName := map[string]telemetry.MetricSummary{}
-	for _, m := range rec.Summary().Metrics {
-		byName[m.Name] = m
-	}
-	if m := byName["tcp.session0.cwnd"]; m.Max <= 0 {
-		t.Fatalf("session cwnd gauge never moved: %+v", m)
-	}
-	if m := byName["tcp.session0.srtt_s"]; m.Max <= 0 {
-		t.Fatalf("session SRTT gauge never moved: %+v", m)
+	for _, tc := range []struct {
+		name     string
+		star     bool
+		sessions int
+	}{{"chain", false, 1}, {"star", true, 2}} {
+		rec := telemetry.NewRecorder(50 * time.Millisecond)
+		res := RunTCP(TCPConfig{
+			Scheme: mac.BA, Hops: 2, Star: tc.star, FileBytes: 100000, Seed: 1, Metrics: rec,
+		})
+		if !res.Completed || res.ThroughputMbps <= 0 {
+			t.Fatalf("%s: run did not complete: %+v", tc.name, res.SessionMbps)
+		}
+		want := append([]string(nil), tcpCatalogSeries...)
+		for i := 0; i < tc.sessions; i++ {
+			want = append(want, fmt.Sprintf("tcp.session%d.cwnd", i), fmt.Sprintf("tcp.session%d.srtt_s", i))
+		}
+		var got []string
+		byName := map[string]telemetry.MetricSummary{}
+		for _, m := range rec.Summary().Metrics {
+			got = append(got, m.Name)
+			byName[m.Name] = m
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: series\n got %q\nwant %q", tc.name, got, want)
+		}
+		for i := 0; i < tc.sessions; i++ {
+			if m := byName[fmt.Sprintf("tcp.session%d.cwnd", i)]; m.Max <= 0 {
+				t.Fatalf("%s: session %d cwnd gauge never moved: %+v", tc.name, i, m)
+			}
+			if m := byName[fmt.Sprintf("tcp.session%d.srtt_s", i)]; m.Max <= 0 {
+				t.Fatalf("%s: session %d SRTT gauge never moved: %+v", tc.name, i, m)
+			}
+		}
 	}
 }
 
