@@ -493,26 +493,9 @@ func runSweep(a sweepArgs) {
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}
-	var cached, executed, retried int
 	if a.st != nil {
 		pool.Cache = a.st
 		pool.Resume = a.resume
-		// OnResult calls are serialized by the pool, so plain counters are
-		// safe; chain the user's -progress reporter behind the counting.
-		user := pool.OnResult
-		pool.OnResult = func(p runner.Progress) {
-			if p.Cached {
-				cached++
-			} else {
-				executed++
-				if p.Attempts > 1 {
-					retried++
-				}
-			}
-			if user != nil {
-				user(p)
-			}
-		}
 	}
 	start := time.Now()
 	results, err := pool.Run(context.Background(), specs)
@@ -541,7 +524,7 @@ func runSweep(a sweepArgs) {
 		fmt.Printf("swept %d run(s) in %v (wall clock)\n", len(specs), time.Since(start).Round(time.Millisecond))
 	}
 	if a.st != nil {
-		storeSummary(a.st, cached, executed, retried)
+		storeSummary(a.st, results)
 		a.st.Close()
 	}
 	if failed > 0 {
@@ -550,10 +533,21 @@ func runSweep(a sweepArgs) {
 	}
 }
 
-// storeSummary prints the resume accounting on stderr (stdout stays
-// byte-identical with and without a warm store; CI's resume gate relies on
-// that).
-func storeSummary(st *store.Store, cached, executed, retried int) {
+// storeSummary prints the resume accounting of a run's results on stderr
+// (stdout stays byte-identical with and without a warm store; CI's resume
+// gate relies on that).
+func storeSummary(st *store.Store, results []runner.Result) {
+	var cached, executed, retried int
+	for _, r := range results {
+		if r.Cached {
+			cached++
+			continue
+		}
+		executed++
+		if r.Attempts > 1 {
+			retried++
+		}
+	}
 	fmt.Fprintf(os.Stderr, "aggsim: store %s: %d cell(s) cached, %d executed, %d retried\n",
 		st.Dir(), cached, executed, retried)
 	if c := st.Stats().Corrupt; c > 0 {

@@ -156,24 +156,9 @@ func runScenarios(a scenarioArgs) {
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}
-	var cached, executed, retried int
 	if st != nil {
 		pool.Cache = st
 		pool.Resume = a.resume
-		user := pool.OnResult
-		pool.OnResult = func(p runner.Progress) {
-			if p.Cached {
-				cached++
-			} else {
-				executed++
-				if p.Attempts > 1 {
-					retried++
-				}
-			}
-			if user != nil {
-				user(p)
-			}
-		}
 	}
 	var results []runner.Result
 	if a.traceTo == nil {
@@ -196,7 +181,7 @@ func runScenarios(a scenarioArgs) {
 		}
 	}
 	if st != nil {
-		storeSummary(st, cached, executed, retried)
+		storeSummary(st, results)
 		st.Close()
 	}
 	for _, r := range results {

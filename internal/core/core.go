@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -50,15 +49,9 @@ type TCPConfig struct {
 	FileBytes int
 	// MaxAggBytes caps aggregation; defaults to 5120 (§6.1).
 	MaxAggBytes int
-	// DelayRelaysOnly applies the scheme's DelayMinFrames at relay nodes
-	// only, as §6.4.3 describes. Default true (set DelayEverywhere to
-	// override).
-	DelayEverywhere bool
 	// BlockAck / AutoAggSize enable the §7 extensions.
 	BlockAck    bool
 	AutoAggSize bool
-	// FlushTimeout overrides the DBA flush bound (0 keeps the default).
-	FlushTimeout time.Duration
 	// Tweak, when set, adjusts every node's final MAC options — the hook
 	// the ablation benches use (RTS off, head-only gather, ...).
 	Tweak func(*mac.Options)
@@ -138,20 +131,18 @@ func phyParams(p *phy.Params) phy.Params {
 	return phy.DefaultParams()
 }
 
-// macOptsFor builds per-node MAC options honouring the per-role DBA rule.
+// macOptsFor builds per-node MAC options. DBA delays transmission at relay
+// nodes only, as §6.4.3 describes.
 func (c *TCPConfig) macOptsFor(relay func(i, n int) bool) func(i, n int) mac.Options {
 	return func(i, n int) mac.Options {
 		scheme := c.Scheme
-		if scheme.DelayMinFrames > 1 && !c.DelayEverywhere && !relay(i, n) {
+		if scheme.DelayMinFrames > 1 && !relay(i, n) {
 			scheme.DelayMinFrames = 0
 		}
 		opts := mac.DefaultOptions(scheme, c.Rate)
 		opts.MaxAggBytes = c.MaxAggBytes
 		opts.BlockAck = c.BlockAck
 		opts.AutoAggSize = c.AutoAggSize
-		if c.FlushTimeout > 0 {
-			opts.FlushTimeout = c.FlushTimeout
-		}
 		if c.FixedBroadcastRate != nil {
 			opts.BroadcastRate = *c.FixedBroadcastRate
 		}
@@ -162,16 +153,9 @@ func (c *TCPConfig) macOptsFor(relay func(i, n int) bool) func(i, n int) mac.Opt
 	}
 }
 
-// session is one file transfer.
-type session struct {
-	server, client network.NodeID
-	port           uint16
-	done           bool
-	finish         sim.Time
-}
-
-// RunTCP executes the experiment. It panics with the Validate error on an
-// invalid config.
+// RunTCP executes the experiment: one file transfer down the chain, or the
+// star's two concurrent transfers, wired and measured by the same flow code
+// as the mesh runs. It panics with the Validate error on an invalid config.
 func RunTCP(cfg TCPConfig) TCPResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -179,111 +163,46 @@ func RunTCP(cfg TCPConfig) TCPResult {
 	cfg.fill()
 
 	var net *topology.Network
-	var sessions []*session
-	var roleOf func(i, n int) string
+	var flows []*meshFlow
+	var role func(i, n int) string
 	if cfg.Star {
 		relay := func(i, n int) bool { return i == topology.StarCenter }
 		net = topology.NewStar(topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(relay)})
-		for si, srv := range topology.StarServers() {
-			sessions = append(sessions, &session{server: srv, client: topology.StarClient, port: uint16(8000 + si)})
+		for _, srv := range topology.StarServers() {
+			flows = append(flows, &meshFlow{server: srv, client: topology.StarClient, port: uint16(8000 + len(flows))})
 		}
-		roleOf = func(i, n int) string { return topology.StarRole(i) }
+		role = func(i, n int) string { return topology.StarRole(i) }
 	} else {
 		net = topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(topology.IsRelay)})
-		sessions = append(sessions, &session{server: 0, client: network.NodeID(cfg.Hops), port: 8000})
-		roleOf = topology.LinearRole
+		flows = []*meshFlow{{server: 0, client: network.NodeID(cfg.Hops), port: 8000}}
+		role = topology.LinearRole
 	}
 
 	attachTrace(net, cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat)
 	stacks := newStacks(net, cfg.TCP)
-
-	remaining := len(sessions)
-	conns := make([]*tcp.Conn, len(sessions))
-	rconns := make([]*tcp.Conn, len(sessions))
-	for i, s := range sessions {
-		i, s := i, s
-		lis := stacks[s.client].Listen(s.port)
-		var got int64
-		lis.Setup = func(conn *tcp.Conn) {
-			rconns[i] = conn
-			conn.OnData = func(b []byte) {
-				got += int64(len(b))
-				if !s.done && got >= int64(cfg.FileBytes) {
-					s.done = true
-					s.finish = net.Sched.Now()
-					remaining--
-					if remaining == 0 {
-						net.Sched.Halt()
-					}
-				}
-			}
-			conn.OnPeerClose = func() { conn.Close() }
-		}
-		// Stagger session starts by a few microseconds so simultaneous
-		// SYNs do not collide forever on identical backoff draws.
-		start := time.Duration(s.port-8000) * 150 * time.Microsecond
-		net.Sched.After(start, "core:connect", func() {
-			conn := stacks[s.server].Connect(s.client, s.port)
-			conns[i] = conn
-			data := make([]byte, cfg.FileBytes)
-			conn.OnEstablished = func() {
-				_ = conn.Send(data)
-				conn.Close()
-			}
-		})
-	}
-
+	wireFlows(cfg.FileBytes, flows, stacks,
+		func(network.NodeID) *sim.Scheduler { return net.Sched }, net.Sched.Halt)
 	startMetrics(cfg.Metrics, 0, net, stacks, cfg.MaxAggBytes, cfg.Deadline, func(reg *telemetry.Registry) {
-		for i := range sessions {
-			i := i
-			// Both connection slots stay nil until the handshake events
-			// fire, so the gauges guard every read.
-			reg.Gauge(fmt.Sprintf("tcp.session%d.cwnd", i), func() float64 {
-				if conns[i] == nil {
-					return 0
-				}
-				return float64(conns[i].Cwnd())
-			})
-			reg.Gauge(fmt.Sprintf("tcp.session%d.srtt_s", i), func() float64 {
-				if conns[i] == nil {
-					return 0
-				}
-				return conns[i].SRTT().Seconds()
-			})
-		}
+		registerSessionMetrics(reg, flows)
 	})
 
 	net.Sched.RunUntil(cfg.Deadline)
 
-	res := TCPResult{Completed: true, EventsRun: net.Sched.EventsRun()}
-	for i, s := range sessions {
-		rep := SessionReport{Server: s.server, Client: s.client, Done: s.done, Finish: s.finish}
-		if conns[i] != nil {
-			rep.Sender = conns[i].Stats()
+	mr := assembleMeshResult(cfg.FileBytes, flows, net.Nodes, role, Dynamics{}, net.Sched.EventsRun(), net.Sched.Now())
+	res := TCPResult{ThroughputMbps: mr.MinMbps, Completed: mr.Completed, Elapsed: mr.Elapsed,
+		EventsRun: mr.EventsRun, Nodes: mr.Nodes}
+	for i, fr := range mr.Flows {
+		f := flows[i]
+		rep := SessionReport{Server: fr.Server, Client: fr.Client, Mbps: fr.Mbps, Done: fr.Done, Finish: fr.Finish}
+		if f.snd != nil {
+			rep.Sender = f.snd.Stats()
 		}
-		if rconns[i] != nil {
-			rep.Receiver = rconns[i].Stats()
+		if f.rcv != nil {
+			rep.Receiver = f.rcv.Stats()
 		}
-		if !s.done {
-			res.Completed = false
-			res.SessionMbps = append(res.SessionMbps, 0)
-			res.Sessions = append(res.Sessions, rep)
-			continue
-		}
-		if s.finish > res.Elapsed {
-			res.Elapsed = s.finish
-		}
-		rep.Mbps = float64(cfg.FileBytes) * 8 / s.finish.Seconds() / 1e6
-		res.SessionMbps = append(res.SessionMbps, rep.Mbps)
+		res.SessionMbps = append(res.SessionMbps, fr.Mbps)
 		res.Sessions = append(res.Sessions, rep)
 	}
-	res.ThroughputMbps = res.SessionMbps[0]
-	for _, m := range res.SessionMbps {
-		if m < res.ThroughputMbps {
-			res.ThroughputMbps = m
-		}
-	}
-	res.Nodes = nodeReports(net.Nodes, roleOf)
 	return res
 }
 
@@ -298,8 +217,6 @@ type UDPConfig struct {
 	// Interval); Burst==0 saturates the sender queue.
 	Burst    int
 	Interval time.Duration
-	// PayloadBytes per datagram; default sizes frames to 1140 B.
-	PayloadBytes int
 	// FloodInterval, when >0, runs a flooding generator on every node
 	// (Figure 9's x-axis).
 	FloodInterval time.Duration
@@ -369,8 +286,7 @@ func RunUDP(cfg UDPConfig) UDPResult {
 	sender := &udp.Sender{
 		Endpoint: eps[0], Dst: network.NodeID(cfg.Hops),
 		SrcPort: 9001, DstPort: 9000,
-		PayloadBytes: cfg.PayloadBytes,
-		Interval:     cfg.Interval, Burst: cfg.Burst,
+		Interval: cfg.Interval, Burst: cfg.Burst,
 		Timestamp: true,
 	}
 

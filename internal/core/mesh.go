@@ -279,7 +279,8 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 	}
 }
 
-// meshFlow is one planned session.
+// meshFlow is one planned file transfer: a mesh flow, a chain's session
+// or one of the star's two.
 type meshFlow struct {
 	server, client network.NodeID
 	hops           int
@@ -290,6 +291,9 @@ type meshFlow struct {
 	started        bool
 	lastProgress   sim.Time
 	maxStall       time.Duration
+	// snd and rcv are the transfer's two connections, nil until the
+	// connect event and the listener's accept create them.
+	snd, rcv *tcp.Conn
 }
 
 func (f *meshFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.client }
@@ -477,7 +481,7 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	flows := cfg.planFlows(m)
 	stacks := newStacks(m.Network, cfg.TCP)
 
-	kill := wireFlows(&cfg, flows, stacks,
+	kill := wireFlows(cfg.FileBytes, flows, stacks,
 		func(network.NodeID) *sim.Scheduler { return m.Sched }, m.Sched.Halt)
 	dyn, set := startDynamics(m, &cfg, stacks, kill)
 	startMetrics(cfg.Metrics, 0, m.Network, stacks, cfg.MaxAggBytes, cfg.Deadline, func(reg *telemetry.Registry) {
@@ -488,7 +492,8 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	m.Sched.RunUntil(cfg.Deadline)
 
 	dyn.finish(m, set, m.Sched.Now())
-	return assembleMeshResult(&cfg, flows, m.Nodes, *dyn, m.Sched.EventsRun(), m.Sched.Now())
+	return assembleMeshResult(cfg.FileBytes, flows, m.Nodes, trafficRoles(m.Nodes, flows),
+		*dyn, m.Sched.EventsRun(), m.Sched.Now())
 }
 
 // wireFlows installs every planned flow: a listener plus completion
@@ -500,7 +505,7 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 // every live flow terminating at the given node as fault-killed (the
 // crash hook calls it); killed flows count toward onAllDone so a run
 // whose remaining flows all die still halts early.
-func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
+func wireFlows(fileBytes int, flows []*meshFlow, stacks []*tcp.Stack,
 	schedFor func(network.NodeID) *sim.Scheduler, onAllDone func()) func(network.NodeID) {
 	remaining := len(flows)
 	settle := func(f *meshFlow) {
@@ -517,6 +522,7 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 		lis := stacks[f.client].Listen(f.port)
 		var got int64
 		lis.Setup = func(conn *tcp.Conn) {
+			f.rcv = conn
 			conn.OnData = func(b []byte) {
 				got += int64(len(b))
 				now := cli.Now()
@@ -524,7 +530,7 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 					f.maxStall = gap
 				}
 				f.lastProgress = now
-				if !f.done && !f.killed && got >= int64(cfg.FileBytes) {
+				if !f.done && !f.killed && got >= int64(fileBytes) {
 					f.done = true
 					f.finish = now
 					settle(f)
@@ -532,12 +538,15 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 			}
 			conn.OnPeerClose = func() { conn.Close() }
 		}
+		// Stagger flow starts so simultaneous SYNs do not collide forever
+		// on identical backoff draws.
 		start := time.Duration(i) * 150 * time.Microsecond
 		schedFor(f.server).After(start, "mesh:connect", func() {
 			f.started = true
 			f.lastProgress = schedFor(f.server).Now()
 			conn := stacks[f.server].Connect(f.client, f.port)
-			data := make([]byte, cfg.FileBytes)
+			f.snd = conn
+			data := make([]byte, fileBytes)
 			conn.OnEstablished = func() {
 				_ = conn.Send(data)
 				conn.Close()
@@ -556,10 +565,11 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 }
 
 // assembleMeshResult turns the finished run's state into a MeshResult;
-// shared by the sequential and sharded paths. end is the run's final
-// simulated time, used for tail-stall accounting.
-func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.Node,
-	dyn Dynamics, eventsRun uint64, end sim.Time) MeshResult {
+// shared by the sequential and sharded mesh paths and by RunTCP. role(i, n)
+// names node i of n in the node reports; end is the run's final simulated
+// time, used for tail-stall accounting.
+func assembleMeshResult(fileBytes int, flows []*meshFlow, nodes []*network.Node,
+	role func(i, n int) string, dyn Dynamics, eventsRun uint64, end sim.Time) MeshResult {
 	res := MeshResult{Completed: true, EventsRun: eventsRun, Dynamics: dyn}
 	res.MinMbps = math.Inf(1)
 	for _, f := range flows {
@@ -584,7 +594,7 @@ func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.
 		}
 		if f.done {
 			rep.Finish = time.Duration(f.finish)
-			rep.Mbps = float64(cfg.FileBytes) * 8 / rep.Finish.Seconds() / 1e6
+			rep.Mbps = float64(fileBytes) * 8 / rep.Finish.Seconds() / 1e6
 			res.FlowsDone++
 			if rep.Finish > res.Elapsed {
 				res.Elapsed = rep.Finish
@@ -604,6 +614,6 @@ func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.
 	} else {
 		res.MinMbps = 0
 	}
-	res.Nodes = nodeReports(nodes, trafficRoles(nodes, flows))
+	res.Nodes = nodeReports(nodes, role)
 	return res
 }

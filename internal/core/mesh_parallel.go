@@ -193,7 +193,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	if k == 1 {
 		onAllDone = scheds[0].Halt
 	}
-	wireFlows(&cfg, flows, stacks,
+	wireFlows(cfg.FileBytes, flows, stacks,
 		func(id network.NodeID) *sim.Scheduler { return scheds[owner[id]] }, onAllDone)
 
 	// One registry per shard, each sampled by its own scheduler and reading
@@ -225,7 +225,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	}
 	var dyn Dynamics
 	dyn.finish(m0, nil, cfg.Deadline)
-	res := assembleMeshResult(&cfg, flows, nodes, dyn, eventsRun, cfg.Deadline)
+	res := assembleMeshResult(cfg.FileBytes, flows, nodes, trafficRoles(nodes, flows), dyn, eventsRun, cfg.Deadline)
 	res.Shards = k
 	return res
 }

@@ -179,3 +179,25 @@ func registerFlowMetrics(reg *telemetry.Registry, sched *sim.Scheduler, flows []
 		})
 	}
 }
+
+// registerSessionMetrics adds the per-session transport gauges of a chain
+// or star run: each transfer's sender cwnd and smoothed RTT. The sender's
+// connection stays nil until its connect event fires, so every read is
+// guarded.
+func registerSessionMetrics(reg *telemetry.Registry, flows []*meshFlow) {
+	for i, f := range flows {
+		f := f
+		reg.Gauge(fmt.Sprintf("tcp.session%d.cwnd", i), func() float64 {
+			if f.snd == nil {
+				return 0
+			}
+			return float64(f.snd.Cwnd())
+		})
+		reg.Gauge(fmt.Sprintf("tcp.session%d.srtt_s", i), func() float64 {
+			if f.snd == nil {
+				return 0
+			}
+			return f.snd.SRTT().Seconds()
+		})
+	}
+}

@@ -71,18 +71,6 @@ type Options struct {
 	// MeshTopos overrides the scaling experiment's topology generators
 	// (default grid and disk); cmd/aggbench's -mesh-topos flag sets it.
 	MeshTopos []string
-	// MobilitySpeeds overrides the mobility experiment's node speeds in
-	// spacing units per second (default 1, 4).
-	MobilitySpeeds []float64
-	// MobilityIntervals overrides the mobility experiment's
-	// position/link/route update intervals (default 500 ms, 2 s).
-	MobilityIntervals []time.Duration
-	// LoadRates overrides the offered-load experiment's open-loop flow
-	// arrival rates in flows/s (default 0.2, 1.0).
-	LoadRates []float64
-	// LoadUsers overrides the offered-load experiment's closed-loop user
-	// population (default 6).
-	LoadUsers int
 }
 
 func (o Options) udpDur() time.Duration {

@@ -9,26 +9,12 @@ import (
 	"aggmac/internal/traffic"
 )
 
-// Offered-load experiment defaults: the open-loop arrival rates (flows per
-// second) and the closed-loop user population the workload family sweeps.
+// The open-loop arrival rates (flows per second) and the closed-loop user
+// population the offered-load experiment sweeps.
 var (
-	defaultLoadRates = []float64{0.2, 1.0}
-	defaultLoadUsers = 6
+	loadRates = []float64{0.2, 1.0}
+	loadUsers = 6
 )
-
-func (o Options) loadRates() []float64 {
-	if len(o.LoadRates) > 0 {
-		return o.LoadRates
-	}
-	return defaultLoadRates
-}
-
-func (o Options) loadUsers() int {
-	if o.LoadUsers > 0 {
-		return o.LoadUsers
-	}
-	return defaultLoadUsers
-}
 
 // LoadScenario builds the canonical offered-load workload: a 16-node grid
 // carrying a web-like mix — Pareto objects (mean 12 KB, weight 3) plus
@@ -101,15 +87,15 @@ func Load(o Options) Table {
 		users int
 	}
 	var loads []workload
-	for _, r := range o.loadRates() {
+	for _, r := range loadRates {
 		loads = append(loads, workload{
 			label: fmt.Sprintf("open λ=%g", r),
 			mode:  traffic.ModeOpen, rate: r,
 		})
 	}
 	loads = append(loads, workload{
-		label: fmt.Sprintf("closed U=%d", o.loadUsers()),
-		mode:  traffic.ModeClosed, users: o.loadUsers(),
+		label: fmt.Sprintf("closed U=%d", loadUsers),
+		mode:  traffic.ModeClosed, users: loadUsers,
 	})
 
 	var p plan

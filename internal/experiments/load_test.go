@@ -39,19 +39,11 @@ func TestLoadShape(t *testing.T) {
 }
 
 func TestLoadDefaults(t *testing.T) {
-	var o Options
-	if got := o.loadRates(); !reflect.DeepEqual(got, defaultLoadRates) {
-		t.Errorf("loadRates() = %v", got)
+	if got := loadRates; !reflect.DeepEqual(got, []float64{0.2, 1.0}) {
+		t.Errorf("default rates = %v", got)
 	}
-	if got := o.loadUsers(); got != defaultLoadUsers {
-		t.Errorf("loadUsers() = %d", got)
-	}
-	o = Options{LoadRates: []float64{0.5}, LoadUsers: 3}
-	if got := o.loadRates(); !reflect.DeepEqual(got, []float64{0.5}) {
-		t.Errorf("override loadRates() = %v", got)
-	}
-	if got := o.loadUsers(); got != 3 {
-		t.Errorf("override loadUsers() = %d", got)
+	if got := loadUsers; got != 6 {
+		t.Errorf("default users = %d", got)
 	}
 }
 

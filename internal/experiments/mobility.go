@@ -9,26 +9,12 @@ import (
 	"aggmac/internal/phy"
 )
 
-// Mobility experiment defaults: the speed × update-interval grid the
-// mobile-mesh family sweeps under each base scheme.
+// The speed × update-interval grid the mobility experiment sweeps under
+// each base scheme.
 var (
-	defaultMobilitySpeeds    = []float64{1, 4}
-	defaultMobilityIntervals = []time.Duration{500 * time.Millisecond, 2 * time.Second}
+	mobilitySpeeds    = []float64{1, 4}
+	mobilityIntervals = []time.Duration{500 * time.Millisecond, 2 * time.Second}
 )
-
-func (o Options) mobilitySpeeds() []float64 {
-	if len(o.MobilitySpeeds) > 0 {
-		return o.MobilitySpeeds
-	}
-	return defaultMobilitySpeeds
-}
-
-func (o Options) mobilityIntervals() []time.Duration {
-	if len(o.MobilityIntervals) > 0 {
-		return o.MobilityIntervals
-	}
-	return defaultMobilityIntervals
-}
 
 // Mobility measures aggregate TCP goodput over a mobile mesh — a 5×5 grid
 // whose nodes roam under the seeded random-waypoint model — as node speed
@@ -44,8 +30,7 @@ func Mobility(o Options) Table {
 		Title: "Mobile mesh: TCP goodput and topology churn vs node speed (waypoint model)",
 		Notes: "grid N=25, 4 flows x 15 KB, speed v in spacing units/s; per update interval iv: aggregate Mbps, route flaps (table entries changed), link churn (ups+downs); incomplete flows count 0 Mbps",
 	}
-	intervals := o.mobilityIntervals()
-	for _, iv := range intervals {
+	for _, iv := range mobilityIntervals {
 		t.Columns = append(t.Columns,
 			fmt.Sprintf("Mbps@%gs", iv.Seconds()),
 			fmt.Sprintf("Flaps@%gs", iv.Seconds()),
@@ -53,10 +38,10 @@ func Mobility(o Options) Table {
 	}
 	var p plan
 	for _, scheme := range []mac.Scheme{mac.NA, mac.UA, mac.BA} {
-		for _, speed := range o.mobilitySpeeds() {
+		for _, speed := range mobilitySpeeds {
 			ri := len(t.Rows)
 			t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%s v=%g", scheme.Name(), speed)})
-			for _, iv := range intervals {
+			for _, iv := range mobilityIntervals {
 				p.mesh(fmt.Sprintf("mobility/%s/v%g/iv%v", scheme.Name(), speed, iv),
 					MobilityCell(scheme, speed, iv, o.Seed),
 					func(r core.MeshResult) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,51 +10,43 @@ import (
 )
 
 func TestMobilityShape(t *testing.T) {
-	// One speed and one interval keep the test quick; the column triple
-	// (goodput, route flaps, link churn) per interval is the structure
-	// under test.
-	o := Options{
-		Seed:              1,
-		MobilitySpeeds:    []float64{3},
-		MobilityIntervals: []time.Duration{500 * time.Millisecond},
+	// The default matrix: a (goodput, route flaps, link churn) column
+	// triple per update interval, a row per scheme and speed.
+	tab := Mobility(Options{Seed: 1})
+	wantCols := []string{
+		"Mbps@0.5s", "Flaps@0.5s", "Churn@0.5s",
+		"Mbps@2s", "Flaps@2s", "Churn@2s",
 	}
-	tab := Mobility(o)
-	wantCols := []string{"Mbps@0.5s", "Flaps@0.5s", "Churn@0.5s"}
-	if len(tab.Columns) != len(wantCols) {
-		t.Fatalf("columns = %v", tab.Columns)
+	if !slices.Equal(tab.Columns, wantCols) {
+		t.Fatalf("columns = %v, want %v", tab.Columns, wantCols)
 	}
-	for i, c := range wantCols {
-		if tab.Columns[i] != c {
-			t.Fatalf("column %d = %q, want %q", i, tab.Columns[i], c)
-		}
+	if len(tab.Rows) != 6 { // {NA, UA, BA} × two speeds
+		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}
-	if len(tab.Rows) != 3 { // {NA, UA, BA} × one speed
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
-	}
-	if tab.Rows[0].Label != "NA v=3" || tab.Rows[2].Label != "BA v=3" {
-		t.Errorf("row labels = %q .. %q", tab.Rows[0].Label, tab.Rows[2].Label)
+	if tab.Rows[0].Label != "NA v=1" || tab.Rows[5].Label != "BA v=4" {
+		t.Errorf("row labels = %q .. %q", tab.Rows[0].Label, tab.Rows[5].Label)
 	}
 	for _, r := range tab.Rows {
-		if len(r.Values) != 3 {
+		if len(r.Values) != len(wantCols) {
 			t.Fatalf("row %q has %d values", r.Label, len(r.Values))
 		}
-		if r.Values[0] <= 0 {
-			t.Errorf("row %q: goodput %v", r.Label, r.Values[0])
-		}
-		if r.Values[1] <= 0 || r.Values[2] <= 0 {
-			t.Errorf("row %q: no churn reported (flaps=%v churn=%v) at speed 3",
-				r.Label, r.Values[1], r.Values[2])
+		for c := 0; c < len(r.Values); c += 3 {
+			if r.Values[c] <= 0 {
+				t.Errorf("row %q %s: goodput %v", r.Label, wantCols[c], r.Values[c])
+			}
+			if r.Values[c+1] <= 0 || r.Values[c+2] <= 0 {
+				t.Errorf("row %q %s: no churn reported (flaps=%v churn=%v)",
+					r.Label, wantCols[c], r.Values[c+1], r.Values[c+2])
+			}
 		}
 	}
 }
 
 func TestMobilityDefaults(t *testing.T) {
-	var o Options
-	if got := o.mobilitySpeeds(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+	if got := mobilitySpeeds; !slices.Equal(got, []float64{1, 4}) {
 		t.Errorf("default speeds = %v", got)
 	}
-	if got := o.mobilityIntervals(); len(got) != 2 ||
-		got[0] != 500*time.Millisecond || got[1] != 2*time.Second {
+	if got := mobilityIntervals; !slices.Equal(got, []time.Duration{500 * time.Millisecond, 2 * time.Second}) {
 		t.Errorf("default intervals = %v", got)
 	}
 	cell := MobilityCell(mac.BA, 2, time.Second, 7)

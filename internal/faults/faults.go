@@ -232,14 +232,6 @@ type Delta struct {
 	BurstsStarted, BurstsEnded int
 }
 
-// Changed reports whether anything link-affecting changed.
-func (d *Delta) Changed() bool {
-	return len(d.Crashed)+len(d.Recovered) > 0 ||
-		d.FlapsDown+d.FlapsUp > 0 ||
-		d.PartitionsStarted+d.PartitionsHealed > 0 ||
-		d.BurstsStarted+d.BurstsEnded > 0
-}
-
 // Set is one run's fault state. It implements topology.LinkOverlay: the
 // mesh's UpdateLinks consults LinkUp/SNRPenaltyDB on every reconcile, so a
 // vetoed link is cut through the same incremental SetConnected path a

@@ -136,9 +136,6 @@ func NewShardEngine(scheds []*Scheduler, lookahead Time) *ShardEngine {
 // Shards returns the number of shards.
 func (e *ShardEngine) Shards() int { return len(e.shards) }
 
-// Lookahead returns the engine's lookahead L, the width of one window.
-func (e *ShardEngine) Lookahead() Time { return e.look }
-
 // Connect declares that shards a and b can affect each other, so each may
 // Post to the other. Connect the exact pairs that share a radio link
 // across the partition boundary; unconnected pairs may not Post to each

@@ -188,9 +188,6 @@ func (c *Conn) Close() {
 	c.maybeSendFin()
 }
 
-// Buffered returns the number of stream bytes not yet acknowledged.
-func (c *Conn) Buffered() int { return len(c.buf) }
-
 // ---- sender internals ----
 
 func (c *Conn) mss() int { return c.cfg.MSS }

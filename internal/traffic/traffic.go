@@ -32,9 +32,6 @@ const (
 	Pareto  = "pareto"  // one object with a Pareto-sampled (web-like) size
 )
 
-// Kinds lists every model kind.
-func Kinds() []string { return []string{Bulk, CBR, Poisson, OnOff, Pareto} }
-
 // Model declares one traffic model. It is pure data: the scenario schema
 // embeds it, Validate checks it, and New instantiates it with a per-flow
 // seed. Zero fields take model-specific defaults (see Validate).

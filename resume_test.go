@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -110,6 +111,48 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}
 	if m := cachedRe.FindStringSubmatch(stderr.String()); m == nil || m[1] == "0" {
 		t.Errorf("warm run served nothing from cache: %s", stderr.String())
+	}
+}
+
+var summaryRe = regexp.MustCompile(`(\d+) cell\(s\) cached, (\d+) executed, (\d+) retried`)
+
+// TestAggsimSweepResumeSummary: an aggsim sweep re-run on the store its
+// first run filled serves every cell from the store, executes none, and
+// prints byte-identical stdout.
+func TestAggsimSweepResumeSummary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds subprocesses")
+	}
+	bin := buildBinary(t, "./cmd/aggsim")
+	storeDir := filepath.Join(t.TempDir(), "results")
+	args := []string{"-traffic", "tcp", "-scheme", "na,ba", "-hops", "1,2", "-file", "20000",
+		"-json", "-store", storeDir, "-resume"}
+
+	run := func() (stdout []byte, summary []string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("aggsim sweep: %v\nstderr: %s", err, errb.String())
+		}
+		m := summaryRe.FindStringSubmatch(errb.String())
+		if m == nil {
+			t.Fatalf("no store summary on stderr: %q", errb.String())
+		}
+		return out.Bytes(), m[1:]
+	}
+
+	cold, summary := run()
+	if want := []string{"0", "4", "0"}; !slices.Equal(summary, want) {
+		t.Errorf("cold run: cached/executed/retried = %v, want %v", summary, want)
+	}
+	warm, summary := run()
+	if want := []string{"4", "0", "0"}; !slices.Equal(summary, want) {
+		t.Errorf("warm run: cached/executed/retried = %v, want %v", summary, want)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Error("warm run's stdout differs from the cold run's")
 	}
 }
 
