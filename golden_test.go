@@ -216,18 +216,18 @@ func faultGolden(kind string, scheme mac.Scheme) (string, uint64) {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(w.String()))), res.EventsRun
 }
 
-// scenarioGolden pins the workload engine: a seeded scenario run — flow
-// arrivals, per-flow traffic sources, FCT accounting — hashed over every
-// per-flow outcome (endpoints, model, arrival time, delivered bytes, FCT
-// bits), the aggregate and per-model summaries, churn counters and
-// per-node counters. kind is a traffic mode, or "faults": an open-loop
-// run with a crash + flap + partition faults section (as in
-// examples/scenarios/faulty-mesh.json), whose hash adds every fault
-// counter, the degradation metrics and each flow's killed flag.
-func scenarioGolden(kind string, scheme mac.Scheme) (string, uint64) {
+// goldenScenario is the seeded scenario a scenario golden runs. kind is a
+// traffic mode; "faults" is an open-loop run with a crash + flap +
+// partition faults section (as in examples/scenarios/faulty-mesh.json);
+// "closed-faults" is a closed-loop run with crash and flap faults, whose
+// killed flows hand their users back to the think cycle.
+func goldenScenario(kind string) traffic.Scenario {
 	mode := kind
-	if kind == "faults" {
+	switch kind {
+	case "faults":
 		mode = traffic.ModeOpen
+	case "closed-faults":
+		mode = traffic.ModeClosed
 	}
 	sc := traffic.Scenario{
 		Version:   traffic.SchemaVersion,
@@ -249,13 +249,34 @@ func scenarioGolden(kind string, scheme mac.Scheme) (string, uint64) {
 			},
 		},
 	}
-	if kind == "faults" {
+	switch kind {
+	case "faults":
 		sc.Faults = &traffic.Faults{
 			CrashMTBFS: 20, CrashMTTRS: 8,
 			FlapMTBFS: 20, FlapMTTRS: 2,
 			Partitions: []traffic.PartitionSpec{{StartS: 5, DurationS: 6, Axis: "x", At: 1.5}},
 		}
+	case "closed-faults":
+		sc.Seed = 3
+		sc.Traffic.Users = 4
+		sc.Faults = &traffic.Faults{
+			CrashMTBFS: 15, CrashMTTRS: 6,
+			FlapMTBFS: 20, FlapMTTRS: 2,
+		}
 	}
+	return sc
+}
+
+// scenarioGolden pins the workload engine: a seeded scenario run (see
+// goldenScenario) — flow arrivals, per-flow traffic sources, FCT
+// accounting — hashed over every per-flow outcome (endpoints, model,
+// arrival time, delivered bytes, FCT bits), the aggregate and per-model
+// summaries, churn counters and per-node counters. The faulted kinds add
+// every fault counter, the degradation metrics and each flow's killed
+// flag.
+func scenarioGolden(kind string, scheme mac.Scheme) (string, uint64) {
+	sc := goldenScenario(kind)
+	faulted := sc.Faults != nil
 	res := core.RunScenario(core.ScenarioConfig{Scenario: sc, Scheme: scheme})
 	var w strings.Builder
 	fmt.Fprintf(&w, "scenario mode=%s scheme=%s nodes=%d links=%d deg=%s elapsed=%d events=%d\n",
@@ -275,7 +296,7 @@ func scenarioGolden(kind string, scheme mac.Scheme) (string, uint64) {
 		fmt.Fprintf(&w, "flow %d->%d model=%d hops=%d start=%d bytes=%d done=%v fct=%d\n",
 			int(f.Server), int(f.Client), f.Model, f.Hops, int64(f.Start), f.Bytes, f.Done, int64(f.FCT))
 	}
-	if kind == "faults" {
+	if faulted {
 		fmt.Fprintf(&w, "churn ups=%d downs=%d flaps=%d recomputes=%d\n",
 			res.LinkUps, res.LinkDowns, res.RouteFlaps, res.RouteRecomputes)
 		fmt.Fprintf(&w, "faults crashes=%d recoveries=%d flapdowns=%d flapups=%d parts=%d/%d bursts=%d\n",
@@ -360,6 +381,7 @@ func runGoldens() map[string]goldenEntry {
 		{traffic.ModeOpen, mac.BA},
 		{traffic.ModeClosed, mac.UA},
 		{"faults", mac.BA},
+		{"closed-faults", mac.UA},
 	} {
 		h, ev := scenarioGolden(sg.mode, sg.scheme)
 		got[fmt.Sprintf("scenario-%s/%s", sg.mode, sg.scheme.Name())] = goldenEntry{Hash: h, EventsRun: ev}
@@ -410,5 +432,22 @@ func TestGoldenDeterminism(t *testing.T) {
 			t.Errorf("%s: output hash %s, golden %s (output is no longer byte-identical)",
 				name, g.Hash, w.Hash)
 		}
+	}
+}
+
+// TestGoldenClosedFaultsKillsFlows keeps the closed-faults golden on the
+// path it exists for. Faults must kill more flows than there are users:
+// a user whose flow died and that never resumed its think cycle could
+// lose at most one flow, so the surplus shows killed users coming back.
+// Each user runs one flow at a time, so at most one flow per user is
+// left in flight at the deadline.
+func TestGoldenClosedFaultsKillsFlows(t *testing.T) {
+	sc := goldenScenario("closed-faults")
+	res := core.RunScenario(core.ScenarioConfig{Scenario: sc, Scheme: mac.UA})
+	if res.FlowsKilledByFault <= sc.Traffic.Users {
+		t.Fatalf("FlowsKilledByFault = %d, want more than the %d users", res.FlowsKilledByFault, sc.Traffic.Users)
+	}
+	if res.FlowsAbandoned < 0 || res.FlowsAbandoned > sc.Traffic.Users {
+		t.Errorf("FlowsAbandoned = %d, want 0..%d (one live flow per user)", res.FlowsAbandoned, sc.Traffic.Users)
 	}
 }
