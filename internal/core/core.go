@@ -163,18 +163,18 @@ func RunTCP(cfg TCPConfig) TCPResult {
 	cfg.fill()
 
 	var net *topology.Network
-	var flows []*meshFlow
+	var flows []*flow
 	var role func(i, n int) string
 	if cfg.Star {
 		relay := func(i, n int) bool { return i == topology.StarCenter }
 		net = topology.NewStar(topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(relay)})
 		for _, srv := range topology.StarServers() {
-			flows = append(flows, &meshFlow{server: srv, client: topology.StarClient, port: uint16(8000 + len(flows))})
+			flows = append(flows, &flow{server: srv, client: topology.StarClient, port: uint16(8000 + len(flows))})
 		}
 		role = func(i, n int) string { return topology.StarRole(i) }
 	} else {
 		net = topology.NewLinear(cfg.Hops, topology.Config{Seed: cfg.Seed, Phy: phyParams(cfg.Phy), OptsFor: cfg.macOptsFor(topology.IsRelay)})
-		flows = []*meshFlow{{server: 0, client: network.NodeID(cfg.Hops), port: 8000}}
+		flows = []*flow{{server: 0, client: network.NodeID(cfg.Hops), port: 8000}}
 		role = topology.LinearRole
 	}
 
@@ -188,7 +188,7 @@ func RunTCP(cfg TCPConfig) TCPResult {
 
 	net.Sched.RunUntil(cfg.Deadline)
 
-	mr := assembleMeshResult(cfg.FileBytes, flows, net.Nodes, role, Dynamics{}, net.Sched.EventsRun(), net.Sched.Now())
+	mr := assembleMeshResult(flows, net.Nodes, role, Dynamics{}, net.Sched.EventsRun(), net.Sched.Now())
 	res := TCPResult{ThroughputMbps: mr.MinMbps, Completed: mr.Completed, Elapsed: mr.Elapsed,
 		EventsRun: mr.EventsRun, Nodes: mr.Nodes}
 	for i, fr := range mr.Flows {

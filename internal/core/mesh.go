@@ -29,6 +29,7 @@ import (
 	"aggmac/internal/tcp"
 	"aggmac/internal/telemetry"
 	"aggmac/internal/topology"
+	"aggmac/internal/traffic"
 )
 
 // Mesh topology kinds.
@@ -279,34 +280,15 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 	}
 }
 
-// meshFlow is one planned file transfer: a mesh flow, a chain's session
-// or one of the star's two.
-type meshFlow struct {
-	server, client network.NodeID
-	hops           int
-	port           uint16
-	done           bool
-	killed         bool
-	finish         sim.Time
-	started        bool
-	lastProgress   sim.Time
-	maxStall       time.Duration
-	// snd and rcv are the transfer's two connections, nil until the
-	// connect event and the listener's accept create them.
-	snd, rcv *tcp.Conn
-}
-
-func (f *meshFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.client }
-
 // planFlows picks the experiment's sessions deterministically from the
 // seed: chains get one flow along each chain plus CrossFlows column flows;
 // grid/disk sample distinct multi-hop pairs from a placement-independent
 // stream.
-func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*meshFlow {
+func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*flow {
 	dist := m.HopDistance
-	var flows []*meshFlow
+	var flows []*flow
 	addFlow := func(srv, cli int) {
-		flows = append(flows, &meshFlow{
+		flows = append(flows, &flow{
 			server: network.NodeID(srv),
 			client: network.NodeID(cli),
 			hops:   dist(srv, cli),
@@ -492,23 +474,23 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	m.Sched.RunUntil(cfg.Deadline)
 
 	dyn.finish(m, set, m.Sched.Now())
-	return assembleMeshResult(cfg.FileBytes, flows, m.Nodes, trafficRoles(m.Nodes, flows),
+	return assembleMeshResult(flows, m.Nodes, trafficRoles(m.Nodes, flows),
 		*dyn, m.Sched.EventsRun(), m.Sched.Now())
 }
 
-// wireFlows installs every planned flow: a listener plus completion
-// bookkeeping on the client's scheduler, and a staggered connect event on
-// the server's. onAllDone (when non-nil) fires as the last flow completes;
-// parallel runs with more than one shard pass nil — flow completions land
-// on different goroutines there, and the run drains to the deadline
-// deterministically instead of halting early. The returned func marks
-// every live flow terminating at the given node as fault-killed (the
-// crash hook calls it); killed flows count toward onAllDone so a run
-// whose remaining flows all die still halts early.
-func wireFlows(fileBytes int, flows []*meshFlow, stacks []*tcp.Stack,
+// wireFlows installs every planned flow as a transfer of fileBytes: the
+// receive side on the client's scheduler now, and a staggered connect
+// event on the server's that pumps the file as one chunk. onAllDone (when
+// non-nil) fires as the last flow completes; parallel runs with more than
+// one shard pass nil — flow completions land on different goroutines
+// there, and the run drains to the deadline deterministically instead of
+// halting early. The returned func is the crash hook: it kills every live
+// flow terminating at the given node, and killed flows count toward
+// onAllDone so a run whose remaining flows all die still halts early.
+func wireFlows(fileBytes int, flows []*flow, stacks []*tcp.Stack,
 	schedFor func(network.NodeID) *sim.Scheduler, onAllDone func()) func(network.NodeID) {
 	remaining := len(flows)
-	settle := func(f *meshFlow) {
+	settle := func(*flow) {
 		if onAllDone != nil {
 			remaining--
 			if remaining == 0 {
@@ -516,66 +498,35 @@ func wireFlows(fileBytes int, flows []*meshFlow, stacks []*tcp.Stack,
 			}
 		}
 	}
+	// Sized once, here: connect events on shard goroutines only read it.
+	payload := make([]byte, fileBytes)
+	file := traffic.Model{Kind: traffic.Bulk, Bytes: fileBytes}
 	for i, f := range flows {
-		i, f := i, f
-		cli := schedFor(f.client)
-		lis := stacks[f.client].Listen(f.port)
-		var got int64
-		lis.Setup = func(conn *tcp.Conn) {
-			f.rcv = conn
-			conn.OnData = func(b []byte) {
-				got += int64(len(b))
-				now := cli.Now()
-				if gap := now - f.lastProgress; gap > f.maxStall {
-					f.maxStall = gap
-				}
-				f.lastProgress = now
-				if !f.done && !f.killed && got >= int64(fileBytes) {
-					f.done = true
-					f.finish = now
-					settle(f)
-				}
-			}
-			conn.OnPeerClose = func() { conn.Close() }
-		}
+		f.size = fileBytes
+		f.listen(stacks[f.client], schedFor(f.client), settle)
 		// Stagger flow starts so simultaneous SYNs do not collide forever
 		// on identical backoff draws.
 		start := time.Duration(i) * 150 * time.Microsecond
-		schedFor(f.server).After(start, "mesh:connect", func() {
-			f.started = true
-			f.lastProgress = schedFor(f.server).Now()
-			conn := stacks[f.server].Connect(f.client, f.port)
-			f.snd = conn
-			data := make([]byte, fileBytes)
-			conn.OnEstablished = func() {
-				_ = conn.Send(data)
-				conn.Close()
-			}
+		srv := schedFor(f.server)
+		srv.After(start, "mesh:connect", func() {
+			f.connect(stacks[f.server], srv, file.New(0), &payload)
 		})
 	}
-	return func(node network.NodeID) {
-		for _, f := range flows {
-			if f.done || f.killed || (f.server != node && f.client != node) {
-				continue
-			}
-			f.killed = true
-			settle(f)
-		}
-	}
+	return func(node network.NodeID) { killAt(flows, node, settle) }
 }
 
 // assembleMeshResult turns the finished run's state into a MeshResult;
 // shared by the sequential and sharded mesh paths and by RunTCP. role(i, n)
 // names node i of n in the node reports; end is the run's final simulated
 // time, used for tail-stall accounting.
-func assembleMeshResult(fileBytes int, flows []*meshFlow, nodes []*network.Node,
+func assembleMeshResult(flows []*flow, nodes []*network.Node,
 	role func(i, n int) string, dyn Dynamics, eventsRun uint64, end sim.Time) MeshResult {
 	res := MeshResult{Completed: true, EventsRun: eventsRun, Dynamics: dyn}
 	res.MinMbps = math.Inf(1)
 	for _, f := range flows {
 		rep := MeshFlowReport{Server: f.server, Client: f.client, Hops: f.hops,
 			Done: f.done, Killed: f.killed}
-		if f.started && !f.done && !f.killed {
+		if f.snd != nil && !f.done && !f.killed {
 			// The tail gap — last progress to the end of the run — is a
 			// stall too: a flow frozen by an unhealed failure shows up
 			// here, not as a mid-run gap. (A killed flow stops accruing
@@ -594,7 +545,7 @@ func assembleMeshResult(fileBytes int, flows []*meshFlow, nodes []*network.Node,
 		}
 		if f.done {
 			rep.Finish = time.Duration(f.finish)
-			rep.Mbps = float64(fileBytes) * 8 / rep.Finish.Seconds() / 1e6
+			rep.Mbps = float64(f.size) * 8 / rep.Finish.Seconds() / 1e6
 			res.FlowsDone++
 			if rep.Finish > res.Elapsed {
 				res.Elapsed = rep.Finish

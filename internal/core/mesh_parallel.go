@@ -225,7 +225,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	}
 	var dyn Dynamics
 	dyn.finish(m0, nil, cfg.Deadline)
-	res := assembleMeshResult(cfg.FileBytes, flows, nodes, trafficRoles(nodes, flows), dyn, eventsRun, cfg.Deadline)
+	res := assembleMeshResult(flows, nodes, trafficRoles(nodes, flows), dyn, eventsRun, cfg.Deadline)
 	res.Shards = k
 	return res
 }

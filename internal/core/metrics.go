@@ -168,11 +168,10 @@ func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medi
 // registerFlowMetrics adds the per-flow stall gauges of a mesh run: the
 // simulated time since each started, unfinished flow last made payload
 // progress.
-func registerFlowMetrics(reg *telemetry.Registry, sched *sim.Scheduler, flows []*meshFlow) {
+func registerFlowMetrics(reg *telemetry.Registry, sched *sim.Scheduler, flows []*flow) {
 	for i, f := range flows {
-		f := f
 		reg.Gauge(fmt.Sprintf("mesh.flow%d.stall_s", i), func() float64 {
-			if !f.started || f.done || f.killed {
+			if f.snd == nil || f.done || f.killed {
 				return 0
 			}
 			return time.Duration(sched.Now() - f.lastProgress).Seconds()
@@ -184,9 +183,8 @@ func registerFlowMetrics(reg *telemetry.Registry, sched *sim.Scheduler, flows []
 // or star run: each transfer's sender cwnd and smoothed RTT. The sender's
 // connection stays nil until its connect event fires, so every read is
 // guarded.
-func registerSessionMetrics(reg *telemetry.Registry, flows []*meshFlow) {
+func registerSessionMetrics(reg *telemetry.Registry, flows []*flow) {
 	for i, f := range flows {
-		f := f
 		reg.Gauge(fmt.Sprintf("tcp.session%d.cwnd", i), func() float64 {
 			if f.snd == nil {
 				return 0

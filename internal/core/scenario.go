@@ -125,21 +125,6 @@ type ScenarioResult struct {
 	Nodes []NodeReport
 }
 
-// scenarioFlow is one live or finished flow.
-type scenarioFlow struct {
-	model          int
-	server, client network.NodeID
-	hops           int
-	start          sim.Time
-	lastData       sim.Time
-	got            int64
-	done           bool
-	killed         bool   // terminated by an endpoint crash
-	onComplete     func() // closed-loop: resume the owning user
-}
-
-func (f *scenarioFlow) endpoints() (srv, cli network.NodeID) { return f.server, f.client }
-
 // scenarioEngine holds a run's mutable state.
 type scenarioEngine struct {
 	sc     traffic.Scenario
@@ -148,21 +133,19 @@ type scenarioEngine struct {
 	stacks []*tcp.Stack
 	mix    traffic.Mix
 
-	flows        []*scenarioFlow
+	flows        []*flow
 	active       int
 	peakActive   int
+	completed    int
 	skipped      int
-	killedCount  int
 	faults       *faults.Set // nil without a faults section
 	arrivalsOpen bool        // open loop: more arrivals may come
 	liveUsers    int         // closed loop: users still cycling
 
-	fct        traffic.FCT
-	fctByModel []traffic.FCT
-	halted     bool     // the engine drained before the deadline
-	haltAt     sim.Time // when it drained (may legitimately be 0)
+	halted bool     // the engine drained before the deadline
+	haltAt sim.Time // when it drained (may legitimately be 0)
 
-	scratch []byte // reused send buffer; tcp.Conn.Send copies
+	payload []byte // the zero send buffer every flow shares
 }
 
 // RunScenario executes one (scenario, scheme) run. It panics with the
@@ -206,10 +189,11 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	// Engine and stacks first: the dynamics' crash hook needs them.
 	e := &scenarioEngine{
 		sc: sc, seed: seed, m: m, mix: mix,
-		stacks:     newStacks(m.Network, cfg.TCP),
-		fctByModel: make([]traffic.FCT, mix.Len()),
+		stacks: newStacks(m.Network, cfg.TCP),
 	}
-	dyn, set := startDynamics(m, &mcfg, e.stacks, e.killFlowsAt)
+	dyn, set := startDynamics(m, &mcfg, e.stacks, func(node network.NodeID) {
+		killAt(e.flows, node, e.settle)
+	})
 	e.faults = set
 
 	switch sc.Traffic.Mode {
@@ -222,7 +206,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	startMetrics(cfg.Metrics, 0, m.Network, e.stacks, mcfg.MaxAggBytes, sc.Deadline(), func(reg *telemetry.Registry) {
 		reg.Gauge("scn.active_flows", func() float64 { return float64(e.active) })
 		reg.Gauge("scn.flows_started", func() float64 { return float64(len(e.flows)) })
-		reg.Gauge("scn.flows_completed", func() float64 { return float64(e.fct.Count()) })
+		reg.Gauge("scn.flows_completed", func() float64 { return float64(e.completed) })
 	})
 
 	m.Sched.SetWallBudget(cfg.WallBudget)
@@ -263,22 +247,18 @@ func scenarioFaultConfig(sf *traffic.Faults) *faults.Config {
 	return c
 }
 
-// killFlowsAt marks every live flow terminating at the crashed node as
-// fault-killed. A closed-loop user whose flow dies resumes its think cycle
-// (the user did not crash, its request did).
-func (e *scenarioEngine) killFlowsAt(node network.NodeID) {
-	for _, f := range e.flows {
-		if f.done || f.killed || (f.server != node && f.client != node) {
-			continue
-		}
-		f.killed = true
-		e.active--
-		e.killedCount++
-		if f.onComplete != nil {
-			f.onComplete()
-		}
-		e.maybeHalt()
+// settle releases a flow that completed or was killed by a fault. A
+// closed-loop user whose flow ends either way resumes its think cycle (a
+// crash kills the user's request, not the user).
+func (e *scenarioEngine) settle(f *flow) {
+	e.active--
+	if f.done {
+		e.completed++
 	}
+	if f.onComplete != nil {
+		f.onComplete()
+	}
+	e.maybeHalt()
 }
 
 // maybeHalt stops the scheduler once no flow can arrive or progress.
@@ -382,14 +362,14 @@ func (e *scenarioEngine) sampleEndpoints(rng *rand.Rand) (srv, cli int, ok bool)
 }
 
 // launch starts one flow: listener on the client, a paced source on the
-// server, completion bookkeeping in between.
+// server.
 func (e *scenarioEngine) launch(modelIdx, srv, cli int, onComplete func()) {
 	id := len(e.flows)
-	f := &scenarioFlow{
-		model:  modelIdx,
+	f := &flow{
 		server: network.NodeID(srv), client: network.NodeID(cli),
 		hops:       e.m.HopDistance(srv, cli),
-		start:      e.m.Sched.Now(),
+		port:       uint16(1 + id), // 1..9999: below the ephemeral range
+		model:      modelIdx,
 		onComplete: onComplete,
 	}
 	e.flows = append(e.flows, f)
@@ -397,86 +377,50 @@ func (e *scenarioEngine) launch(modelIdx, srv, cli int, onComplete func()) {
 	if e.active > e.peakActive {
 		e.peakActive = e.active
 	}
-
-	port := uint16(1 + id) // 1..9999: below the ephemeral range
-	lis := e.stacks[cli].Listen(port)
-	lis.Setup = func(conn *tcp.Conn) {
-		conn.OnData = func(b []byte) {
-			f.got += int64(len(b))
-			f.lastData = e.m.Sched.Now()
-		}
-		// TCP delivers in order, so the peer's FIN arrives after every
-		// payload byte: peer-close at the receiver means the flow is done.
-		conn.OnPeerClose = func() {
-			conn.Close()
-			e.complete(f)
-		}
-	}
-
+	f.listen(e.stacks[cli], e.m.Sched, e.settle)
 	src := e.mix.Model(modelIdx).New(traffic.DeriveSeed(e.seed, fmt.Sprintf("scn/flow/%d", id)))
-	conn := e.stacks[srv].Connect(network.NodeID(cli), port)
-	conn.OnEstablished = func() { e.pump(conn, src) }
+	f.connect(e.stacks[srv], e.m.Sched, src, &e.payload)
 }
 
-// pump drives a source's chunk schedule onto the connection: pull the next
-// (wait, bytes), send after wait, repeat; close when the source drains.
-// Chunk times are anchored to pull time, and pulls happen at send events,
-// so the on-wire offsets are exactly the source's cumulative schedule.
-func (e *scenarioEngine) pump(conn *tcp.Conn, src traffic.Source) {
-	wait, n, ok := src.Next()
-	if !ok {
-		conn.Close()
-		return
-	}
-	send := func() {
-		if n > len(e.scratch) {
-			e.scratch = make([]byte, n)
-		}
-		_ = conn.Send(e.scratch[:n])
-		e.pump(conn, src)
-	}
-	if wait == 0 {
-		send()
-		return
-	}
-	e.m.Sched.After(wait, "scn:send", send)
-}
-
-// complete records one flow's completion. Killed flows never complete:
-// their active slot was already released by killFlowsAt, and a late
-// peer-close from the surviving endpoint must not double-count.
-func (e *scenarioEngine) complete(f *scenarioFlow) {
-	if f.done || f.killed {
-		return
-	}
-	f.done = true
-	e.active--
-	// A flow that delivered no payload (a paced source whose first chunk
-	// never fit the window) completes at close time; pinning lastData here
-	// keeps the per-flow report and the FCT stats telling the same story.
-	if f.lastData == 0 {
-		f.lastData = e.m.Sched.Now()
-	}
-	d := time.Duration(f.lastData - f.start)
-	e.fct.Record(d)
-	e.fctByModel[f.model].Record(d)
-	if f.onComplete != nil {
-		f.onComplete()
-	}
-	e.maybeHalt()
-}
-
-// assemble builds the result after the scheduler stops.
+// assemble builds the result after the scheduler stops. Each completed
+// flow's FCT is its finish minus its arrival.
 func (e *scenarioEngine) assemble(cfg ScenarioConfig, dyn *Dynamics) ScenarioResult {
 	sc := e.sc
+	var fct traffic.FCT
+	perModel := make([]ScenarioModelReport, e.mix.Len())
+	fctByModel := make([]traffic.FCT, e.mix.Len())
+	var flows []ScenarioFlowReport
+	for _, f := range e.flows {
+		rep := ScenarioFlowReport{
+			Server: f.server, Client: f.client,
+			Model: f.model, Hops: f.hops,
+			Start: time.Duration(f.start),
+			Bytes: f.got, Done: f.done, Killed: f.killed,
+		}
+		pm := &perModel[f.model]
+		pm.Flows++
+		pm.Bytes += f.got
+		if f.done {
+			rep.FCT = time.Duration(f.finish - f.start)
+			fct.Record(rep.FCT)
+			fctByModel[f.model].Record(rep.FCT)
+			pm.FlowsDone++
+		}
+		if f.killed {
+			dyn.FlowsKilledByFault++
+		}
+		flows = append(flows, rep)
+	}
+
 	res := ScenarioResult{
 		Name:           sc.Name,
 		Scheme:         cfg.Scheme.Name(),
 		FlowsStarted:   len(e.flows),
-		FlowsCompleted: e.fct.Count(),
+		FlowsCompleted: fct.Count(),
 		FlowsSkipped:   e.skipped,
 		PeakActive:     e.peakActive,
-		FCT:            e.fct.Stats(),
+		FCT:            fct.Stats(),
+		Flows:          flows,
 		Elapsed:        time.Duration(e.m.Sched.Now()),
 		EventsRun:      e.m.Sched.EventsRun(),
 	}
@@ -485,35 +429,13 @@ func (e *scenarioEngine) assemble(cfg ScenarioConfig, dyn *Dynamics) ScenarioRes
 		// halted early; report the drain time instead.
 		res.Elapsed = time.Duration(e.haltAt)
 	}
-	dyn.FlowsKilledByFault = e.killedCount
 	dyn.finish(e.m, e.faults, res.Elapsed)
 	res.Dynamics = *dyn
 	res.FlowsAbandoned = res.FlowsStarted - res.FlowsCompleted - res.FlowsKilledByFault
 
-	perModel := make([]ScenarioModelReport, e.mix.Len())
 	for i := range perModel {
 		perModel[i].Kind = e.mix.Model(i).Kind
-		perModel[i].FCT = e.fctByModel[i].Stats()
-	}
-	for _, f := range e.flows {
-		rep := ScenarioFlowReport{
-			Server: f.server, Client: f.client,
-			Model: f.model, Hops: f.hops,
-			Start: time.Duration(f.start),
-			Bytes: f.got, Done: f.done, Killed: f.killed,
-		}
-		if f.done {
-			rep.FCT = time.Duration(f.lastData - f.start)
-		}
-		res.Flows = append(res.Flows, rep)
-		pm := &perModel[f.model]
-		pm.Flows++
-		pm.Bytes += f.got
-		if f.done {
-			pm.FlowsDone++
-		}
-	}
-	for i := range perModel {
+		perModel[i].FCT = fctByModel[i].Stats()
 		perModel[i].GoodputMbps = float64(perModel[i].Bytes) * 8 / sc.DurationS / 1e6
 		res.DeliveredBytes += perModel[i].Bytes
 	}

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -11,32 +12,54 @@ import (
 	"aggmac/internal/traffic"
 )
 
-// Validate reports the first problem with the config: a negative hop
-// count or an unknown trace format. It never changes the config.
+// Validate reports the first problem with the config: a negative file
+// size or hop count, a PHY rate the radio does not offer, or an unknown
+// trace format. It never changes the config.
 func (c *TCPConfig) Validate() error {
-	return checkChain(c.Hops, c.TraceFormat)
+	return cmp.Or(nonNegative("FileBytes", float64(c.FileBytes)), checkChain(c.Hops, c.Rate, c.TraceFormat))
 }
 
 // Validate reports the first problem with the config: a negative hop
-// count or an unknown trace format. It never changes the config.
+// count, a PHY rate the radio does not offer, or an unknown trace format.
+// It never changes the config.
 func (c *UDPConfig) Validate() error {
-	return checkChain(c.Hops, c.TraceFormat)
+	return checkChain(c.Hops, c.Rate, c.TraceFormat)
 }
 
-// checkChain holds the rules TCPConfig and UDPConfig share.
-func checkChain(hops int, traceFormat string) error {
-	if hops < 0 {
-		return fmt.Errorf("core: Hops must be >= 0, got %d", hops)
+// checkChain holds the rules TCPConfig and UDPConfig share. Like every
+// cmp.Or list of checks here, it reports the first error in list order.
+func checkChain(hops int, rate phy.Rate, traceFormat string) error {
+	return cmp.Or(nonNegative("Hops", float64(hops)), checkRate(rate), checkTraceFormat(traceFormat))
+}
+
+// checkRate rejects a PHY rate outside the radio's rate table.
+func checkRate(r phy.Rate) error {
+	if !r.Valid() {
+		return fmt.Errorf("core: unknown PHY rate %v", r)
 	}
-	return checkTraceFormat(traceFormat)
+	return nil
 }
 
-// Validate reports the first problem with the config: an unknown
-// topology, mobility model or trace format; an invalid fault config;
-// Shards outside 0..MaxShards, or combined with mobility, faults or
-// TraceTo; ShardTrace without Shards. It never changes the config:
+// nonNegative rejects a negative count or quantity.
+func nonNegative(name string, v float64) error {
+	if v < 0 {
+		return fmt.Errorf("core: %s must be >= 0, got %g", name, v)
+	}
+	return nil
+}
+
+// Validate reports the first problem with the config: a negative Nodes,
+// Flows, FileBytes or Speed; a PHY rate the radio does not offer; an
+// unknown topology, mobility model or trace format; an invalid fault
+// config; Shards outside 0..MaxShards, or combined with mobility, faults
+// or TraceTo; ShardTrace without Shards. It never changes the config:
 // results-store ids hash configs, and pool workers share them.
 func (c *MeshTCPConfig) Validate() error {
+	if err := cmp.Or(nonNegative("Nodes", float64(c.Nodes)), nonNegative("Flows", float64(c.Flows)),
+		nonNegative("FileBytes", float64(c.FileBytes)), nonNegative("Speed", c.Speed),
+		checkRate(c.Rate)); err != nil {
+		return err
+	}
 	switch c.Topology {
 	case "", MeshGrid, MeshDisk, MeshChains:
 	default:

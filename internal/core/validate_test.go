@@ -8,6 +8,7 @@ import (
 
 	"aggmac/internal/faults"
 	"aggmac/internal/mac"
+	"aggmac/internal/phy"
 	"aggmac/internal/traffic"
 )
 
@@ -56,6 +57,11 @@ func TestValidate(t *testing.T) {
 		{"shards with mobility", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Mobility = MobilityWaypoint }), "static topologies only"},
 		{"shards with faults", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Faults = crash }), "sequential engine"},
 		{"shards with trace", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.TraceTo = &strings.Builder{} }), "channel tracing is unsupported"},
+		{"mesh negative nodes", mesh(func(c *MeshTCPConfig) { c.Nodes = -4 }), "Nodes must be >= 0, got -4"},
+		{"mesh negative flows", mesh(func(c *MeshTCPConfig) { c.Flows = -1 }), "Flows must be >= 0, got -1"},
+		{"mesh negative file", mesh(func(c *MeshTCPConfig) { c.FileBytes = -5 }), "FileBytes must be >= 0, got -5"},
+		{"mesh negative speed", mesh(func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint; c.Speed = -3 }), "Speed must be >= 0, got -3"},
+		{"mesh bad rate", mesh(func(c *MeshTCPConfig) { c.Rate = phy.Rate(99) }), "unknown PHY rate Rate(99)"},
 
 		{"scenario default", scn(func(c *ScenarioConfig) {}), ""},
 		{"scenario closed", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mode = traffic.ModeClosed }), ""},
@@ -73,9 +79,13 @@ func TestValidate(t *testing.T) {
 		{"tcp star", &TCPConfig{Star: true}, ""},
 		{"tcp negative hops", &TCPConfig{Hops: -1}, "Hops must be >= 0, got -1"},
 		{"tcp trace format", &TCPConfig{Hops: 2, TraceFormat: "xml"}, `unknown trace format "xml"`},
+		{"tcp bad rate", &TCPConfig{Hops: 2, Rate: phy.Rate(99)}, "unknown PHY rate Rate(99)"},
+		{"tcp negative rate", &TCPConfig{Hops: 2, Rate: phy.Rate(-1)}, "unknown PHY rate Rate(-1)"},
+		{"tcp negative file", &TCPConfig{Hops: 2, FileBytes: -5}, "FileBytes must be >= 0, got -5"},
 		{"udp default hops", &UDPConfig{}, ""},
 		{"udp negative hops", &UDPConfig{Hops: -3}, "Hops must be >= 0, got -3"},
 		{"udp trace format", &UDPConfig{Hops: 1, TraceFormat: "xml"}, `unknown trace format "xml"`},
+		{"udp bad rate", &UDPConfig{Hops: 1, Rate: phy.Rate(99)}, "unknown PHY rate Rate(99)"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -140,6 +150,10 @@ func TestRunPanicsWithValidateError(t *testing.T) {
 
 	tcpCfg := TCPConfig{Scheme: mac.BA, Hops: -1}
 	expect("RunTCP", tcpCfg.Validate(), func() { RunTCP(tcpCfg) })
+	tcpCfg = TCPConfig{Scheme: mac.BA, Hops: 2, Rate: phy.Rate(99)}
+	expect("RunTCP rate", tcpCfg.Validate(), func() { RunTCP(tcpCfg) })
 	udpCfg := UDPConfig{Scheme: mac.BA, Hops: 1, TraceFormat: "xml"}
 	expect("RunUDP", udpCfg.Validate(), func() { RunUDP(udpCfg) })
+	udpCfg = UDPConfig{Scheme: mac.BA, Hops: 1, Rate: phy.Rate(99)}
+	expect("RunUDP rate", udpCfg.Validate(), func() { RunUDP(udpCfg) })
 }

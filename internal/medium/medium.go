@@ -237,7 +237,7 @@ func (t *LinkTable) connectFull() {
 }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
-// body/audience/collided/interfSNR/spans backing arrays) through a free
+// body/audience/collided/spans backing arrays) through a free
 // list, so putting a frame on the air allocates nothing in steady state.
 type transmission struct {
 	src        NodeID
@@ -253,27 +253,21 @@ type transmission struct {
 	// audience is the set of attached in-range radios, captured once at
 	// launch (ascending node id); energy detect, collision marking,
 	// delivery and carrier release all iterate it.
-	audience  []NodeID
-	collided  []bool    // per node id, set when overlap observed
-	interfSNR []float64 // strongest interferer per node, for capture
-	// marked lists the node ids whose collided/interfSNR entries were
-	// touched, so recycling resets O(marked) entries instead of O(N).
+	audience []NodeID
+	collided []bool // per node id, set when overlap observed
+	// marked lists the node ids whose collided entries were set, so
+	// recycling resets O(marked) entries instead of O(N).
 	marked    []NodeID
 	activeIdx int    // position in Medium.active, for O(1) removal
 	finishFn  func() // pooled txEnd callback: m.finish(this)
 }
 
-// addInterf records that dst's copy of this transmission overlapped an
-// interferer heard at snrdB, keeping the strongest interferer for capture.
-func (t *transmission) addInterf(dst NodeID, snrdB float64) {
+// addInterf marks dst's copy of this transmission as overlapped by an
+// interferer: any overlap destroys the frame there.
+func (t *transmission) addInterf(dst NodeID) {
 	if !t.collided[dst] {
 		t.collided[dst] = true
-		t.interfSNR[dst] = snrdB
 		t.marked = append(t.marked, dst)
-		return
-	}
-	if snrdB > t.interfSNR[dst] {
-		t.interfSNR[dst] = snrdB
 	}
 }
 
@@ -296,7 +290,6 @@ type Stats struct {
 	AggregateTx  int
 	ForeignTx    int // transmissions replayed from another shard's medium
 	Collisions   int // receptions destroyed by overlap
-	Captures     int // receptions that survived a collision via capture
 	HalfDuplex   int // receptions missed because the receiver was transmitting
 	CorruptCtrl  int // control frames destroyed by noise
 	AirtimeTotal time.Duration
@@ -309,7 +302,6 @@ func (s *Stats) Add(o Stats) {
 	s.AggregateTx += o.AggregateTx
 	s.ForeignTx += o.ForeignTx
 	s.Collisions += o.Collisions
-	s.Captures += o.Captures
 	s.HalfDuplex += o.HalfDuplex
 	s.CorruptCtrl += o.CorruptCtrl
 	s.AirtimeTotal += o.AirtimeTotal
@@ -355,11 +347,6 @@ type Medium struct {
 	corrupt  []byte
 	stats    Stats
 	observer Observer
-	// captureDB, when > 0, lets the stronger frame of a collision survive
-	// if its SNR margin over the strongest interferer exceeds this
-	// threshold (physical-layer capture; off by default, matching the
-	// paper's conservative any-overlap-destroys model).
-	captureDB float64
 }
 
 // New creates a medium for up to n nodes, fully connected at params.SNRdB.
@@ -407,7 +394,7 @@ func newMedium(sched *sim.Scheduler, params phy.Params, n int) *Medium {
 }
 
 // getTx pops a pooled transmission (or makes the pool's next one). The
-// collided/interfSNR entries were already reset by putTx via the dirty-mark
+// collided entries were already reset by putTx via the dirty-mark
 // list, so acquisition is O(1) regardless of network size.
 func (m *Medium) getTx() *transmission {
 	var t *transmission
@@ -415,10 +402,7 @@ func (m *Medium) getTx() *transmission {
 		t = m.txFree[n-1]
 		m.txFree = m.txFree[:n-1]
 	} else {
-		t = &transmission{
-			collided:  make([]bool, len(m.radios)),
-			interfSNR: make([]float64, len(m.radios)),
-		}
+		t = &transmission{collided: make([]bool, len(m.radios))}
 		t.finishFn = func() { m.finish(t) }
 	}
 	return t
@@ -495,11 +479,6 @@ func removeSorted(s []NodeID, id NodeID) []NodeID {
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
 }
-
-// SetCapture enables physical-layer capture: a frame survives a collision
-// when its SNR beats the strongest interferer by at least marginDB.
-// Zero disables (the default).
-func (m *Medium) SetCapture(marginDB float64) { m.captureDB = marginDB }
 
 // SetSNR overrides the SNR of the bidirectional link between a and b. The
 // override persists even while the link is cut (mobility raises links back
@@ -652,21 +631,20 @@ func (m *Medium) enter(t *transmission) {
 	// Only the new frame's audience needs scanning: a node outside it
 	// cannot hear t, so neither reception there can newly overlap t. Nodes
 	// with no radio attached are skipped outright — the seed marked
-	// collided/interfSNR for them too, wasted work nothing ever read.
+	// collided for them too, wasted work nothing ever read.
 	//
 	// The shared receivers are the intersection of t's audience with the
 	// other sender's out-neighbor list as the table holds it now (not the
 	// other frame's launch-time audience), so links cut or raised under a
 	// frame in flight count as they stand. Both lists are ascending, so a
 	// merge finds the overlap in audience order: O(active·deg) integer
-	// comparisons in all, with SNR lookups in the table only on a match.
+	// comparisons in all.
 	for _, other := range m.active {
 		if other.end <= t.start {
 			continue
 		}
-		// The new transmitter deafens itself to in-flight receptions; its
-		// own signal is infinitely strong, so capture can never save them.
-		other.addInterf(t.src, 1e9)
+		// The new transmitter deafens itself to in-flight receptions.
+		other.addInterf(t.src)
 		aud, onb := t.audience, m.tbl.nbrs[other.src]
 		for i, j := 0, 0; i < len(aud) && j < len(onb); {
 			switch nid := aud[i]; {
@@ -676,8 +654,8 @@ func (m *Medium) enter(t *transmission) {
 				j++
 			default:
 				// nid hears both transmitters: both frames are damaged there.
-				t.addInterf(nid, m.tbl.snr(other.src, nid))
-				other.addInterf(nid, m.tbl.snr(t.src, nid))
+				t.addInterf(nid)
+				other.addInterf(nid)
 				i, j = i+1, j+1
 			}
 		}
@@ -737,16 +715,12 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		m.emit(Event{Kind: "half-duplex", Src: t.src, Dst: dst})
 		return
 	}
-	snr := m.tbl.snr(t.src, dst)
 	if t.collided[dst] {
-		captured := m.captureDB > 0 && snr-t.interfSNR[dst] >= m.captureDB
-		if !captured {
-			m.stats.Collisions++
-			m.emit(Event{Kind: "collision", Src: t.src, Dst: dst})
-			return
-		}
-		m.stats.Captures++
+		m.stats.Collisions++
+		m.emit(Event{Kind: "collision", Src: t.src, Dst: dst})
+		return
 	}
+	snr := m.tbl.snr(t.src, dst)
 	shift := snr - m.params.SNRdB // per-link adjustment
 
 	if t.isControl {

@@ -501,57 +501,6 @@ func (c *captureRadio) CarrierIdle()                                         {}
 func (c *captureRadio) RxControl(NodeID, frame.Control, float64)             {}
 func (c *captureRadio) RxAggregate(_ NodeID, _ frame.PHYHeader, body []byte) { c.onAgg(body) }
 
-func TestCaptureEffect(t *testing.T) {
-	// Nodes 0 (25 dB to receiver 2) and 1 (10 dB) collide at node 2.
-	// Without capture both die; with a 10 dB margin the strong one lives.
-	run := func(captureDB float64) int {
-		s := sim.NewScheduler(9)
-		m := New(s, phy.DefaultParams(), 3)
-		m.SetCapture(captureDB)
-		r := &fakeRadio{}
-		m.Attach(2, r)
-		m.Attach(0, &fakeRadio{})
-		m.Attach(1, &fakeRadio{})
-		m.SetSNR(1, 2, 10)
-		s.After(0, "tx0", func() { m.TransmitControl(0, frame.Control{Type: frame.TypeCTS, RA: frame.NodeAddr(2)}) })
-		s.After(time.Microsecond, "tx1", func() { m.TransmitControl(1, frame.Control{Type: frame.TypeCTS, RA: frame.NodeAddr(2)}) })
-		s.Run()
-		return len(r.ctrls)
-	}
-	if got := run(0); got != 0 {
-		t.Errorf("no-capture collision delivered %d frames", got)
-	}
-	if got := run(10); got != 1 {
-		t.Errorf("capture with 15 dB margin delivered %d frames, want 1", got)
-	}
-	// A margin larger than the 15 dB difference blocks capture again.
-	if got := run(20); got != 0 {
-		t.Errorf("capture with insufficient margin delivered %d frames", got)
-	}
-}
-
-func TestCaptureNeverRescuesOwnTransmissionLoss(t *testing.T) {
-	// Node 1 starts receiving from 0, then begins its own transmission:
-	// even with capture on, half-duplex loss stands.
-	s := sim.NewScheduler(9)
-	m := New(s, phy.DefaultParams(), 3)
-	m.SetCapture(1)
-	r1 := &fakeRadio{}
-	m.Attach(0, &fakeRadio{})
-	m.Attach(1, r1)
-	m.Attach(2, &fakeRadio{})
-	m.SetConnected(1, 2, true)
-	agg := dataAgg(3, 1436, frame.NodeAddr(1)) // long frame from 0
-	s.After(0, "tx0", func() { m.TransmitAggregate(0, agg) })
-	s.After(time.Millisecond, "tx1", func() {
-		m.TransmitControl(1, frame.Control{Type: frame.TypeCTS, RA: frame.NodeAddr(2)})
-	})
-	s.Run()
-	if len(r1.aggs) != 0 {
-		t.Fatal("capture rescued a frame lost to the receiver's own transmission")
-	}
-}
-
 func TestDirectedLinkAsymmetry(t *testing.T) {
 	s := sim.NewScheduler(9)
 	m := New(s, phy.DefaultParams(), 2)
