@@ -55,9 +55,13 @@ func nonNegative(name string, v float64) error {
 // or TraceTo; ShardTrace without Shards. It never changes the config:
 // results-store ids hash configs, and pool workers share them.
 func (c *MeshTCPConfig) Validate() error {
-	if err := cmp.Or(nonNegative("Nodes", float64(c.Nodes)), nonNegative("Flows", float64(c.Flows)),
-		nonNegative("FileBytes", float64(c.FileBytes)), nonNegative("Speed", c.Speed),
-		checkRate(c.Rate)); err != nil {
+	if err := cmp.Or(
+		nonNegative("Nodes", float64(c.Nodes)),
+		nonNegative("Flows", float64(c.Flows)),
+		nonNegative("FileBytes", float64(c.FileBytes)),
+		nonNegative("Speed", c.Speed),
+		checkRate(c.Rate),
+	); err != nil {
 		return err
 	}
 	switch c.Topology {
