@@ -272,12 +272,21 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 	case MeshChains:
 		return topology.NewParallelChains(c.Chains, c.ChainHops, c.RowSpacing, mcfg)
 	default: // MeshGrid; Validate rejects every other kind
-		k := int(math.Sqrt(float64(c.Nodes)))
-		if k < 2 {
-			k = 2
-		}
-		return topology.NewGrid(k, mcfg)
+		return topology.NewGrid(gridSide(c.Nodes), mcfg)
 	}
+}
+
+// gridSide is the side of the grid a node budget builds: the largest k×k
+// that fits, at least 2×2.
+func gridSide(nodes int) int { return max(2, int(math.Sqrt(float64(nodes)))) }
+
+// meshNodes is the node count a filled grid or disk config builds.
+func (c *MeshTCPConfig) meshNodes() int {
+	if c.Topology == MeshDisk {
+		return c.Nodes
+	}
+	k := gridSide(c.Nodes)
+	return k * k
 }
 
 // planFlows picks the experiment's sessions deterministically from the

@@ -49,8 +49,9 @@ func nonNegative(name string, v float64) error {
 }
 
 // Validate reports the first problem with the config: a negative Nodes,
-// Flows, FileBytes or Speed; a PHY rate the radio does not offer; an
-// unknown topology, mobility model or trace format; an invalid fault
+// Flows, MinHops, FileBytes or Speed; a PHY rate the radio does not offer;
+// an unknown topology, mobility model or trace format; a grid or disk
+// MinHops no route on its nodes can reach; an invalid fault
 // config; Shards outside 0..MaxShards, or combined with mobility, faults
 // or TraceTo; ShardTrace without Shards. It never changes the config:
 // results-store ids hash configs, and pool workers share them.
@@ -58,6 +59,7 @@ func (c *MeshTCPConfig) Validate() error {
 	if err := cmp.Or(
 		nonNegative("Nodes", float64(c.Nodes)),
 		nonNegative("Flows", float64(c.Flows)),
+		nonNegative("MinHops", float64(c.MinHops)),
 		nonNegative("FileBytes", float64(c.FileBytes)),
 		nonNegative("Speed", c.Speed),
 		checkRate(c.Rate),
@@ -68,6 +70,14 @@ func (c *MeshTCPConfig) Validate() error {
 	case "", MeshGrid, MeshDisk, MeshChains:
 	default:
 		return fmt.Errorf("core: unknown mesh topology %q (%s|%s|%s)", c.Topology, MeshGrid, MeshDisk, MeshChains)
+	}
+	// Grid and disk flows are sampled among pairs at least MinHops apart,
+	// and no route on n nodes is longer than n-1 hops.
+	if f := *c; f.Topology != MeshChains {
+		f.fill()
+		if n := f.meshNodes(); f.MinHops >= n {
+			return fmt.Errorf("core: MinHops must be < the %d nodes of the %s, got %d", n, f.Topology, f.MinHops)
+		}
 	}
 	switch c.Mobility {
 	case "", MobilityWaypoint, MobilityDrift:

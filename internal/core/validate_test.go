@@ -59,6 +59,15 @@ func TestValidate(t *testing.T) {
 		{"shards with trace", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.TraceTo = &strings.Builder{} }), "channel tracing is unsupported"},
 		{"mesh negative nodes", mesh(func(c *MeshTCPConfig) { c.Nodes = -4 }), "Nodes must be >= 0, got -4"},
 		{"mesh negative flows", mesh(func(c *MeshTCPConfig) { c.Flows = -1 }), "Flows must be >= 0, got -1"},
+		{"mesh negative min hops", mesh(func(c *MeshTCPConfig) { c.MinHops = -1 }), "MinHops must be >= 0, got -1"},
+		{"grid min hops reachable", mesh(func(c *MeshTCPConfig) { c.Topology = MeshGrid; c.Nodes = 10; c.MinHops = 8 }), ""},
+		{"grid min hops beyond nodes", mesh(func(c *MeshTCPConfig) { c.Topology = MeshGrid; c.Nodes = 10; c.MinHops = 9 }),
+			"MinHops must be < the 9 nodes of the grid, got 9"},
+		{"disk min hops beyond nodes", mesh(func(c *MeshTCPConfig) { c.Topology = MeshDisk; c.Nodes = 6; c.MinHops = 50 }),
+			"MinHops must be < the 6 nodes of the disk, got 50"},
+		{"disk default min hops on two nodes", mesh(func(c *MeshTCPConfig) { c.Topology = MeshDisk; c.Nodes = 2 }),
+			"MinHops must be < the 2 nodes of the disk, got 2"},
+		{"chains ignore min hops", mesh(func(c *MeshTCPConfig) { c.Topology = MeshChains; c.MinHops = 50 }), ""},
 		{"mesh negative file", mesh(func(c *MeshTCPConfig) { c.FileBytes = -5 }), "FileBytes must be >= 0, got -5"},
 		{"mesh negative speed", mesh(func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint; c.Speed = -3 }), "Speed must be >= 0, got -3"},
 		{"mesh bad rate", mesh(func(c *MeshTCPConfig) { c.Rate = phy.Rate(99) }), "unknown PHY rate Rate(99)"},

@@ -104,10 +104,6 @@ type MAC struct {
 	// itself never reuses a payload.
 	release func([]byte)
 
-	// rxScratch is the reusable aggregate-decode buffer; RxAggregate and
-	// everything it calls run synchronously, so one per MAC suffices.
-	rxScratch frame.DecodedAggregate
-
 	// aggScratch/sfScratch back the assembled aggregate. A MAC has at most
 	// one exchange bundle in flight and assemble only runs once m.current is
 	// nil again, so both recycle between exchanges without copies.
@@ -699,15 +695,13 @@ func (m *MAC) handleBlockAck(bitmap uint16) {
 	m.resumeAccess()
 }
 
-// RxAggregate implements medium.Radio: the §4.2.2 receive process.
-func (m *MAC) RxAggregate(src medium.NodeID, hdr frame.PHYHeader, body []byte) {
-	if m.down {
+// RxAggregate implements medium.Radio: the §4.2.2 receive process. It
+// reads the medium's decoded view; dec is shared with the frame's other
+// receivers, so nothing here writes into it.
+func (m *MAC) RxAggregate(_ medium.NodeID, _ frame.PHYHeader, _ []byte, dec *frame.DecodedAggregate) {
+	if m.down || dec == nil {
 		return
 	}
-	if err := frame.DecodeAggregateInto(&m.rxScratch, hdr, body); err != nil {
-		return
-	}
-	dec := &m.rxScratch
 	// Broadcast portion: deliver each CRC-passing subframe immediately.
 	for _, d := range dec.Broadcast {
 		if !d.CRCOK {

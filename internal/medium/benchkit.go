@@ -13,10 +13,10 @@ import (
 
 type nopRadio struct{}
 
-func (nopRadio) CarrierBusy()                                {}
-func (nopRadio) CarrierIdle()                                {}
-func (nopRadio) RxControl(NodeID, frame.Control, float64)    {}
-func (nopRadio) RxAggregate(NodeID, frame.PHYHeader, []byte) {}
+func (nopRadio) CarrierBusy()                                                         {}
+func (nopRadio) CarrierIdle()                                                         {}
+func (nopRadio) RxControl(NodeID, frame.Control, float64)                             {}
+func (nopRadio) RxAggregate(NodeID, frame.PHYHeader, []byte, *frame.DecodedAggregate) {}
 
 // TxBench is the medium scaling workload: a k×k grid mesh wired at the
 // 4-neighborhood (degree ≤ 4 however large the grid grows) whose corners

@@ -28,6 +28,18 @@
 // a flat link-state array, so a directed lookup (connectivity or SNR) is
 // one O(1) map probe and total memory is O(N·degree + SNR overrides) — never
 // the N×N matrix the seed kept.
+//
+// # Shared frame work
+//
+// Work that every receiver of a frame would repeat is done once per
+// transmission. An aggregate is marshaled once, into the pooled
+// transmission's own buffer, and decoded at most once: the first receiver
+// that hears it cleanly decodes the body (subframe delineation and every
+// FCS) into a view kept in the transmission, and every clean receiver
+// borrows the same bytes and the same view. A receiver whose copy of the
+// air was damaged gets the medium's scratch copy of the body, corrupted
+// there, and a scratch view decoded from it, so every FCS is still checked
+// once per distinct byte sequence on the air.
 package medium
 
 import (
@@ -54,15 +66,20 @@ type Radio interface {
 	// the received SNR (Hydra's PHY reports it; rate adaptation feeds on
 	// the RTS/CTS measurements).
 	RxControl(src NodeID, c frame.Control, snrdB float64)
-	// RxAggregate delivers an aggregate's PHY header and (possibly
-	// corrupted) body bytes at the end of its airtime.
+	// RxAggregate delivers an aggregate at the end of its airtime: its PHY
+	// header, its (possibly corrupted) body bytes, and dec, those bytes
+	// decoded with frame.DecodeAggregateInto — every subframe delineated
+	// and its FCS checked. dec is nil when the body does not match the
+	// header's portion lengths.
 	//
-	// The body is borrowed: it is valid only until RxAggregate returns,
-	// after which the medium reuses its bytes for later frames, so a
-	// receiver copies anything it keeps. Every receiver that heard the frame
-	// cleanly gets the same bytes, and a receiver MUST NOT write into them;
-	// doing so would corrupt the frame for the receivers after it.
-	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte)
+	// Body and dec are borrowed: they are valid only until RxAggregate
+	// returns, after which the medium reuses them for later frames, so a
+	// receiver copies anything it keeps (dec's payloads alias body). Every
+	// receiver that heard the frame cleanly gets the same bytes and the
+	// same dec, decoded once per transmission, and a receiver MUST NOT
+	// write into either; doing so would corrupt the frame for the receivers
+	// after it.
+	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte, dec *frame.DecodedAggregate)
 }
 
 // link holds per-directed-link channel state.
@@ -237,7 +254,7 @@ func (t *LinkTable) connectFull() {
 }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
-// body/audience/collided/spans backing arrays) through a free
+// body/audience/collided/spans/dec backing arrays) through a free
 // list, so putting a frame on the air allocates nothing in steady state.
 type transmission struct {
 	src        NodeID
@@ -250,6 +267,12 @@ type transmission struct {
 	// buffer, kept across recycling; a foreign body is never adopted as buf.
 	body, buf []byte
 	spans     []frame.Span
+	// dec is body decoded, filled at the first clean receiver and shared
+	// read-only by every clean receiver after it; decoded says whether it
+	// has been filled for this transmission, decOK whether the decode
+	// succeeded.
+	dec            frame.DecodedAggregate
+	decoded, decOK bool
 	// audience is the set of attached in-range radios, captured once at
 	// launch (ascending node id); energy detect, collision marking,
 	// delivery and carrier release all iterate it.
@@ -342,11 +365,13 @@ type Medium struct {
 
 	active []*transmission
 	txFree []*transmission // recycled transmissions (pooled arrays)
-	// corrupt is the scratch copy a corrupted receiver is handed; delivery
-	// is synchronous and one receiver at a time, so one per medium suffices.
-	corrupt  []byte
-	stats    Stats
-	observer Observer
+	// corrupt is the scratch copy a corrupted receiver is handed, and
+	// corruptDec its decoded view; delivery is synchronous and one receiver
+	// at a time, so one pair per medium suffices.
+	corrupt    []byte
+	corruptDec frame.DecodedAggregate
+	stats      Stats
+	observer   Observer
 }
 
 // New creates a medium for up to n nodes, fully connected at params.SNRdB.
@@ -414,6 +439,7 @@ func (m *Medium) getTx() *transmission {
 // of their RxAggregate call, and the boundary hook copied it.
 func (m *Medium) putTx(t *transmission) {
 	t.body = nil
+	t.decoded = false
 	t.spans = t.spans[:0]
 	t.audience = t.audience[:0]
 	for _, id := range t.marked {
@@ -576,8 +602,8 @@ func (m *Medium) TransmitControl(src NodeID, c frame.Control) time.Duration {
 
 // TransmitAggregate marshals and puts an aggregate on the air, returning
 // its airtime. The body is marshaled exactly once, into the pooled
-// transmission's own buffer; clean receivers all borrow it (see
-// Radio.RxAggregate).
+// transmission's own buffer, and decoded at most once; clean receivers all
+// borrow both (see Radio.RxAggregate).
 func (m *Medium) TransmitAggregate(src NodeID, agg *frame.Aggregate) time.Duration {
 	d := m.AggregateAirtime(agg)
 	t := m.getTx()
@@ -787,7 +813,21 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		}
 		m.emit(Event{Kind: "rx-agg", Src: t.src, Dst: dst, Info: info})
 	}
-	m.radios[dst].RxAggregate(t.src, t.hdr, body)
+	var dec *frame.DecodedAggregate
+	if copied {
+		if frame.DecodeAggregateInto(&m.corruptDec, t.hdr, body) == nil {
+			dec = &m.corruptDec
+		}
+	} else {
+		if !t.decoded {
+			t.decOK = frame.DecodeAggregateInto(&t.dec, t.hdr, body) == nil
+			t.decoded = true
+		}
+		if t.decOK {
+			dec = &t.dec
+		}
+	}
+	m.radios[dst].RxAggregate(t.src, t.hdr, body, dec)
 }
 
 // shiftedChunkErr applies a per-link SNR shift on top of the global params,

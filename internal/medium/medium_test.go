@@ -28,7 +28,7 @@ func (f *fakeRadio) RxControl(src NodeID, c frame.Control, snrdB float64) {
 	f.ctrlSrcs = append(f.ctrlSrcs, src)
 	f.snrs = append(f.snrs, snrdB)
 }
-func (f *fakeRadio) RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte) {
+func (f *fakeRadio) RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte, _ *frame.DecodedAggregate) {
 	// The decoded payloads alias the body, which is only borrowed for this
 	// call: keep a copy.
 	dec, err := frame.DecodeAggregate(hdr, bytes.Clone(body))
@@ -496,10 +496,12 @@ func TestMediumAllocFree(t *testing.T) {
 
 type captureRadio struct{ onAgg func([]byte) }
 
-func (c *captureRadio) CarrierBusy()                                         {}
-func (c *captureRadio) CarrierIdle()                                         {}
-func (c *captureRadio) RxControl(NodeID, frame.Control, float64)             {}
-func (c *captureRadio) RxAggregate(_ NodeID, _ frame.PHYHeader, body []byte) { c.onAgg(body) }
+func (c *captureRadio) CarrierBusy()                             {}
+func (c *captureRadio) CarrierIdle()                             {}
+func (c *captureRadio) RxControl(NodeID, frame.Control, float64) {}
+func (c *captureRadio) RxAggregate(_ NodeID, _ frame.PHYHeader, body []byte, _ *frame.DecodedAggregate) {
+	c.onAgg(body)
+}
 
 func TestDirectedLinkAsymmetry(t *testing.T) {
 	s := sim.NewScheduler(9)

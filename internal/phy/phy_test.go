@@ -289,3 +289,63 @@ func TestErrorCacheSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("cache hit allocates %v times per op, want 0", allocs)
 	}
 }
+
+// FuzzErrorCache drives the memo with arbitrary key streams — sizes from
+// zero up, every rate, offsets either side of the coherence budget, and
+// SNR shifts that include both zeros — and checks every answer, on the miss
+// that stores it, after the table has grown past it, and on a second pass,
+// against the uncached computation bit for bit.
+func FuzzErrorCache(f *testing.F) {
+	f.Add([]byte{8, 200, 10, 0, 8, 200, 10, 1, 0, 0, 130, 2, 0, 0, 0, 0})
+	long := make([]byte, 0, 4*300)
+	for i := 0; i < 300; i++ { // more distinct keys than the initial table holds
+		long = append(long, byte(i*7), byte(i*13), byte(i*3), byte(i))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := DefaultParams()
+		c := NewErrorCache(p)
+		type key struct {
+			n     int
+			r     Rate
+			end   int64
+			shift float64
+		}
+		var keys []key
+		distinct := map[[4]uint64]bool{}
+		for i := 0; i+4 <= len(data) && i < 4*2048; i += 4 {
+			k := key{
+				n:   int(data[i]>>3)<<8 | int(data[i+1]),
+				r:   Rate(data[i] & 7),
+				end: int64(data[i+2]) * 1000,
+			}
+			switch b := data[i+3]; b {
+			case 0:
+				k.shift = 0
+			case 1:
+				k.shift = math.Copysign(0, -1)
+			default:
+				k.shift = float64(int8(b)) / 8
+			}
+			keys = append(keys, k)
+			if k.n != 0 || k.r != 0 || k.end != 0 { // the all-zero key is computed, never stored
+				distinct[[4]uint64{uint64(k.n), uint64(k.r), uint64(k.end), math.Float64bits(k.shift)}] = true
+			}
+		}
+		check := func(pass int) {
+			for _, k := range keys {
+				shifted := p
+				shifted.SNRdB += k.shift
+				want := shifted.ChunkErrorProb(k.n, k.r, k.end)
+				if got := c.ChunkErrorProb(k.n, k.r, k.end, k.shift); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("pass %d: cache(%d,%v,%d,%g) = %v, direct %v", pass, k.n, k.r, k.end, k.shift, got, want)
+				}
+			}
+		}
+		check(0)
+		check(1)
+		if c.Len() != len(distinct) {
+			t.Fatalf("cache holds %d keys, want %d", c.Len(), len(distinct))
+		}
+	})
+}

@@ -7,10 +7,12 @@
 // runs fully deterministic for a given seed.
 //
 // The event core is allocation-free in steady state: events live in a slab
-// recycled through a free list, the priority queue is a value-based 4-ary
-// index heap over slab slots, and Timer handles are generation-stamped
-// values — scheduling, firing and cancelling events never touches the heap
-// allocator once the slab has grown to the run's high-water mark.
+// recycled through a free list, the priority queue is a 4-ary heap whose
+// entries carry their (at, seq) keys inline, so sifting compares contiguous
+// memory and touches the slab only to record positions, and Timer handles
+// are generation-stamped values. Scheduling, firing and cancelling events
+// never touches the heap allocator once the slab has grown to the run's
+// high-water mark.
 // Timer.Stop removes the event from the queue immediately (no lazy-cancel
 // tombstones), so Pending is exact and cancelled slots are reused at once.
 package sim
@@ -27,14 +29,26 @@ import (
 type Time = time.Duration
 
 // event is one slab slot. A slot is queued when pos >= 0; a freed slot bumps
-// gen so stale Timer handles can never cancel its next occupant.
+// gen so stale Timer handles can never cancel its next occupant. Its
+// deadline lives in the queue entry, not here.
 type event struct {
+	fn  func()
+	gen uint32
+	pos int32 // index into Scheduler.queue, -1 when not queued
+}
+
+// entry is one queue element: the event's ordering key held inline, so a
+// sift compares neighbouring entries instead of chasing slab slots.
+type entry struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among equal times
-	fn   func()
-	what string // optional label, used in panic messages
-	gen  uint32
-	pos  int32 // index into Scheduler.queue, -1 when not queued
+	slot int32
+}
+
+// before orders entries by (at, seq). The order is total (seq is unique),
+// so any heap arity yields the same pop sequence.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. It is a
@@ -76,7 +90,7 @@ func (t Timer) Pending() bool {
 type Scheduler struct {
 	now    Time
 	events []event // slab; grows to the high-water mark, then stable
-	queue  []int32 // 4-ary min-heap of slab slots, ordered by (at, seq)
+	queue  []entry // 4-ary min-heap ordered by (at, seq)
 	free   []int32 // recycled slots
 	seq    uint64
 	rng    *rand.Rand
@@ -143,7 +157,8 @@ func (s *Scheduler) PoolStats() (slots, free, pending int) {
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
-// that is always a simulation bug, never a recoverable condition.
+// that is always a simulation bug, never a recoverable condition. what
+// labels the event in that panic's message.
 func (s *Scheduler) At(at Time, what string, fn func()) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", what, at, s.now))
@@ -157,11 +172,10 @@ func (s *Scheduler) At(at Time, what string, fn func()) Timer {
 		slot = int32(len(s.events) - 1)
 	}
 	ev := &s.events[slot]
-	ev.at, ev.seq, ev.fn, ev.what = at, s.seq, fn, what
-	s.seq++
+	ev.fn = fn
 	i := len(s.queue)
-	s.queue = append(s.queue, slot)
-	ev.pos = int32(i)
+	s.queue = append(s.queue, entry{at: at, seq: s.seq, slot: slot})
+	s.seq++
 	s.siftUp(i)
 	return Timer{s: s, slot: slot, gen: ev.gen}
 }
@@ -185,7 +199,7 @@ func (s *Scheduler) PeekTime() (at Time, ok bool) {
 	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return s.events[s.queue[0]].at, true
+	return s.queue[0].at, true
 }
 
 // AdvanceTo moves the clock forward to t without executing anything. The
@@ -207,10 +221,9 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	slot := s.queue[0]
+	at, slot := s.queue[0].at, s.queue[0].slot
 	s.removeAt(0)
-	ev := &s.events[slot]
-	at, fn := ev.at, ev.fn
+	fn := s.events[slot].fn
 	s.release(slot)
 	s.now = at
 	s.ran++
@@ -237,7 +250,7 @@ func (s *Scheduler) RunUntil(end Time) {
 			break
 		}
 		// Peek: queue[0] is the earliest event.
-		if s.events[s.queue[0]].at > end {
+		if s.queue[0].at > end {
 			break
 		}
 		s.Step()
@@ -253,64 +266,53 @@ func (s *Scheduler) release(slot int32) {
 	ev := &s.events[slot]
 	ev.gen++
 	ev.fn = nil
-	ev.what = ""
 	ev.pos = -1
 	s.free = append(s.free, slot)
-}
-
-// less orders two slab slots by (at, seq). The order is total (seq is
-// unique), so any heap arity yields the same pop sequence.
-func (s *Scheduler) less(a, b int32) bool {
-	ea, eb := &s.events[a], &s.events[b]
-	return ea.at < eb.at || (ea.at == eb.at && ea.seq < eb.seq)
 }
 
 // siftUp restores the heap above position i.
 func (s *Scheduler) siftUp(i int) {
 	q := s.queue
-	slot := q[i]
+	e := q[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !s.less(slot, q[p]) {
+		if !e.before(&q[p]) {
 			break
 		}
 		q[i] = q[p]
-		s.events[q[i]].pos = int32(i)
+		s.events[q[i].slot].pos = int32(i)
 		i = p
 	}
-	q[i] = slot
-	s.events[slot].pos = int32(i)
+	q[i] = e
+	s.events[e.slot].pos = int32(i)
 }
 
 // siftDown restores the heap below position i.
 func (s *Scheduler) siftDown(i int) {
 	q := s.queue
 	n := len(q)
-	slot := q[i]
+	e := q[i]
 	for {
 		c := i*4 + 1
 		if c >= n {
 			break
 		}
 		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if s.less(q[j], q[best]) {
+			if q[j].before(&q[best]) {
 				best = j
 			}
 		}
-		if !s.less(q[best], slot) {
+		if !q[best].before(&e) {
 			break
 		}
 		q[i] = q[best]
-		s.events[q[i]].pos = int32(i)
+		s.events[q[i].slot].pos = int32(i)
 		i = best
 	}
-	q[i] = slot
-	s.events[slot].pos = int32(i)
+	q[i] = e
+	s.events[e.slot].pos = int32(i)
 }
 
 // removeAt deletes the queue entry at position i, preserving heap order.
@@ -322,9 +324,9 @@ func (s *Scheduler) removeAt(i int) {
 		return
 	}
 	s.queue[i] = last
-	s.events[last].pos = int32(i)
+	s.events[last.slot].pos = int32(i)
 	s.siftDown(i)
-	if s.queue[i] == last {
+	if s.queue[i].slot == last.slot {
 		s.siftUp(i)
 	}
 }

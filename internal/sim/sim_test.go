@@ -434,3 +434,25 @@ func BenchmarkSchedulerStopChurn(b *testing.B) {
 		tm.Stop()
 	}
 }
+
+// BenchmarkSchedulerDeepChurn is one At plus one Step on a heap held at
+// 512 pending events with spread deadlines, the regime of a large mesh run
+// where every pop sifts through the heap's full depth.
+func BenchmarkSchedulerDeepChurn(b *testing.B) {
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(1+rng.Intn(10000)) * time.Microsecond
+	}
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		s.After(delays[i%len(delays)], "bench", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(delays[i%len(delays)], "bench", fn)
+		s.Step()
+	}
+}

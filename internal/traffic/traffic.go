@@ -155,22 +155,25 @@ type Source interface {
 	Next() (wait time.Duration, bytes int, ok bool)
 }
 
-// New instantiates the model as a Source with its own decoupled random
-// stream. It panics on an invalid model; validate first when the model
-// comes from user input.
+// New instantiates the model as a Source. The kinds that draw (Pareto,
+// Poisson, OnOff) get their own random stream seeded with seed; Bulk and
+// CBR are deterministic and seed none. It panics on an invalid model;
+// validate first when the model comes from user input.
 func (m Model) New(seed int64) Source {
 	if err := m.Validate(); err != nil {
 		panic(err.Error())
 	}
 	d := m.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
 	switch d.Kind {
 	case Bulk:
 		return &bulkSource{bytes: d.Bytes}
-	case Pareto:
-		return &bulkSource{kind: Pareto, bytes: d.sampleParetoBytes(rng)}
 	case CBR:
 		return &cbrSource{model: d}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	switch d.Kind {
+	case Pareto:
+		return &bulkSource{kind: Pareto, bytes: d.sampleParetoBytes(rng)}
 	case Poisson:
 		return &poissonSource{model: d, rng: rng}
 	default: // OnOff

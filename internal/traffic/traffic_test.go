@@ -207,6 +207,17 @@ func TestOnOffHasSilences(t *testing.T) {
 	}
 }
 
+// TestDeterministicModelsSeedNoStream pins New's cost for the kinds that
+// never draw: a bulk or CBR source is its one allocation, with no random
+// source seeded behind it.
+func TestDeterministicModelsSeedNoStream(t *testing.T) {
+	for _, m := range []Model{{Kind: Bulk}, {Kind: CBR}} {
+		if allocs := testing.AllocsPerRun(100, func() { m.New(7) }); allocs != 1 {
+			t.Errorf("Model{Kind: %s}.New allocates %v objects, want 1", m.Kind, allocs)
+		}
+	}
+}
+
 func TestParetoSizes(t *testing.T) {
 	m := Model{Kind: Pareto, Bytes: 30_000, Shape: 1.5, MaxBytes: 3_000_000}
 	var sum, max float64
