@@ -38,7 +38,7 @@
 // every completed cell durably as it lands; -resume additionally serves
 // already-stored cells from the store, so a killed regeneration re-run
 // with the same flags produces byte-identical output to an uninterrupted
-// run; -retries N re-executes transient failures (wall-budget timeouts):
+// run:
 //
 //	aggbench -store results/ -resume -json > eval.json
 //
@@ -87,7 +87,6 @@ func main() {
 		meshTopos  = flag.String("mesh-topos", "", "scaling experiment: comma list of topologies: grid|disk|chains (default grid,disk)")
 		storeDir   = flag.String("store", "", "durable results store directory; completed cells are flushed there as they land")
 		resume     = flag.Bool("resume", false, "serve already-stored cells from -store instead of re-running them")
-		retries    = flag.Int("retries", 0, "extra attempts for transiently failed runs (wall-budget timeouts), with capped exponential backoff")
 	)
 	flag.Parse()
 
@@ -134,10 +133,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aggbench: -resume requires -store")
 		os.Exit(exitUsage)
 	}
-	if *retries < 0 {
-		fmt.Fprintln(os.Stderr, "aggbench: -retries must be >= 0")
-		os.Exit(exitUsage)
-	}
 	// Resolve the experiment selection before touching the store: an unknown
 	// -exp is a usage error and must not create, lock or mutate anything.
 	var selected []experiments.Experiment
@@ -180,7 +175,7 @@ func main() {
 
 	// All validation is done; only now may the store be created and locked.
 	var st *store.Store
-	var cached, executed, retried int
+	var cached, executed int
 	if *storeDir != "" {
 		var err error
 		st, err = store.Open(*storeDir)
@@ -200,16 +195,12 @@ func main() {
 				cached++
 			} else {
 				executed++
-				if p.Attempts > 1 {
-					retried++
-				}
 			}
 			if user != nil {
 				user(p)
 			}
 		}
 	}
-	opts.Retry = runner.RetryPolicy{MaxAttempts: *retries + 1}
 
 	// JSON/CSV need the whole set before encoding; text mode prints each
 	// table as soon as its runs finish.
@@ -231,8 +222,8 @@ func main() {
 		}
 	}
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "aggbench: store %s: %d cell(s) cached, %d executed, %d retried\n",
-			st.Dir(), cached, executed, retried)
+		fmt.Fprintf(os.Stderr, "aggbench: store %s: %d cell(s) cached, %d executed\n",
+			st.Dir(), cached, executed)
 		if c := st.Stats().Corrupt; c > 0 {
 			fmt.Fprintf(os.Stderr, "aggbench: store: quarantined %d corrupt object(s)\n", c)
 		}

@@ -44,10 +44,9 @@
 //
 // Sweeps and scenario runs are crash-safe with -store DIR: every completed
 // cell is flushed durably as it lands, and -resume serves already-stored
-// cells instead of re-running them (see README "Crash-safe sweeps");
-// -retries N re-executes transient failures. Exit codes: 0 success; 1 a
-// run failed (or the store/output did); 2 flag/usage error — usage errors
-// never touch the store.
+// cells instead of re-running them (see README "Crash-safe sweeps").
+// Exit codes: 0 success; 1 a run failed (or the store/output did); 2
+// flag/usage error — usage errors never touch the store.
 package main
 
 import (
@@ -137,7 +136,6 @@ func main() {
 		progress = flag.Bool("progress", false, "sweep: report each completed run on stderr")
 		storeDir = flag.String("store", "", "durable results store directory (sweep and scenario modes); completed cells are flushed there as they land")
 		resume   = flag.Bool("resume", false, "serve already-stored cells from -store instead of re-running them")
-		retries  = flag.Int("retries", 0, "extra attempts for transiently failed runs (wall-budget timeouts), with capped exponential backoff")
 		verbose  = flag.Bool("v", false, "print per-node detail (single run)")
 		doTrace  = flag.Bool("trace", false, "stream the channel timeline to stderr (single, mesh and scenario runs)")
 		traceNds = flag.String("trace-nodes", "", "with -trace: comma list of node IDs; only events touching them are traced")
@@ -195,9 +193,6 @@ func main() {
 	}
 	if *resume && *storeDir == "" {
 		fatal(fmt.Errorf("-resume requires -store"))
-	}
-	if *retries < 0 {
-		fatal(fmt.Errorf("-retries must be >= 0"))
 	}
 	if *storeDir != "" && *doTrace {
 		fatal(fmt.Errorf("-store cannot cache traced runs (drop -trace)"))
@@ -280,7 +275,7 @@ func main() {
 			parallel: *parallel, jsonOut: *jsonOut, progress: *progress,
 			verbose: *verbose, traceTo: traceTo, traceNodes: traceNodes,
 			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			storeDir: *storeDir, resume: *resume, retries: *retries,
+			storeDir: *storeDir, resume: *resume,
 		})
 		return
 	}
@@ -321,7 +316,7 @@ func main() {
 			parallel: *parallel, jsonOut: *jsonOut, progress: *progress,
 			verbose: *verbose, traceTo: traceTo, traceNodes: traceNodes,
 			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			storeDir: *storeDir, resume: *resume, retries: *retries,
+			storeDir: *storeDir, resume: *resume,
 		})
 		return
 	}
@@ -390,7 +385,7 @@ func main() {
 			flood: *flood, parallel: *parallel,
 			noFwd: *noFwd, blockAck: *blockAck, autoAgg: *autoAgg, bcRate: fixedBC,
 			jsonOut: *jsonOut, csvOut: *csvOut, progress: *progress,
-			st: openStore(*storeDir), resume: *resume, retries: *retries,
+			st: openStore(*storeDir), resume: *resume,
 		})
 		return
 	}
@@ -475,7 +470,6 @@ type sweepArgs struct {
 	progress          bool
 	st                *store.Store
 	resume            bool
-	retries           int
 }
 
 func runSweep(a sweepArgs) {
@@ -488,8 +482,7 @@ func runSweep(a sweepArgs) {
 		FixedBroadcastRate: a.bcRate,
 	}
 	specs := sw.Specs()
-	pool := runner.Pool{Workers: a.parallel,
-		Retry: runner.RetryPolicy{MaxAttempts: a.retries + 1}}
+	pool := runner.Pool{Workers: a.parallel}
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}
@@ -537,19 +530,14 @@ func runSweep(a sweepArgs) {
 // (stdout stays byte-identical with and without a warm store; CI's resume
 // gate relies on that).
 func storeSummary(st *store.Store, results []runner.Result) {
-	var cached, executed, retried int
+	cached := 0
 	for _, r := range results {
 		if r.Cached {
 			cached++
-			continue
-		}
-		executed++
-		if r.Attempts > 1 {
-			retried++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "aggsim: store %s: %d cell(s) cached, %d executed, %d retried\n",
-		st.Dir(), cached, executed, retried)
+	fmt.Fprintf(os.Stderr, "aggsim: store %s: %d cell(s) cached, %d executed\n",
+		st.Dir(), cached, len(results)-cached)
 	if c := st.Stats().Corrupt; c > 0 {
 		fmt.Fprintf(os.Stderr, "aggsim: store: quarantined %d corrupt object(s)\n", c)
 	}

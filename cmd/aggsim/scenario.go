@@ -54,7 +54,6 @@ type scenarioArgs struct {
 	metricsIv   time.Duration
 	storeDir    string // "" = no durable store
 	resume      bool
-	retries     int
 }
 
 // adhocScenario assembles a Scenario from CLI flags: the -topo mesh flags
@@ -151,8 +150,7 @@ func runScenarios(a scenarioArgs) {
 		}
 	}
 	st := openStore(a.storeDir)
-	pool := runner.Pool{Workers: a.parallel,
-		Retry: runner.RetryPolicy{MaxAttempts: a.retries + 1}}
+	pool := runner.Pool{Workers: a.parallel}
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}

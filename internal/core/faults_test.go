@@ -9,7 +9,6 @@ import (
 
 	"aggmac/internal/faults"
 	"aggmac/internal/mac"
-	"aggmac/internal/sim"
 	"aggmac/internal/traffic"
 )
 
@@ -166,31 +165,6 @@ func TestRunMeshTCPFaultsRejectsShards(t *testing.T) {
 	}()
 	cfg := quickFaultCfg()
 	cfg.Shards = 2
-	RunMeshTCP(cfg)
-}
-
-// The wall-clock watchdog converts a hung run into a typed panic without
-// perturbing the event order of runs that finish in time.
-func TestRunMeshTCPWallBudget(t *testing.T) {
-	cfg := quickMeshCfg()
-	cfg.WallBudget = time.Hour // generous: must not fire
-	withBudget := RunMeshTCP(cfg)
-	plain := RunMeshTCP(quickMeshCfg())
-	if !reflect.DeepEqual(withBudget, plain) {
-		t.Fatal("an unfired wall budget changed the run")
-	}
-
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("1 ns wall budget did not fire")
-		}
-		if _, ok := r.(*sim.WallBudgetError); !ok {
-			t.Fatalf("panic value %T, want *sim.WallBudgetError", r)
-		}
-	}()
-	cfg = quickMeshCfg()
-	cfg.WallBudget = time.Nanosecond
 	RunMeshTCP(cfg)
 }
 

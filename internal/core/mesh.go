@@ -108,10 +108,6 @@ type MeshTCPConfig struct {
 	// mobility uses. Sequential engine only: Validate rejects it with
 	// Shards > 0.
 	Faults *faults.Config
-	// WallBudget bounds the run's real elapsed time; past it the scheduler
-	// panics with *sim.WallBudgetError (the runner converts that into a
-	// per-run error). 0 means no watchdog.
-	WallBudget time.Duration
 	// Tweak adjusts every node's final MAC options.
 	Tweak func(*mac.Options)
 	// TraceTo streams the channel timeline to the writer; TraceNodes
@@ -479,7 +475,6 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 		registerFlowMetrics(reg, m.Sched, flows)
 	})
 
-	m.Sched.SetWallBudget(cfg.WallBudget)
 	m.Sched.RunUntil(cfg.Deadline)
 
 	dyn.finish(m, set, m.Sched.Now())

@@ -208,9 +208,6 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 		eng.EnableDiag()
 	}
 
-	for _, s := range scheds {
-		s.SetWallBudget(cfg.WallBudget)
-	}
 	eng.Run(cfg.Deadline)
 
 	if cfg.ShardTrace != nil {

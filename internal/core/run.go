@@ -1,10 +1,10 @@
 // The run skeleton every entry point shares. Each Run function builds its
 // network, attaches the tracer (attachTrace), creates its transport
 // (newStacks), schedules its own traffic and dynamics, starts telemetry
-// (startMetrics, in metrics.go), arms the wall-clock watchdog and runs;
-// nodeReports snapshots the nodes afterwards. The order matters: it fixes
-// where each scheduled event lands in the scheduler's FIFO tie-break, and
-// so keeps the golden event sequences.
+// (startMetrics, in metrics.go) and runs; nodeReports snapshots the nodes
+// afterwards. The order matters: it fixes where each scheduled event lands
+// in the scheduler's FIFO tie-break, and so keeps the golden event
+// sequences.
 package core
 
 import (

@@ -52,9 +52,6 @@ type ScenarioConfig struct {
 	TCP tcp.Config
 	// Phy overrides the channel constants; nil means calibrated defaults.
 	Phy *phy.Params
-	// WallBudget bounds the run's real elapsed time (see
-	// MeshTCPConfig.WallBudget). 0 means no watchdog.
-	WallBudget time.Duration
 }
 
 // ScenarioFlowReport is one flow's outcome.
@@ -209,7 +206,6 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		reg.Gauge("scn.flows_completed", func() float64 { return float64(e.completed) })
 	})
 
-	m.Sched.SetWallBudget(cfg.WallBudget)
 	// An open-loop run whose first arrival already falls past the window
 	// halts synchronously above; RunUntil resets the scheduler's halt
 	// flag on entry, so it must not run at all in that case.

@@ -48,6 +48,9 @@ func TestValidate(t *testing.T) {
 		{"negative fault mean", mesh(func(c *MeshTCPConfig) {
 			c.Faults = &faults.Config{CrashMTBF: -5 * time.Second}
 		}), "crash MTBF"},
+		{"negative SNR burst penalty", mesh(func(c *MeshTCPConfig) {
+			c.Faults = &faults.Config{SNRBurstMTBF: 5 * time.Second, SNRBurstDB: -20}
+		}), "SNR burst penalty -20 dB is negative"},
 		{"bad partition axis", mesh(func(c *MeshTCPConfig) {
 			c.Faults = &faults.Config{Partitions: []faults.Partition{{Duration: time.Second, Axis: "z"}}}
 		}), `axis "z"`},

@@ -62,9 +62,6 @@ type Options struct {
 	Cache runner.Cache
 	// Resume enables cache lookups (writes happen whenever Cache is set).
 	Resume bool
-	// Retry re-executes transient per-run failures (wall-budget timeouts)
-	// with capped exponential backoff; zero value never retries.
-	Retry runner.RetryPolicy
 	// MeshSizes overrides the scaling experiment's network sizes
 	// (default 25, 100, 400); cmd/aggbench's -mesh-sizes flag sets it.
 	MeshSizes []int
@@ -148,7 +145,7 @@ func (p *plan) scenario(key string, cfg core.ScenarioConfig, sink func(core.Scen
 // serial loops would have done.
 func (p *plan) run(o Options) {
 	pool := runner.Pool{Workers: o.Workers, OnResult: o.Progress,
-		Cache: o.Cache, Resume: o.Resume, Retry: o.Retry}
+		Cache: o.Cache, Resume: o.Resume}
 	res, err := pool.Run(context.Background(), p.specs)
 	if err != nil {
 		panic(err)

@@ -131,6 +131,9 @@ func (c *Config) Validate() error {
 	if err := check("SNR burst", c.SNRBurstMTBF, c.SNRBurstMTTR); err != nil {
 		return err
 	}
+	if c.SNRBurstDB < 0 {
+		return fmt.Errorf("faults: SNR burst penalty %g dB is negative", c.SNRBurstDB)
+	}
 	for i := range c.Partitions {
 		p := &c.Partitions[i]
 		if p.Axis == "" {

@@ -302,6 +302,7 @@ func TestValidate(t *testing.T) {
 		{CrashMTBF: time.Second, CrashMTTR: time.Microsecond},
 		{FlapMTBF: 500 * time.Microsecond},
 		{SNRBurstMTBF: time.Second, SNRBurstMTTR: time.Microsecond},
+		{SNRBurstMTBF: 5 * time.Second, SNRBurstDB: -20},
 		{Partitions: []Partition{{Start: 0, Duration: time.Second, Axis: "z"}}},
 		{Partitions: []Partition{{Start: -time.Second, Duration: time.Second}}},
 		{Partitions: []Partition{{Start: time.Second, Duration: 0}}},

@@ -568,13 +568,6 @@ func (m *MAC) completeSuccess() {
 	m.maybeStartAccess()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---- medium.Radio implementation ----
 
 // CarrierBusy implements medium.Radio.

@@ -63,8 +63,8 @@ type Radio interface {
 	CarrierBusy()
 	CarrierIdle()
 	// RxControl delivers a control frame that survived the channel, with
-	// the received SNR (Hydra's PHY reports it; rate adaptation feeds on
-	// the RTS/CTS measurements).
+	// the received SNR as Hydra's PHY reports it. The MAC ignores the SNR;
+	// the medium's equivalence tests record it.
 	RxControl(src NodeID, c frame.Control, snrdB float64)
 	// RxAggregate delivers an aggregate at the end of its airtime: its PHY
 	// header, its (possibly corrupted) body bytes, and dec, those bytes

@@ -14,7 +14,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -22,8 +21,6 @@ import (
 	"time"
 
 	"aggmac/internal/core"
-	"aggmac/internal/sim"
-	"aggmac/internal/telemetry"
 	"aggmac/internal/traffic"
 )
 
@@ -35,12 +32,6 @@ type Spec struct {
 	UDP      *core.UDPConfig
 	Mesh     *core.MeshTCPConfig
 	Scenario *core.ScenarioConfig
-	// Timeout, when positive, bounds the run's wall-clock time: a run that
-	// exceeds it fails loudly with a *sim.WallBudgetError in Result.Err
-	// instead of hanging its worker (and with it the whole sweep). Applied
-	// to Mesh and Scenario runs; the fixed-duration TCP/UDP point runs
-	// ignore it. The watchdog never affects what a surviving run computes.
-	Timeout time.Duration
 }
 
 // Result is one completed run, indexed by its spec's position.
@@ -54,21 +45,12 @@ type Result struct {
 	// Wall is the wall-clock cost of this run (not simulated time).
 	Wall time.Duration
 	// Err is non-nil when the spec was malformed, the sim panicked, or the
-	// sweep was cancelled before this run started. Classify(Err) (also
-	// exposed as ErrClass) separates transient failures — wall-budget
-	// timeouts a retry could clear — from deterministic ones.
+	// sweep was cancelled before this run started.
 	Err error
-	// Attempts counts how many times the spec executed: 1 for a first-try
-	// success or a deterministic failure, >1 when transient failures were
-	// retried, 0 when the result was served from the cache.
-	Attempts int
 	// Cached reports the result was served from the Pool's Cache without
-	// executing; Wall is then ~0 and Attempts 0.
+	// executing; Wall is then 0.
 	Cached bool
 }
-
-// ErrClass classifies the result's error (see Classify).
-func (r Result) ErrClass() ErrClass { return Classify(r.Err) }
 
 // ThroughputMbps returns the run's headline metric: end-to-end TCP goodput,
 // UDP sink goodput, or a mesh run's aggregate goodput across its flows.
@@ -94,11 +76,10 @@ type Progress struct {
 	Index int
 	Key   string
 	Wall  time.Duration
-	// Cached and Attempts mirror the completed Result, so reporters (and
-	// the CLIs' resume summaries) can distinguish cache hits and retried
-	// cells without holding the results slice.
-	Cached   bool
-	Attempts int
+	// Cached mirrors the completed Result, so reporters (and the CLIs'
+	// resume summaries) can tell cache hits from executed cells without
+	// holding the results slice.
+	Cached bool
 	// Elapsed is the wall time since the sweep started, measured when this
 	// completion was reported, so reporters can derive a completion rate
 	// and an ETA. Zero only for reporters invoked outside Pool.Run.
@@ -122,6 +103,16 @@ func StderrProgress(p Progress) {
 	fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)%s\n", p.Done, p.Total, p.Key, p.Wall.Round(time.Millisecond), rate)
 }
 
+// Cache is a durable results store consulted and fed by the Pool (see
+// internal/store for the on-disk implementation). Lookup returns the
+// previously stored result for a spec's cell; Store persists a completed
+// one. Implementations must be safe for concurrent use and must only be
+// handed successful results.
+type Cache interface {
+	Lookup(Spec) (Result, bool, error)
+	Store(Spec, Result) error
+}
+
 // Pool executes specs across Workers goroutines.
 type Pool struct {
 	// Workers is the concurrency cap; <=0 means GOMAXPROCS.
@@ -136,15 +127,6 @@ type Pool struct {
 	Cache Cache
 	// Resume enables cache lookups (Cache writes happen regardless).
 	Resume bool
-	// Retry re-executes transient failures (wall-budget timeouts, context
-	// deadlines) with capped exponential backoff; the zero value never
-	// retries. Retried runs are bit-identical to first-try runs: the spec —
-	// and with it the derived seed — never changes between attempts.
-	Retry RetryPolicy
-	// Telemetry, when set, receives sweep-level counters (runner.runs,
-	// runner.cache_hits, runner.retries). Counters are atomic, so one
-	// registry may be shared by all workers; nil disables the accounting.
-	Telemetry *telemetry.Registry
 
 	// execute is a test seam for fault injection; nil means runOne.
 	execute func(int, Spec) Result
@@ -177,11 +159,6 @@ func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 		return results, ctx.Err()
 	}
 
-	// Nil-receiver handles make the increments below unconditional: with no
-	// Telemetry registry each Add is a single predictable branch.
-	runs := p.Telemetry.Counter("runner.runs")
-	cacheHits := p.Telemetry.Counter("runner.cache_hits")
-	retries := p.Telemetry.Counter("runner.retries")
 	start := time.Now()
 
 	idxCh := make(chan int)
@@ -210,14 +187,7 @@ func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 				if ctx.Err() != nil {
 					return
 				}
-				results[i] = p.runSpec(ctx, i, specs[i], noteCacheErr)
-				runs.Add(1)
-				if results[i].Cached {
-					cacheHits.Add(1)
-				}
-				if results[i].Attempts > 1 {
-					retries.Add(uint64(results[i].Attempts - 1))
-				}
+				results[i] = p.runSpec(i, specs[i], noteCacheErr)
 				// Flush the completed cell durably before reporting it, so
 				// a kill at any point loses at most the in-flight runs.
 				if p.Cache != nil && results[i].Err == nil && !results[i].Cached {
@@ -230,8 +200,7 @@ func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 					done++
 					p.OnResult(Progress{Done: done, Total: len(specs),
 						Index: i, Key: specs[i].Key, Wall: results[i].Wall,
-						Cached: results[i].Cached, Attempts: results[i].Attempts,
-						Elapsed: time.Since(start)})
+						Cached: results[i].Cached, Elapsed: time.Since(start)})
 					mu.Unlock()
 				}
 			}
@@ -255,10 +224,9 @@ func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 }
 
 // runSpec serves one spec from the cache when allowed, otherwise executes
-// it, retrying transient failures under the pool's policy. The spec — and
-// with it the derived seed — is identical on every attempt, so a retried
-// run reproduces the first attempt's result bit for bit.
-func (p *Pool) runSpec(ctx context.Context, i int, s Spec, noteCacheErr func(error)) Result {
+// it once: a run is a pure function of its spec, so executing it again
+// could only reproduce the same result or the same error.
+func (p *Pool) runSpec(i int, s Spec, noteCacheErr func(error)) Result {
 	if p.Cache != nil && p.Resume {
 		switch r, ok, err := p.Cache.Lookup(s); {
 		case err != nil:
@@ -267,34 +235,19 @@ func (p *Pool) runSpec(ctx context.Context, i int, s Spec, noteCacheErr func(err
 			r.Index = i
 			r.Key = s.Key
 			r.Cached = true
-			r.Attempts = 0
 			r.Wall = 0
 			return r
 		}
 	}
-	exec := p.execute
-	if exec == nil {
-		exec = runOne
+	if p.execute != nil {
+		return p.execute(i, s)
 	}
-	var res Result
-	for attempt := 1; ; attempt++ {
-		res = exec(i, s)
-		res.Attempts = attempt
-		if res.Err == nil || Classify(res.Err) != ClassTransient ||
-			attempt >= p.Retry.maxAttempts() || ctx.Err() != nil {
-			return res
-		}
-		p.Retry.sleep(p.Retry.backoff(attempt))
-	}
+	return runOne(i, s)
 }
 
 // runOne executes a single spec, converting panics into Result.Err so a
 // diverging cell reports instead of killing the whole sweep. Error panic
-// values are wrapped with %w, so a wall-budget timeout keeps its typed
-// identity (*sim.WallBudgetError) and classifies as transient; and a panic
-// recovered after an error was already recorded appends to it rather than
-// overwriting it — a later watchdog fire can never silently eat the
-// original message.
+// values are wrapped with %w, so callers can still match them.
 func runOne(i int, s Spec) (res Result) {
 	start := time.Now()
 	res = Result{Index: i, Key: s.Key}
@@ -305,19 +258,8 @@ func runOne(i int, s Spec) (res Result) {
 			return
 		}
 		res.TCP, res.UDP, res.Mesh, res.Scenario = nil, nil, nil, nil
-		if res.Err != nil {
-			// Keep the first error primary (it drives classification);
-			// record the panic alongside instead of replacing it.
-			res.Err = fmt.Errorf("%w (followed by panic: %v)", res.Err, r)
-			return
-		}
 		if err, ok := r.(error); ok {
-			var wb *sim.WallBudgetError
-			if errors.As(err, &wb) {
-				res.Err = fmt.Errorf("runner: run %q timed out: %w", s.Key, err)
-			} else {
-				res.Err = fmt.Errorf("runner: run %q panicked: %w", s.Key, err)
-			}
+			res.Err = fmt.Errorf("runner: run %q panicked: %w", s.Key, err)
 			return
 		}
 		res.Err = fmt.Errorf("runner: run %q panicked: %v", s.Key, r)
@@ -332,8 +274,7 @@ func runOne(i int, s Spec) (res Result) {
 		res.Err = fmt.Errorf("runner: spec %q must set exactly one of TCP, UDP, Mesh or Scenario", s.Key)
 		return res
 	}
-	// An invalid config reports its reason, not a panic; the error is
-	// deterministic, so it is never retried.
+	// An invalid config reports its reason, not a panic.
 	var spec interface{ Validate() error }
 	switch {
 	case s.TCP != nil:
@@ -357,18 +298,10 @@ func runOne(i int, s Spec) (res Result) {
 		r := core.RunUDP(*s.UDP)
 		res.UDP = &r
 	case s.Mesh != nil:
-		cfg := *s.Mesh
-		if s.Timeout > 0 && cfg.WallBudget == 0 {
-			cfg.WallBudget = s.Timeout
-		}
-		r := core.RunMeshTCP(cfg)
+		r := core.RunMeshTCP(*s.Mesh)
 		res.Mesh = &r
 	default:
-		cfg := *s.Scenario
-		if s.Timeout > 0 && cfg.WallBudget == 0 {
-			cfg.WallBudget = s.Timeout
-		}
-		r := core.RunScenario(cfg)
+		r := core.RunScenario(*s.Scenario)
 		res.Scenario = &r
 	}
 	return res

@@ -2,9 +2,9 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,13 +208,13 @@ func TestScenarioSpec(t *testing.T) {
 }
 
 // TestInvalidSpecReportsValidateError: an invalid config of any kind fails
-// with its Validate reason, not as a panic, and is not retried.
+// with its Validate reason, not as a panic.
 func TestInvalidSpecReportsValidateError(t *testing.T) {
 	tcpCfg := &core.TCPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Hops: -1, Seed: 1}
 	udpCfg := &core.UDPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Hops: 1, TraceFormat: "xml", Seed: 1}
 	mesh := &core.MeshTCPConfig{Scheme: mac.BA, Rate: phy.Rate2600k, Shards: -1, Seed: 1}
 	scn := &core.ScenarioConfig{Scheme: mac.BA, Scenario: traffic.Scenario{Version: traffic.SchemaVersion}}
-	pool := Pool{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3}}
+	pool := Pool{Workers: 1}
 	res, err := pool.Run(context.Background(), []Spec{
 		{Key: "t", TCP: tcpCfg}, {Key: "u", UDP: udpCfg}, {Key: "m", Mesh: mesh}, {Key: "s", Scenario: scn}})
 	if err != nil {
@@ -225,9 +225,6 @@ func TestInvalidSpecReportsValidateError(t *testing.T) {
 		want := `runner: spec "` + r.Key + `": ` + cfg.Validate().Error()
 		if r.Err == nil || r.Err.Error() != want {
 			t.Errorf("%s: error %v, want %q", r.Key, r.Err, want)
-		}
-		if r.Attempts != 1 || Classify(r.Err) != ClassDeterministic {
-			t.Errorf("%s: %d attempts, class %v; want one deterministic attempt", r.Key, r.Attempts, Classify(r.Err))
 		}
 	}
 }
@@ -246,6 +243,30 @@ func TestPanicIsolated(t *testing.T) {
 	}
 	if res[1].Err != nil || res[1].TCP == nil {
 		t.Errorf("healthy run poisoned by neighbour: err=%v", res[1].Err)
+	}
+}
+
+// TestNoRetryDeterministic: a failing run executes exactly once and keeps
+// its original message. Runs are pure functions of their spec, so
+// executing one again could only reproduce the same error.
+func TestNoRetryDeterministic(t *testing.T) {
+	execs := 0
+	pool := Pool{
+		Workers: 1,
+		execute: func(i int, s Spec) Result {
+			execs++
+			return Result{Index: i, Key: s.Key, Err: errors.New("sim panicked: divide by zero")}
+		},
+	}
+	res, err := pool.Run(context.Background(), []Spec{{Key: "cell"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if execs != 1 {
+		t.Errorf("executions = %d, want 1", execs)
+	}
+	if r := res[0]; r.Err == nil || r.Err.Error() != "sim panicked: divide by zero" {
+		t.Errorf("error message not preserved: %v", r.Err)
 	}
 }
 
@@ -388,33 +409,5 @@ func TestMobileMeshSpecDeterministicAcrossWorkers(t *testing.T) {
 		if base[i].Mesh.RouteRecomputes == 0 {
 			t.Errorf("run %d: mobility never ticked", i)
 		}
-	}
-}
-
-// TestSpecTimeout: a hung run fails loudly instead of wedging the sweep —
-// the wall-clock watchdog converts it into a per-run error naming the
-// budget — while a generous timeout changes nothing about the result.
-func TestSpecTimeout(t *testing.T) {
-	mesh := &core.MeshTCPConfig{
-		Scheme: mac.BA, Rate: phy.Rate2600k,
-		Topology: core.MeshGrid, Nodes: 9, Flows: 2,
-		FileBytes: 8_000, Seed: 1,
-	}
-	res := run(t, 1, []Spec{
-		{Key: "hung", Mesh: mesh, Timeout: time.Nanosecond},
-		{Key: "fine", Mesh: mesh, Timeout: time.Hour},
-		{Key: "plain", Mesh: mesh},
-	})
-	if res[0].Err == nil || res[0].Mesh != nil {
-		t.Fatalf("1 ns timeout did not fail the run: %+v", res[0])
-	}
-	if !strings.Contains(res[0].Err.Error(), "wall-clock budget") {
-		t.Errorf("timeout error does not name the budget: %v", res[0].Err)
-	}
-	if res[1].Err != nil || res[2].Err != nil {
-		t.Fatalf("later specs affected: %v / %v", res[1].Err, res[2].Err)
-	}
-	if !reflect.DeepEqual(res[1].Mesh, res[2].Mesh) {
-		t.Error("an unfired timeout changed the run's result")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"aggmac/internal/core"
-	"aggmac/internal/telemetry"
 )
 
 // TestProgressElapsed: every progress report carries positive, monotone
@@ -42,42 +41,6 @@ func TestProgressElapsed(t *testing.T) {
 		if i > 0 && e < elapsed[i-1] {
 			t.Fatalf("Elapsed not monotone under the progress lock: %v", elapsed)
 		}
-	}
-}
-
-// TestPoolTelemetryCounters: the pool's shared registry counts runs, cache
-// hits and retry attempts across workers.
-func TestPoolTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRecorder(time.Second).Registry(0)
-	attempt := map[string]int{}
-	var mu sync.Mutex
-	pool := Pool{
-		Workers:   3,
-		Telemetry: reg,
-		Retry:     RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}},
-		execute: func(i int, s Spec) Result {
-			mu.Lock()
-			attempt[s.Key]++
-			n := attempt[s.Key]
-			mu.Unlock()
-			if s.Key == "flaky" && n == 1 {
-				return Result{Index: i, Key: s.Key, Err: transientErr()}
-			}
-			return Result{Index: i, Key: s.Key, TCP: &core.TCPResult{ThroughputMbps: 1}}
-		},
-	}
-	specs := []Spec{{Key: "a"}, {Key: "flaky"}, {Key: "c"}, {Key: "d"}}
-	if _, err := pool.Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("runner.runs").Value(); got != 4 {
-		t.Errorf("runner.runs = %d, want 4", got)
-	}
-	if got := reg.Counter("runner.retries").Value(); got != 1 {
-		t.Errorf("runner.retries = %d, want 1", got)
-	}
-	if got := reg.Counter("runner.cache_hits").Value(); got != 0 {
-		t.Errorf("runner.cache_hits = %d, want 0", got)
 	}
 }
 

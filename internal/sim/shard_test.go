@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -173,18 +174,33 @@ func TestShardEngineSingleShardMatchesSequential(t *testing.T) {
 	}
 }
 
+// errShardBoom is the panic value shard 1 raises mid-run.
+var errShardBoom = errors.New("shard 1: boom")
+
 // TestShardEnginePanicPropagates: a panic on one shard mid-run ends the
 // run at the next barrier, Run re-panics with that same value, and no
-// worker goroutine outlives it. Here shard 1's wall-clock watchdog fires,
-// the path a runner timeout takes on a sharded run.
+// worker goroutine outlives it. Here shard 1's 2000th tick panics with a
+// sentinel error, the path a diverging cell takes on a sharded run.
 func TestShardEnginePanicPropagates(t *testing.T) {
+	const panicTick = 2000
 	e, scheds, _ := buildPingMesh(3, 42, 3)
-	for _, s := range scheds {
+	var (
+		panicEvents uint64
+		panicAt     Time
+	)
+	for i, s := range scheds {
+		ticks := 0
 		var tick func()
-		tick = func() { s.After(time.Microsecond, "tick", tick) }
+		tick = func() {
+			ticks++
+			if i == 1 && ticks == panicTick {
+				panicEvents, panicAt = s.EventsRun(), s.Now()
+				panic(errShardBoom)
+			}
+			s.After(time.Microsecond, "tick", tick)
+		}
 		s.At(0, "tick", tick)
 	}
-	scheds[1].SetWallBudget(time.Nanosecond)
 
 	before := runtime.NumGoroutine()
 	var got any
@@ -192,21 +208,20 @@ func TestShardEnginePanicPropagates(t *testing.T) {
 		defer func() { got = recover() }()
 		e.Run(50 * time.Millisecond)
 	}()
-	wb, ok := got.(*WallBudgetError)
-	if !ok {
-		t.Fatalf("Run panicked with %#v, want *WallBudgetError", got)
+	// Identity, not just errors.Is: any other value would mean Run
+	// re-wrapped the panic.
+	if got != errShardBoom {
+		t.Fatalf("Run panicked with %#v, want the shard's own %v", got, errShardBoom)
 	}
-	// The watchdog samples every 4096 events, so the first check is the
-	// one that fires; any other value would mean Run re-wrapped the panic.
-	if wb.Budget != time.Nanosecond || wb.Events != 4096 {
-		t.Fatalf("re-panicked with %+v, want the shard's own error (budget 1ns, 4096 events)", *wb)
+	if panicEvents == 0 {
+		t.Fatalf("shard 1 never reached tick %d", panicTick)
 	}
-	if scheds[1].EventsRun() != 4096 {
-		t.Fatalf("shard 1 ran %d events after its panic, want 4096", scheds[1].EventsRun())
+	if scheds[1].EventsRun() != panicEvents {
+		t.Fatalf("shard 1 ran %d events, want %d: it kept running after its panic", scheds[1].EventsRun(), panicEvents)
 	}
 	for i, s := range scheds {
-		if s.Now() >= wb.SimTime+testLook {
-			t.Fatalf("shard %d reached %v; the run should stop at the barrier after %v", i, s.Now(), wb.SimTime)
+		if s.Now() >= panicAt+testLook {
+			t.Fatalf("shard %d reached %v; the run should stop at the barrier after %v", i, s.Now(), panicAt)
 		}
 	}
 	// A worker signals its exit to Run just before it returns, so give the

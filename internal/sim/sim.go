@@ -96,37 +96,6 @@ type Scheduler struct {
 	rng    *rand.Rand
 	ran    uint64
 	halted bool
-
-	wallBudget time.Duration // 0: no watchdog
-	wallStart  time.Time
-}
-
-// WallBudgetError reports a run that exceeded its wall-clock budget. It is
-// raised as a panic from Step so a hung simulation fails loudly mid-run;
-// the runner's recover converts it into a per-run error, so one
-// pathological cell reports instead of stalling a whole sweep.
-type WallBudgetError struct {
-	// Budget is the configured wall-clock allowance.
-	Budget time.Duration
-	// SimTime and Events locate how far the run got.
-	SimTime Time
-	Events  uint64
-}
-
-func (e *WallBudgetError) Error() string {
-	return fmt.Sprintf("sim: wall-clock budget %v exceeded at simulated %v after %d events",
-		e.Budget, e.SimTime, e.Events)
-}
-
-// SetWallBudget arms a wall-clock watchdog: once more than d of real time
-// elapses (measured from this call), Step panics with a *WallBudgetError.
-// The check samples the wall clock every few thousand events, so the
-// overhead on healthy runs is negligible and event order is never
-// affected — the watchdog only decides whether the run survives, not what
-// it computes. d <= 0 disarms.
-func (s *Scheduler) SetWallBudget(d time.Duration) {
-	s.wallBudget = d
-	s.wallStart = time.Now()
 }
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
@@ -227,9 +196,6 @@ func (s *Scheduler) Step() bool {
 	s.release(slot)
 	s.now = at
 	s.ran++
-	if s.wallBudget > 0 && s.ran&4095 == 0 && time.Since(s.wallStart) > s.wallBudget {
-		panic(&WallBudgetError{Budget: s.wallBudget, SimTime: s.now, Events: s.ran})
-	}
 	fn()
 	return true
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"time"
 
 	"aggmac/internal/core"
 	"aggmac/internal/runner"
@@ -24,7 +23,6 @@ import (
 // never collide. Spec.Key is deliberately excluded: the key only matters
 // through the seed it derived, and the seed is part of the config.
 type specEnvelope struct {
-	Timeout  time.Duration
 	TCP      *core.TCPConfig
 	UDP      *core.UDPConfig
 	Mesh     *core.MeshTCPConfig
@@ -38,8 +36,7 @@ type specEnvelope struct {
 // hook and serves a result the hook would have changed.
 func SpecID(s runner.Spec) (string, error) {
 	env, err := canonical(reflect.ValueOf(specEnvelope{
-		Timeout: s.Timeout,
-		TCP:     s.TCP, UDP: s.UDP, Mesh: s.Mesh, Scenario: s.Scenario,
+		TCP: s.TCP, UDP: s.UDP, Mesh: s.Mesh, Scenario: s.Scenario,
 	}))
 	if err != nil {
 		return "", fmt.Errorf("store: spec %q is not cacheable: %w", s.Key, err)

@@ -1,5 +1,5 @@
-// Package telemetry is the deterministic observability layer: counters,
-// gauges and fixed-bucket histograms registered per component, sampled
+// Package telemetry is the deterministic observability layer: gauges
+// and fixed-bucket histograms registered per component, sampled
 // into time-series on simulated-time scheduler ticks, exported as
 // versioned JSONL and summarized into the CLIs' -json envelopes.
 //
@@ -22,12 +22,10 @@
 // Concurrency contract. A Registry is confined to one scheduler: its
 // gauges and histograms are read and written only by that scheduler's
 // event loop (sharded runs use one Registry per shard, keyed by shard
-// index). Counters alone are atomic, so layers that complete work on
-// foreign goroutines — the runner's worker pool — may share them.
+// index).
 package telemetry
 
 import (
-	"sync/atomic"
 	"time"
 
 	"aggmac/internal/sim"
@@ -82,15 +80,12 @@ type Registry struct {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindHist
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
-		return "counter"
 	case kindGauge:
 		return "gauge"
 	default:
@@ -99,13 +94,12 @@ func (k metricKind) String() string {
 }
 
 type metric struct {
-	name    string
-	kind    metricKind
-	counter *Counter
-	gauge   func() float64
-	hist    *Histogram
+	name  string
+	kind  metricKind
+	gauge func() float64
+	hist  *Histogram
 
-	samples []float64  // one scalar per tick (counter, gauge)
+	samples []float64  // one scalar per tick (gauge)
 	ticks   []histTick // one snapshot per tick (hist)
 }
 
@@ -113,29 +107,6 @@ type histTick struct {
 	count   uint64
 	sum     float64
 	buckets []uint64
-}
-
-// Counter is a monotonically increasing count. Add is atomic and
-// nil-safe, so a nil Counter (metrics disabled) is a no-op handle.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n. Safe on a nil receiver and from any
-// goroutine.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value reads the current count; 0 on a nil receiver.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
 }
 
 // Histogram accumulates observations into fixed buckets chosen at
@@ -162,20 +133,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[i]++
 	h.count++
 	h.sum += v
-}
-
-// Counter registers (or returns the existing) counter under name.
-// Returns a nil — still usable — handle on a nil Registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if m := r.byName[name]; m != nil {
-		return m.counter
-	}
-	c := &Counter{}
-	r.register(&metric{name: name, kind: kindCounter, counter: c})
-	return c
 }
 
 // Gauge registers a sampled read-out. fn runs on sampler ticks, on the
@@ -245,8 +202,6 @@ func (r *Registry) sample(now time.Duration) {
 	r.times = append(r.times, now)
 	for _, m := range r.metrics {
 		switch m.kind {
-		case kindCounter:
-			m.samples = append(m.samples, float64(m.counter.Value()))
 		case kindGauge:
 			m.samples = append(m.samples, m.gauge())
 		case kindHist:

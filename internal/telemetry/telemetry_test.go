@@ -14,14 +14,6 @@ import (
 // must be a safe no-op: that is the entire metrics-off fast path.
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
-	c := reg.Counter("c")
-	if c != nil {
-		t.Fatalf("nil registry returned non-nil counter")
-	}
-	c.Add(3)
-	if got := c.Value(); got != 0 {
-		t.Fatalf("nil counter Value = %d, want 0", got)
-	}
 	reg.Gauge("g", func() float64 { return 1 })
 	h := reg.Histogram("h", []float64{1, 2})
 	if h != nil {
@@ -39,19 +31,20 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestCounterAndGaugeSampling(t *testing.T) {
+func TestGaugeSampling(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	rec := NewRecorder(10 * time.Millisecond)
 	reg := rec.Registry(0)
-	c := reg.Counter("events")
+	events := 0
+	reg.Gauge("events", func() float64 { return float64(events) })
 	g := 0.0
 	reg.Gauge("level", func() float64 { return g })
 
-	// Bump the counter and gauge between ticks via scheduled events.
+	// Bump the count and level between ticks via scheduled events.
 	for i := 1; i <= 5; i++ {
 		i := i
 		sched.At(sim.Time(i)*sim.Time(10*time.Millisecond)-1, "bump", func() {
-			c.Add(uint64(i))
+			events += i
 			g = float64(i)
 		})
 	}
@@ -66,9 +59,9 @@ func TestCounterAndGaugeSampling(t *testing.T) {
 	for _, m := range s.Metrics {
 		byName[m.Name] = m
 	}
-	// Counter samples are cumulative: 1, 3, 6, 10, 15.
+	// A gauge over a running count samples it cumulatively: 1, 3, 6, 10, 15.
 	if m := byName["events"]; m.Last != 15 || m.Min != 1 || m.Max != 15 {
-		t.Fatalf("counter summary = %+v, want last=15 min=1 max=15", m)
+		t.Fatalf("count summary = %+v, want last=15 min=1 max=15", m)
 	}
 	if m := byName["level"]; m.Last != 5 || m.Min != 1 || m.Max != 5 || m.Mean != 3 {
 		t.Fatalf("gauge summary = %+v, want last=5 min=1 max=5 mean=3", m)
@@ -114,10 +107,15 @@ func TestRegistryDedupAndGaps(t *testing.T) {
 	if rec.Registry(2) != reg {
 		t.Fatalf("Registry(2) not stable across calls")
 	}
-	c1 := reg.Counter("dup")
-	c2 := reg.Counter("dup")
-	if c1 != c2 {
-		t.Fatalf("duplicate counter registration returned distinct handles")
+	h1 := reg.Histogram("dup", []float64{1})
+	h2 := reg.Histogram("dup", []float64{2})
+	if h1 != h2 {
+		t.Fatalf("duplicate histogram registration returned distinct handles")
+	}
+	reg.Gauge("g", func() float64 { return 1 })
+	reg.Gauge("g", func() float64 { return 2 })
+	if len(reg.metrics) != 2 {
+		t.Fatalf("duplicate registrations added series: %d metrics, want 2", len(reg.metrics))
 	}
 }
 
@@ -128,11 +126,12 @@ func sampleRun(t *testing.T) []byte {
 	sched := sim.NewScheduler(7)
 	rec := NewRecorder(5 * time.Millisecond)
 	reg := rec.Registry(0)
-	c := reg.Counter("n")
+	n := 0
+	reg.Gauge("n", func() float64 { return float64(n) })
 	reg.Gauge("g", func() float64 { return float64(sched.Now()) })
 	h := reg.Histogram("h", []float64{100, 200})
 	sched.After(time.Millisecond, "work", func() {
-		c.Add(2)
+		n += 2
 		h.Observe(150)
 		h.Observe(999)
 	})

@@ -114,45 +114,54 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}
 }
 
-var summaryRe = regexp.MustCompile(`(\d+) cell\(s\) cached, (\d+) executed, (\d+) retried`)
+var summaryRe = regexp.MustCompile(`(\d+) cell\(s\) cached, (\d+) executed`)
 
-// TestAggsimSweepResumeSummary: an aggsim sweep re-run on the store its
-// first run filled serves every cell from the store, executes none, and
-// prints byte-identical stdout.
+// TestAggsimSweepResumeSummary: an aggsim sweep or scenario run re-run on
+// the store its first run filled serves every cell from the store,
+// executes none, and prints byte-identical stdout.
 func TestAggsimSweepResumeSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds subprocesses")
 	}
 	bin := buildBinary(t, "./cmd/aggsim")
-	storeDir := filepath.Join(t.TempDir(), "results")
-	args := []string{"-traffic", "tcp", "-scheme", "na,ba", "-hops", "1,2", "-file", "20000",
-		"-json", "-store", storeDir, "-resume"}
+	cases := []struct {
+		name  string
+		args  []string
+		cells string
+	}{
+		{"sweep", []string{"-traffic", "tcp", "-scheme", "na,ba", "-hops", "1,2", "-file", "20000", "-json"}, "4"},
+		{"scenario", []string{"-scenario", "examples/scenarios/web-open.json", "-json"}, "3"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			args := slices.Concat(c.args, []string{"-store", filepath.Join(t.TempDir(), "results"), "-resume"})
+			run := func() (stdout []byte, summary []string) {
+				t.Helper()
+				var out, errb bytes.Buffer
+				cmd := exec.Command(bin, args...)
+				cmd.Stdout, cmd.Stderr = &out, &errb
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("aggsim %v: %v\nstderr: %s", args, err, errb.String())
+				}
+				m := summaryRe.FindStringSubmatch(errb.String())
+				if m == nil {
+					t.Fatalf("no store summary on stderr: %q", errb.String())
+				}
+				return out.Bytes(), m[1:]
+			}
 
-	run := func() (stdout []byte, summary []string) {
-		t.Helper()
-		var out, errb bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout, cmd.Stderr = &out, &errb
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("aggsim sweep: %v\nstderr: %s", err, errb.String())
-		}
-		m := summaryRe.FindStringSubmatch(errb.String())
-		if m == nil {
-			t.Fatalf("no store summary on stderr: %q", errb.String())
-		}
-		return out.Bytes(), m[1:]
-	}
-
-	cold, summary := run()
-	if want := []string{"0", "4", "0"}; !slices.Equal(summary, want) {
-		t.Errorf("cold run: cached/executed/retried = %v, want %v", summary, want)
-	}
-	warm, summary := run()
-	if want := []string{"4", "0", "0"}; !slices.Equal(summary, want) {
-		t.Errorf("warm run: cached/executed/retried = %v, want %v", summary, want)
-	}
-	if !bytes.Equal(warm, cold) {
-		t.Error("warm run's stdout differs from the cold run's")
+			cold, summary := run()
+			if want := []string{"0", c.cells}; !slices.Equal(summary, want) {
+				t.Errorf("cold run: cached/executed = %v, want %v", summary, want)
+			}
+			warm, summary := run()
+			if want := []string{c.cells, "0"}; !slices.Equal(summary, want) {
+				t.Errorf("warm run: cached/executed = %v, want %v", summary, want)
+			}
+			if !bytes.Equal(warm, cold) {
+				t.Error("warm run's stdout differs from the cold run's")
+			}
+		})
 	}
 }
 
@@ -197,7 +206,6 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 	}{
 		{"bench unknown experiment", bench, []string{"-exp", "no-such-exp", "-store", storeDir, "-resume"}},
 		{"bench resume without store", bench, []string{"-resume", "-exp", "fig7"}},
-		{"bench negative retries", bench, []string{"-retries", "-1", "-exp", "fig7", "-store", storeDir}},
 		{"bench json+csv", bench, []string{"-json", "-csv", "-store", storeDir}},
 		{"sim resume without store", sim, []string{"-resume"}},
 		{"sim store on single run", sim, []string{"-store", storeDir}},
