@@ -11,20 +11,12 @@ import (
 )
 
 // scanOracle is the brute-force record of what the collision scan should
-// have written into one in-flight transmission: the same addInterf rule,
+// have written into one in-flight transmission: the same marking rule,
 // applied to every (active transmission, node) pair through the public
 // Connected accessor instead of the neighbor lists.
 type scanOracle struct {
 	audience []NodeID
 	collided []bool
-	marked   []NodeID
-}
-
-func (o *scanOracle) add(dst NodeID) {
-	if !o.collided[dst] {
-		o.collided[dst] = true
-		o.marked = append(o.marked, dst)
-	}
 }
 
 // FuzzInterferenceScan interleaves link cuts, raises, directed edits and
@@ -32,11 +24,14 @@ func (o *scanOracle) add(dst NodeID) {
 // launches and clock advances.
 // Before every launch it derives the expected marks by brute force over
 // m.active and every node id, reading links as they stand at that instant;
-// after every op it requires each in-flight transmission's audience,
-// collided entries and marked order to match, and every node's
-// energy-detect refcount to equal the number of in-flight frames whose
-// brute-force audience holds it. Once the scheduler drains, every refcount
-// must be back to zero and every radio's carrier busy/idle edges must
+// after every op it requires each in-flight transmission's audience and
+// collided entries to match exactly, its marked list to hold exactly the
+// node ids whose collided entry is set, each once (in any order: the list
+// only drives the reset when the transmission is recycled), and every
+// node's energy-detect refcount to equal the number of in-flight frames
+// whose brute-force audience holds it. Once the scheduler drains, every refcount
+// must be back to zero, no node may still have a frame on the air, and
+// every radio's carrier busy/idle edges must
 // balance, however the links changed under frames in flight. Each op is 4
 // bytes: kind, node a, node b, value. The last node stays detached, so the
 // scan must skip it.
@@ -73,11 +68,11 @@ func FuzzInterferenceScan(f *testing.F) {
 					continue
 				}
 				ow := want[other]
-				ow.add(src)
+				ow.collided[src] = true
 				for _, nid := range o.audience {
 					if m.Connected(other.src, nid) {
-						o.add(nid)
-						ow.add(nid)
+						o.collided[nid] = true
+						ow.collided[nid] = true
 					}
 				}
 			}
@@ -111,8 +106,14 @@ func FuzzInterferenceScan(f *testing.F) {
 				if !slices.Equal(tx.collided, o.collided) {
 					t.Fatalf("op %d: frame from %d collided %v, brute force %v", i/4, tx.src, tx.collided, o.collided)
 				}
-				if !slices.Equal(tx.marked, o.marked) {
-					t.Fatalf("op %d: frame from %d marked %v, brute force %v", i/4, tx.src, tx.marked, o.marked)
+				var wantMarked []NodeID
+				for nid, c := range o.collided {
+					if c {
+						wantMarked = append(wantMarked, NodeID(nid))
+					}
+				}
+				if marked := slices.Sorted(slices.Values(tx.marked)); !slices.Equal(marked, wantMarked) {
+					t.Fatalf("op %d: frame from %d marked %v, want each of %v once", i/4, tx.src, tx.marked, wantMarked)
 				}
 			}
 			for nid := NodeID(0); nid < n; nid++ {
@@ -129,8 +130,8 @@ func FuzzInterferenceScan(f *testing.F) {
 		}
 		s.Run()
 		for nid := range radios {
-			if m.busy[nid] != 0 || m.txBusy[nid] != 0 {
-				t.Fatalf("drained: node %d busy %d txBusy %d, want 0", nid, m.busy[nid], m.txBusy[nid])
+			if m.busy[nid] != 0 || m.onAir[nid] != nil {
+				t.Fatalf("drained: node %d busy %d, on air %v, want 0 and none", nid, m.busy[nid], m.onAir[nid] != nil)
 			}
 			if r := &radios[nid]; r.busyEdges != r.idleEdges {
 				t.Fatalf("drained: node %d carrier busy edges %d, idle edges %d", nid, r.busyEdges, r.idleEdges)

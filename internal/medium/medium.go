@@ -12,16 +12,18 @@
 //
 // Per-transmission cost is proportional to the transmitter's neighborhood
 // degree, not the network size; launch and finish each have one path, the
-// neighbor-indexed one. The medium maintains an incrementally
-// sorted out-neighbor list per node (updated by SetConnected /
-// SetConnectedDirected in O(deg) each); every transmission captures its
-// audience — the attached radios in range — exactly once at launch, and
-// carrier sensing, delivery and carrier release all iterate that audience.
-// Collision marking merges the new frame's audience with each in-flight
-// sender's current neighbor list (both ascending): O(active·deg) integer
-// comparisons, with SNR lookups in the link table only where the two
-// overlap. Collision bookkeeping resets through a dirty-mark list, so
-// recycling a transmission is O(marked), not O(N).
+// neighbor-indexed one. The medium maintains incrementally sorted out- and
+// in-neighbor lists per node (updated by SetConnected / SetConnectedDirected
+// in O(deg) each); every transmission captures its audience — the attached
+// radios in range — exactly once at launch, and carrier sensing, delivery
+// and carrier release all iterate that audience. Collision marking is local:
+// two frames can only meet at a node that hears both senders, so the new
+// frame walks, for each node in its audience, that node's in-neighbors and
+// the frames each of them has on the air — Σ in-degree over the audience —
+// plus one flag write per frame on the air anywhere (the new transmitter
+// deafening itself to receptions in progress). Collision bookkeeping resets
+// through a dirty-mark list, so recycling a transmission is O(marked), not
+// O(N).
 //
 // Link state itself is sparse: the neighbor lists are the primary store,
 // backed by a hash/offset map from the packed (src, dst) pair to a slot in
@@ -89,26 +91,28 @@ type link struct {
 }
 
 // LinkTable is the connectivity state of a network, stored sparsely: the
-// incrementally-maintained sorted neighbor lists are the primary store, and
-// a hash map from the packed (from, to) pair to a slot in a flat link-state
-// array gives O(1) directed lookup of connectivity and SNR together. Only
-// links that differ from the default — connected, or carrying an SNR
-// override — occupy a slot, so memory is O(N·degree + overrides) instead of
-// the seed's N×N matrix. A table is normally owned by a single Medium, but
-// the sharded engine shares one read-only table across every shard's
-// medium. Sharing contract: connectivity and SNR must not change while more
-// than one medium is attached (the parallel mesh path is static-topology
-// only and enforces this).
+// incrementally-maintained sorted neighbor lists (out-neighbors, and their
+// transpose, the in-neighbors) are the primary store, and a hash map from
+// the packed (from, to) pair to a slot in a flat link-state array gives O(1)
+// directed lookup of connectivity and SNR together. Only links that differ
+// from the default — connected, or carrying an SNR override — occupy a
+// slot, so memory is O(N·degree + overrides) instead of the seed's N×N
+// matrix. A table is normally owned by a single Medium, but the sharded
+// engine shares one read-only table, both neighbor lists included, across
+// every shard's medium. Sharing contract: connectivity and SNR must not
+// change while more than one medium is attached (the parallel mesh path is
+// static-topology only and enforces this).
 type LinkTable struct {
 	n int
 	// defSNR is the SNR every non-self link reports until overridden
 	// (params.SNRdB at construction). Self pairs default to 0, matching the
 	// seed's zeroed matrix diagonal.
 	defSNR float64
-	// nbrs[src] lists, in ascending node id, every dst that can hear src.
-	// It is maintained incrementally by the connectivity setters and is
-	// what the hot paths iterate.
-	nbrs [][]NodeID
+	// nbrs[src] lists, in ascending node id, every dst that can hear src,
+	// and in[dst] every src that dst can hear: in is the exact transpose of
+	// nbrs. Both are maintained incrementally by the connectivity setters
+	// and are what the hot paths iterate.
+	nbrs, in [][]NodeID
 	// idx maps pairKey(from, to) to a slot index; slots holds the state and
 	// free recycles released slots. An entry exists iff the link is
 	// connected or its SNR differs from the directed pair's default.
@@ -134,6 +138,7 @@ func NewLinkTable(params phy.Params, n int) *LinkTable {
 		n:      n,
 		defSNR: params.SNRdB,
 		nbrs:   make([][]NodeID, n),
+		in:     make([][]NodeID, n),
 		idx:    make(map[uint64]int32),
 	}
 }
@@ -189,8 +194,8 @@ func (t *LinkTable) snr(from, to NodeID) float64 {
 	return t.defaultSNR(from, to)
 }
 
-// setConnectedDirected cuts or restores the from→to direction, keeping the
-// neighbor list and the sparse index in step. Reports whether anything
+// setConnectedDirected cuts or restores the from→to direction, keeping both
+// neighbor lists and the sparse index in step. Reports whether anything
 // changed.
 func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 	if from == to {
@@ -208,6 +213,7 @@ func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 		}
 		t.slots[s].connected = true
 		t.nbrs[from] = insertSorted(t.nbrs[from], to)
+		t.in[to] = insertSorted(t.in[to], from)
 		t.directed++
 	} else {
 		t.slots[s].connected = false
@@ -215,6 +221,7 @@ func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 			t.release(k, s)
 		}
 		t.nbrs[from] = removeSorted(t.nbrs[from], to)
+		t.in[to] = removeSorted(t.in[to], from)
 		t.directed--
 	}
 	return true
@@ -249,6 +256,9 @@ func (t *LinkTable) connectFull() {
 			nb = append(nb, NodeID(j))
 		}
 		t.nbrs[i] = nb
+		// Every node hears every other: the in-list has the same members,
+		// in its own array so later edits to one leave the other alone.
+		t.in[i] = append([]NodeID(nil), nb...)
 	}
 	t.directed = t.n * (t.n - 1)
 }
@@ -281,8 +291,9 @@ type transmission struct {
 	// marked lists the node ids whose collided entries were set, so
 	// recycling resets O(marked) entries instead of O(N).
 	marked    []NodeID
-	activeIdx int    // position in Medium.active, for O(1) removal
-	finishFn  func() // pooled txEnd callback: m.finish(this)
+	activeIdx int           // position in Medium.active, for O(1) removal
+	nextOnAir *transmission // next frame on Medium.onAir[src]'s chain
+	finishFn  func()        // pooled txEnd callback: m.finish(this)
 }
 
 // addInterf marks dst's copy of this transmission as overlapped by an
@@ -355,7 +366,10 @@ type Medium struct {
 
 	radios []Radio
 	busy   []int // energy-detect refcount per node
-	txBusy []int // outstanding own transmissions per node (half duplex)
+	// onAir[src] heads the chain, linked through nextOnAir, of src's own
+	// frames on the air (nil when src is silent: half duplex reads it), so
+	// collision marking reaches an in-neighbor's frames directly.
+	onAir []*transmission
 	// tbl holds the link matrix and neighbor index. Normally private to
 	// this medium; shard media share one read-only table (see LinkTable).
 	tbl *LinkTable
@@ -401,7 +415,7 @@ func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium
 		errs:   phy.NewErrorCache(params),
 		radios: make([]Radio, n),
 		busy:   make([]int, n),
-		txBusy: make([]int, n),
+		onAir:  make([]*transmission, n),
 		tbl:    tbl,
 	}
 }
@@ -413,7 +427,7 @@ func newMedium(sched *sim.Scheduler, params phy.Params, n int) *Medium {
 		errs:   phy.NewErrorCache(params),
 		radios: make([]Radio, n),
 		busy:   make([]int, n),
-		txBusy: make([]int, n),
+		onAir:  make([]*transmission, n),
 		tbl:    NewLinkTable(params, n),
 	}
 }
@@ -484,7 +498,8 @@ func (m *Medium) SetConnected(a, b NodeID, connected bool) {
 
 // SetConnectedDirected cuts or restores only the from→to direction
 // (asymmetric links; useful for failure injection). The from-node's
-// neighbor list is updated in place, O(deg).
+// out-neighbor list and the to-node's in-neighbor list are updated in
+// place, O(deg).
 func (m *Medium) SetConnectedDirected(from, to NodeID, connected bool) {
 	m.tbl.setConnectedDirected(from, to, connected)
 }
@@ -565,7 +580,7 @@ func (m *Medium) InjectForeign(ff ForeignFrame) {
 func (m *Medium) CarrierBusy(id NodeID) bool { return m.busy[id] > 0 }
 
 // Transmitting reports whether node id is itself on the air.
-func (m *Medium) Transmitting(id NodeID) bool { return m.txBusy[id] > 0 }
+func (m *Medium) Transmitting(id NodeID) bool { return m.onAir[id] != nil }
 
 // ControlAirtime is the on-air time of a control frame: preamble plus its
 // bytes at the control rate.
@@ -644,51 +659,51 @@ func (m *Medium) launch(t *transmission) {
 	}
 }
 
-// enter puts t on the air: audience capture, mutual collision marking,
-// energy detect, and the scheduled finish. Shared by local launches (where
+// enter puts t on the air: audience capture, mutual collision marking
+// (through the in-neighbor lists and the per-sender on-air chains), energy
+// detect, and the scheduled finish. Shared by local launches (where
 // t.start == now) and foreign injections (where t.start is up to the engine
 // lookahead in the past).
 func (m *Medium) enter(t *transmission) {
 	m.captureAudience(t)
 
-	// Mark collisions both ways against transmissions already on the air,
-	// and deafen in-progress receptions at the new transmitter (half
-	// duplex: transmitting while a frame is arriving loses that frame).
-	// Only the new frame's audience needs scanning: a node outside it
-	// cannot hear t, so neither reception there can newly overlap t. Nodes
-	// with no radio attached are skipped outright — the seed marked
-	// collided for them too, wasted work nothing ever read.
-	//
-	// The shared receivers are the intersection of t's audience with the
-	// other sender's out-neighbor list as the table holds it now (not the
-	// other frame's launch-time audience), so links cut or raised under a
-	// frame in flight count as they stand. Both lists are ascending, so a
-	// merge finds the overlap in audience order: O(active·deg) integer
-	// comparisons in all.
-	for _, other := range m.active {
-		if other.end <= t.start {
-			continue
+	// Mark collisions both ways against transmissions already on the air.
+	// A frame whose end is not after t's start (its finish event has not
+	// run yet) does not overlap t. Nothing needs doing on an empty channel.
+	if len(m.active) > 0 {
+		// Half duplex: the new transmitter deafens itself to every reception
+		// in progress there, wherever its sender is — one flag write per
+		// frame on the air.
+		for _, other := range m.active {
+			if other.end > t.start {
+				other.addInterf(t.src)
+			}
 		}
-		// The new transmitter deafens itself to in-flight receptions.
-		other.addInterf(t.src)
-		aud, onb := t.audience, m.tbl.nbrs[other.src]
-		for i, j := 0, 0; i < len(aud) && j < len(onb); {
-			switch nid := aud[i]; {
-			case nid < onb[j]:
-				i++
-			case nid > onb[j]:
-				j++
-			default:
-				// nid hears both transmitters: both frames are damaged there.
-				t.addInterf(nid)
-				other.addInterf(nid)
-				i, j = i+1, j+1
+		// Shared receivers: only a node in t's audience can hear t, so each
+		// such node walks the senders it hears (its in-list) and their frames
+		// on the air: Σ in-degree over the audience. Nodes with no radio
+		// attached are not in the audience, so they are skipped outright.
+		// The in-lists are the table as it stands now, not another frame's
+		// launch-time audience, so links cut or raised under a frame in
+		// flight count as they stand.
+		in := m.tbl.in
+		for _, nid := range t.audience {
+			for _, s := range in[nid] {
+				for other := m.onAir[s]; other != nil; other = other.nextOnAir {
+					if other.end > t.start {
+						// nid hears both transmitters: both frames are
+						// damaged there.
+						t.addInterf(nid)
+						other.addInterf(nid)
+					}
+				}
 			}
 		}
 	}
 	t.activeIdx = len(m.active)
 	m.active = append(m.active, t)
-	m.txBusy[t.src]++
+	t.nextOnAir = m.onAir[t.src]
+	m.onAir[t.src] = t
 
 	// Energy detect at every node in range.
 	for _, nid := range t.audience {
@@ -702,7 +717,13 @@ func (m *Medium) enter(t *transmission) {
 }
 
 func (m *Medium) finish(t *transmission) {
-	m.txBusy[t.src]--
+	// Unlink from the sender's on-air chain (rarely longer than one).
+	p := &m.onAir[t.src]
+	for *p != t {
+		p = &(*p).nextOnAir
+	}
+	*p = t.nextOnAir
+	t.nextOnAir = nil
 	// O(1) removal from the active list: swap the tail into our slot.
 	last := len(m.active) - 1
 	if i := t.activeIdx; i != last {
@@ -730,7 +751,7 @@ func (m *Medium) finish(t *transmission) {
 }
 
 func (m *Medium) deliver(t *transmission, dst NodeID) {
-	if m.txBusy[dst] > 0 {
+	if m.onAir[dst] != nil {
 		// Half duplex: a node on the air cannot decode. (Sufficient
 		// because every transmission that overlapped ours in any way is
 		// still counted busy at our end time only if it is still active;

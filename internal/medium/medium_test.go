@@ -610,3 +610,57 @@ func TestInterferenceUsesLinksAsTheyAreNow(t *testing.T) {
 		})
 	}
 }
+
+// TestBackToBackFramesDoNotCollide pins the overlap guard of collision
+// marking: a frame that launches at the instant an earlier one ends, before
+// the earlier frame's finish event has run, shares no airtime with it. A
+// and B cannot hear each other and both reach R1 and R2, so R1 and R2 are
+// the receivers where a missing guard would destroy both frames. The
+// same-sender case puts two of A's frames on the air at once.
+func TestBackToBackFramesDoNotCollide(t *testing.T) {
+	const a, b, r1, r2 = NodeID(0), NodeID(1), NodeID(2), NodeID(3)
+	for _, tc := range []struct {
+		name   string
+		second NodeID
+	}{{"other-sender", b}, {"same-sender", a}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler(1)
+			m := NewUnconnected(s, phy.DefaultParams(), 4)
+			radios := make([]*fakeRadio, 4)
+			for i := range radios {
+				radios[i] = &fakeRadio{}
+				m.Attach(NodeID(i), radios[i])
+			}
+			for _, src := range []NodeID{a, b} {
+				m.SetConnected(src, r1, true)
+				m.SetConnected(src, r2, true)
+			}
+			cts := frame.Control{Type: frame.TypeCTS, RA: frame.Broadcast}
+			d := m.ControlAirtime(&cts)
+			s.After(0, "tx-first", func() { m.TransmitControl(a, cts) })
+			// Scheduled before the first frame's finish exists, so it runs
+			// ahead of that finish at the same instant.
+			s.After(d, "tx-second", func() {
+				if !m.Transmitting(a) {
+					t.Fatal("first frame already finished: the guard went unexercised")
+				}
+				m.TransmitControl(tc.second, cts)
+				if tc.second == a && (m.onAir[a] == nil || m.onAir[a].nextOnAir == nil) {
+					t.Fatal("same sender: want two frames on A's on-air chain")
+				}
+			})
+			s.Run()
+			for _, r := range []NodeID{r1, r2} {
+				if want := []NodeID{a, tc.second}; !slices.Equal(radios[r].ctrlSrcs, want) {
+					t.Errorf("node %d decoded frames from %v, want %v", r, radios[r].ctrlSrcs, want)
+				}
+			}
+			if st := m.Stats(); st.Collisions != 0 || st.HalfDuplex != 0 {
+				t.Errorf("collisions %d, half-duplex losses %d, want 0 and 0", st.Collisions, st.HalfDuplex)
+			}
+			if m.Transmitting(a) || m.Transmitting(b) {
+				t.Error("a sender is still on the air after the drain")
+			}
+		})
+	}
+}

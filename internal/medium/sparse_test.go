@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggmac/internal/phy"
@@ -92,8 +93,8 @@ func (st *shadowTable) check(t *testing.T, m *Medium, step int) {
 
 // checkTableInvariants asserts the sparse store's internal consistency:
 // sorted strictly-ascending neighbor lists that agree with the index map,
-// slot/free-list accounting, and minimality (no slot holds a
-// back-to-default link).
+// in-neighbor lists that are exactly their ascending transpose, slot/free-list
+// accounting, and minimality (no slot holds a back-to-default link).
 func checkTableInvariants(t *testing.T, tbl *LinkTable, step int) {
 	t.Helper()
 	directed := 0
@@ -108,6 +109,17 @@ func checkTableInvariants(t *testing.T, tbl *LinkTable, step int) {
 			if !ok || !tbl.slots[s].connected {
 				t.Fatalf("step %d: nbrs[%d] lists %d but the index disagrees", step, a, b)
 			}
+		}
+	}
+	for b := 0; b < tbl.n; b++ {
+		var want []NodeID
+		for a := 0; a < tbl.n; a++ {
+			if slices.Contains(tbl.nbrs[a], NodeID(b)) {
+				want = append(want, NodeID(a))
+			}
+		}
+		if !slices.Equal(tbl.in[b], want) {
+			t.Fatalf("step %d: in[%d] = %v, transpose of nbrs %v", step, b, tbl.in[b], want)
 		}
 	}
 	if tbl.directed != directed {
