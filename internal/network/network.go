@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"aggmac/internal/frame"
 	"aggmac/internal/mac"
@@ -84,26 +85,42 @@ func ipNode(ip uint32) NodeID {
 // UDP and TCP: the ones-complement of the 16-bit ones-complement sum of b
 // (an odd trailing byte is padded with a zero). Computed over bytes whose
 // checksum field is zeroed it yields the value to store; over bytes that
-// include a correct checksum it yields 0. It accumulates eight bytes per
-// step: ones-complement addition is associative and width-invariant, so
-// folding a wide accumulator gives exactly the word-at-a-time result.
+// include a correct checksum it yields 0. Following RFC 1071 §2(C), it adds
+// big-endian 64-bit words with end-around carry, four words per step, and
+// folds to 16 bits once at the end: 2^16 ≡ 1 modulo 0xffff, so the 64-bit
+// ones-complement sum folds to exactly the word-at-a-time result.
 func Checksum(b []byte) uint16 {
-	var sum uint64
+	var sum, c uint64
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
+	}
 	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b)
-		sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
 		b = b[8:]
 	}
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint64(binary.BigEndian.Uint16(b[i : i+2]))
+	// The tail is under eight bytes. Each piece starts on a 16-bit word
+	// boundary, so its weight within the 64-bit word does not matter.
+	if len(b) >= 4 {
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint32(b)), c)
+		b = b[4:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint64(b[len(b)-1]) << 8
+	if len(b) >= 2 {
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint16(b)), c)
+		b = b[2:]
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	if len(b) == 1 {
+		sum, c = bits.Add64(sum, uint64(b[0])<<8, c)
 	}
-	return ^uint16(sum)
+	// The pending carry is the end-around carry; the fold absorbs it.
+	s := sum>>32 + sum&0xffffffff + c
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	return ^uint16(s)
 }
 
 // Marshal produces the subframe payload: encap, IP header, transport

@@ -281,52 +281,6 @@ func TestPropertyPacketRoundTrip(t *testing.T) {
 	}
 }
 
-// The 8-bytes-per-step Checksum must equal the word-at-a-time RFC 1071 sum
-// for every length and alignment (ones-complement addition is
-// width-invariant; this pins the unrolled implementation to the reference).
-// The sizes cover every short length, odd lengths that end in a half word,
-// the IP header, and the UDP and TCP datagrams the paper's runs carry.
-func TestChecksumMatchesReference(t *testing.T) {
-	ref := func(b []byte) uint16 {
-		var sum uint32
-		for i := 0; i+1 < len(b); i += 2 {
-			sum += uint32(b[i])<<8 | uint32(b[i+1])
-		}
-		if len(b)%2 == 1 {
-			sum += uint32(b[len(b)-1]) << 8
-		}
-		for sum>>16 != 0 {
-			sum = sum&0xffff + sum>>16
-		}
-		return ^uint16(sum)
-	}
-	// A paper UDP datagram fills an 1140-byte MAC frame; an MSS-1357 TCP
-	// segment carries 1357 payload bytes behind a 20-byte header.
-	udpLen, tcpLen := 1140-frame.SubframeOverhead-HeaderLen, 20+1357
-	sizes := []int{IPHeaderLen, udpLen - 1, udpLen, udpLen + 1, tcpLen - 1, tcpLen, 1501, 4095}
-	for n := 0; n < 70; n++ {
-		sizes = append(sizes, n)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range sizes {
-		b := make([]byte, n)
-		for trial := 0; trial < 20; trial++ {
-			rng.Read(b)
-			if got, want := Checksum(b), ref(b); got != want {
-				t.Fatalf("Checksum(len %d) = %#x, reference %#x (bytes %x)", n, got, want, b)
-			}
-		}
-	}
-	// All-ones input exercises maximal carry folding, at odd and even
-	// lengths and at the UDP datagram size.
-	for _, n := range []int{61, 64, udpLen, tcpLen} {
-		ones := bytes.Repeat([]byte{0xff}, n)
-		if got, want := Checksum(ones), ref(ones); got != want {
-			t.Fatalf("Checksum(%d ones) = %#x, reference %#x", n, got, want)
-		}
-	}
-}
-
 // TestRouteTableNodes: a node on a shared table reads its routes from it
 // and never routes to itself or to ids outside the table; a node with no
 // table has no unicast route, and a table cannot take a node outside it.
