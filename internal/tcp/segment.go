@@ -6,7 +6,10 @@
 // The paper's §3.3 observation — pure TCP ACKs are small, cumulative and
 // redundant, so they can ride unacknowledged as broadcast subframes — is
 // exported as IsPureAck, which the network layer's cross-layer classifier
-// calls.
+// calls on every packet a node sends. It reads only the segment's length,
+// data offset and flags and does not verify the checksum: DecodeSegment is
+// the one verifying decoder, and delivered segments are trusted because
+// the link's CRC-32 already passed them.
 package tcp
 
 import (
@@ -74,17 +77,30 @@ func (s *Segment) AppendMarshal(b []byte) []byte {
 	return b
 }
 
-// DecodeSegment parses and verifies a segment.
+// DecodeSegment parses and verifies a segment. It is the one place a TCP
+// checksum is checked; the stack's receive path parses without it (see
+// parseSegment).
 func DecodeSegment(b []byte) (Segment, error) {
+	s, err := parseSegment(b)
+	if err == nil && network.Checksum(b) != 0 {
+		return Segment{}, fmt.Errorf("%w: checksum", ErrBadSegment)
+	}
+	return s, err
+}
+
+// parseSegment reads a segment's fields, checking its length and data
+// offset but not its checksum. Delivered segments need no checksum pass:
+// the MAC passes a subframe up only when its CRC-32 matches, and CRC-32
+// catches every corruption of up to three bits, more than the channel
+// model ever flips in one subframe. Senders still write the checksum,
+// because it is part of the wire bytes.
+func parseSegment(b []byte) (Segment, error) {
 	var s Segment
 	if len(b) < HeaderLen {
 		return s, fmt.Errorf("%w: %d bytes", ErrBadSegment, len(b))
 	}
 	if b[12]>>4 != 5 {
 		return s, fmt.Errorf("%w: data offset %d", ErrBadSegment, b[12]>>4)
-	}
-	if network.Checksum(b) != 0 {
-		return s, fmt.Errorf("%w: checksum", ErrBadSegment)
 	}
 	s.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	s.DstPort = binary.BigEndian.Uint16(b[2:4])
@@ -96,13 +112,13 @@ func DecodeSegment(b []byte) (Segment, error) {
 	return s, nil
 }
 
-// IsPureAck is the network-layer classifier entry point: it decodes just
-// enough of a transport payload to apply the §4.2.4 rule. Undecodable
-// payloads are never classified (they stay on the unicast path).
+// IsPureAck is the network-layer classifier entry point: it applies the
+// §4.2.4 rule to a transport payload, reading only its length, data
+// offset and flags. It trusts the checksum like the receive path does:
+// the node's own segments are freshly marshaled, and a relayed one passed
+// the link's CRC-32. A payload too short or with another data offset is
+// never classified (it stays on the unicast path).
 func IsPureAck(transport []byte) bool {
-	s, err := DecodeSegment(transport)
-	if err != nil {
-		return false
-	}
-	return s.IsPureAck()
+	s, err := parseSegment(transport)
+	return err == nil && s.IsPureAck()
 }

@@ -206,7 +206,7 @@ func (st *Stack) send(peer network.NodeID, seg *Segment) error {
 
 // onPacket demultiplexes an inbound TCP packet.
 func (st *Stack) onPacket(pkt network.Packet) {
-	seg, err := DecodeSegment(pkt.Payload)
+	seg, err := parseSegment(pkt.Payload)
 	if err != nil {
 		return
 	}

@@ -47,6 +47,11 @@ func TestSegmentChecksumDetectsCorruption(t *testing.T) {
 	if _, err := DecodeSegment(b); err == nil {
 		t.Fatal("corrupted segment decoded")
 	}
+	// DecodeSegment is the one verifying decoder: the receive path's
+	// parser trusts the link CRC and reads the flipped segment as is.
+	if got, err := parseSegment(b); err != nil || got.Seq == s.Seq {
+		t.Fatalf("parseSegment = %+v, %v; want the flipped Seq, no error", got, err)
+	}
 	if _, err := DecodeSegment(b[:10]); err == nil {
 		t.Fatal("short segment decoded")
 	}
@@ -68,6 +73,10 @@ func TestIsPureAckClassification(t *testing.T) {
 		{"fin-ack", mk(FlagFIN|FlagACK, nil), false},
 		{"rst", mk(FlagRST|FlagACK, nil), false},
 		{"garbage", []byte{1, 2, 3}, false},
+		{"data offset 6", func() []byte { b := mk(FlagACK, nil); b[12] = 6 << 4; return b }(), false},
+		// The classifier trusts the link CRC and does not verify the
+		// checksum (DecodeSegment does).
+		{"pure ack, stale checksum", func() []byte { b := mk(FlagACK, nil); b[16] ^= 0xff; return b }(), true},
 	}
 	for _, c := range cases {
 		if got := IsPureAck(c.b); got != c.want {

@@ -33,6 +33,11 @@ func TestDatagramRejectsCorruption(t *testing.T) {
 	if _, err := Decode(b); err == nil {
 		t.Fatal("corrupted datagram decoded")
 	}
+	// Decode is the one verifying decoder: the endpoint's parser trusts
+	// the link CRC and reads the flipped payload as is.
+	if got, err := parseDatagram(b); err != nil || got.Payload[1] == d.Payload[1] {
+		t.Fatalf("parseDatagram = %+v, %v; want the flipped payload, no error", got, err)
+	}
 	if _, err := Decode(b[:4]); err == nil {
 		t.Fatal("short datagram decoded")
 	}
