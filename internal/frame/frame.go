@@ -172,6 +172,13 @@ type DecodedSubframe struct {
 // FCS is not an error: the subframe is returned with CRCOK=false so the MAC
 // can apply its per-portion discard rules.
 func DecodeSubframe(b []byte) (DecodedSubframe, int, error) {
+	return decodeSubframe(b, true)
+}
+
+// decodeSubframe is DecodeSubframe; with verify false it skips the FCS
+// recompute and sets CRCOK from the frame type alone, for bytes that
+// AppendWire wrote.
+func decodeSubframe(b []byte, verify bool) (DecodedSubframe, int, error) {
 	var d DecodedSubframe
 	if len(b) < SubframeOverhead {
 		return d, 0, ErrTruncated
@@ -187,9 +194,11 @@ func DecodeSubframe(b []byte) (DecodedSubframe, int, error) {
 	copy(d.Addr2[:], b[10:16])
 	copy(d.Addr3[:], b[16:22])
 	d.Payload = b[SubframeHeaderLen : SubframeHeaderLen+plen]
-	want := binary.BigEndian.Uint32(b[SubframeHeaderLen+plen : SubframeHeaderLen+plen+FCSLen])
-	got := crc32.ChecksumIEEE(b[:SubframeHeaderLen+plen])
-	d.CRCOK = want == got && Type(b[0]&0x7) == TypeData
+	d.CRCOK = Type(b[0]&0x7) == TypeData
+	if verify && d.CRCOK {
+		want := binary.BigEndian.Uint32(b[SubframeHeaderLen+plen : SubframeHeaderLen+plen+FCSLen])
+		d.CRCOK = crc32.ChecksumIEEE(b[:SubframeHeaderLen+plen]) == want
+	}
 	return d, wire, nil
 }
 
@@ -205,9 +214,15 @@ func DecodePortion(b []byte) (subs []DecodedSubframe, lost int) {
 // DecodePortionAppend is DecodePortion appending into dst, so a receiver
 // can reuse one backing array across frames.
 func DecodePortionAppend(dst []DecodedSubframe, b []byte) (subs []DecodedSubframe, lost int) {
+	return walkPortion(dst, b, true)
+}
+
+// walkPortion is DecodePortionAppend, verifying each FCS when verify is
+// set.
+func walkPortion(dst []DecodedSubframe, b []byte, verify bool) (subs []DecodedSubframe, lost int) {
 	subs = dst
 	for len(b) > 0 {
-		d, n, err := DecodeSubframe(b)
+		d, n, err := decodeSubframe(b, verify)
 		if err != nil {
 			return subs, len(b)
 		}
@@ -380,8 +395,21 @@ func DecodeAggregate(hdr PHYHeader, body []byte) (DecodedAggregate, error) {
 // DecodeAggregateInto is DecodeAggregate reusing out's slice backing, so a
 // receiver decoding one frame at a time allocates nothing in steady state.
 // The decoded Payload fields alias body; out's contents are valid until the
-// next call with the same out.
+// next call with the same out. It checks every subframe's FCS.
 func DecodeAggregateInto(out *DecodedAggregate, hdr PHYHeader, body []byte) error {
+	return decodeAggregate(out, hdr, body, true)
+}
+
+// DecodeMarshaledInto is DecodeAggregateInto for a body exactly as
+// Aggregate.AppendMarshal wrote it for hdr: every FCS in such a body
+// matches by construction, so none is recomputed, and the result equals
+// DecodeAggregateInto's. Bytes that may have been damaged since, however
+// slightly, go through DecodeAggregateInto.
+func DecodeMarshaledInto(out *DecodedAggregate, hdr PHYHeader, body []byte) error {
+	return decodeAggregate(out, hdr, body, false)
+}
+
+func decodeAggregate(out *DecodedAggregate, hdr PHYHeader, body []byte, verify bool) error {
 	out.Header = hdr
 	out.Broadcast = out.Broadcast[:0]
 	out.Unicast = out.Unicast[:0]
@@ -391,11 +419,11 @@ func DecodeAggregateInto(out *DecodedAggregate, hdr PHYHeader, body []byte) erro
 			ErrBadLength, hdr.BroadcastLen, hdr.UnicastLen, len(body))
 	}
 	if hdr.Trailing {
-		out.Unicast, out.UnicastLost = DecodePortionAppend(out.Unicast, body[:hdr.UnicastLen])
-		out.Broadcast, out.BroadcastLost = DecodePortionAppend(out.Broadcast, body[hdr.UnicastLen:])
+		out.Unicast, out.UnicastLost = walkPortion(out.Unicast, body[:hdr.UnicastLen], verify)
+		out.Broadcast, out.BroadcastLost = walkPortion(out.Broadcast, body[hdr.UnicastLen:], verify)
 	} else {
-		out.Broadcast, out.BroadcastLost = DecodePortionAppend(out.Broadcast, body[:hdr.BroadcastLen])
-		out.Unicast, out.UnicastLost = DecodePortionAppend(out.Unicast, body[hdr.BroadcastLen:])
+		out.Broadcast, out.BroadcastLost = walkPortion(out.Broadcast, body[:hdr.BroadcastLen], verify)
+		out.Unicast, out.UnicastLost = walkPortion(out.Unicast, body[hdr.BroadcastLen:], verify)
 	}
 	out.LostBytes = out.BroadcastLost + out.UnicastLost
 	return nil

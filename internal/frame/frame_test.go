@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -462,6 +463,96 @@ func TestAggregateBroadcastTrailing(t *testing.T) {
 	for _, d := range append(dec.Broadcast, dec.Unicast...) {
 		if !d.CRCOK {
 			t.Fatal("trailing-layout subframe failed CRC")
+		}
+	}
+}
+
+// TestCRCCatchesChannelCorruption backs the transport receive paths'
+// trust in the link CRC. The channel model flips one to three bits inside
+// one subframe's span. On the largest subframe the runs carry, the
+// 1464-byte TCP data frame, every single-bit flip and 120k random sets of
+// two or three distinct bits must leave no subframe of the walk with
+// CRCOK set: either the FCS fails or the flipped length field breaks
+// delineation.
+func TestCRCCatchesChannelCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	payload := make([]byte, 1436)
+	rng.Read(payload)
+	sf := &Subframe{Duration: 1200 * time.Microsecond, Addr1: NodeAddr(1), Addr2: NodeAddr(0),
+		Addr3: NodeAddr(0), Payload: payload}
+	wire := sf.AppendWire(nil)
+	if len(wire) != 1464 {
+		t.Fatalf("subframe is %d B, want the paper's 1464", len(wire))
+	}
+	var subs []DecodedSubframe
+	passes := func(bits ...int) bool {
+		for _, b := range bits {
+			wire[b/8] ^= 1 << (b % 8)
+		}
+		subs, _ = DecodePortionAppend(subs[:0], wire)
+		for _, b := range bits {
+			wire[b/8] ^= 1 << (b % 8)
+		}
+		for _, d := range subs {
+			if d.CRCOK {
+				return true
+			}
+		}
+		return false
+	}
+	n := len(wire) * 8
+	for b := 0; b < n; b++ {
+		if passes(b) {
+			t.Fatalf("flip of bit %d passes the CRC", b)
+		}
+	}
+	for i := 0; i < 120_000; i++ {
+		a, b, c := rng.Intn(n), rng.Intn(n-1), rng.Intn(n-2)
+		// Map b and c past the bits already drawn, so all are distinct.
+		if b >= a {
+			b++
+		}
+		lo, hi := min(a, b), max(a, b)
+		if c >= lo {
+			c++
+		}
+		if c >= hi {
+			c++
+		}
+		if i%2 == 0 {
+			if passes(a, b) {
+				t.Fatalf("flips of bits %d, %d pass the CRC", a, b)
+			}
+		} else if passes(a, b, c) {
+			t.Fatalf("flips of bits %d, %d, %d pass the CRC", a, b, c)
+		}
+	}
+}
+
+// TestDecodeMarshaledMatchesVerifyingDecode: on a body exactly as
+// AppendMarshal wrote it, the decode that skips the FCS recompute gives
+// the verifying decode's view, in both portion orders.
+func TestDecodeMarshaledMatchesVerifyingDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var want, got DecodedAggregate
+	for trial := 0; trial < 200; trial++ {
+		agg := &Aggregate{BroadcastRate: phy.Rate650k, UnicastRate: phy.Rate1300k,
+			BroadcastTrailing: trial%2 == 1}
+		for i := rng.Intn(4); i > 0; i-- {
+			agg.Broadcast = append(agg.Broadcast, mkSubframe(rng.Intn(200), byte(i)))
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			agg.Unicast = append(agg.Unicast, mkSubframe(rng.Intn(1500), byte(i)))
+		}
+		body, _ := agg.Marshal()
+		if err := DecodeAggregateInto(&want, agg.Header(), body); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeMarshaledInto(&got, agg.Header(), body); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: decoded views differ:\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
 }

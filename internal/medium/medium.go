@@ -36,12 +36,13 @@
 // Work that every receiver of a frame would repeat is done once per
 // transmission. An aggregate is marshaled once, into the pooled
 // transmission's own buffer, and decoded at most once: the first receiver
-// that hears it cleanly decodes the body (subframe delineation and every
-// FCS) into a view kept in the transmission, and every clean receiver
-// borrows the same bytes and the same view. A receiver whose copy of the
-// air was damaged gets the medium's scratch copy of the body, corrupted
-// there, and a scratch view decoded from it, so every FCS is still checked
-// once per distinct byte sequence on the air.
+// that hears it cleanly delineates the body into a view kept in the
+// transmission, and every clean receiver borrows the same bytes and the
+// same view. That decode recomputes no FCS, because the body is exactly
+// what the sender marshaled. A receiver whose copy of the air was damaged
+// gets the medium's scratch copy of the body, corrupted there, and a
+// scratch view decoded from it with every FCS checked, so the CRC decides
+// what a damaged copy delivers.
 package medium
 
 import (
@@ -70,9 +71,12 @@ type Radio interface {
 	RxControl(src NodeID, c frame.Control, snrdB float64)
 	// RxAggregate delivers an aggregate at the end of its airtime: its PHY
 	// header, its (possibly corrupted) body bytes, and dec, those bytes
-	// decoded with frame.DecodeAggregateInto — every subframe delineated
-	// and its FCS checked. dec is nil when the body does not match the
-	// header's portion lengths.
+	// with every subframe delineated and its CRCOK set. A corrupted copy
+	// is decoded with frame.DecodeAggregateInto, which checks every FCS.
+	// The clean body is decoded with frame.DecodeMarshaledInto, which
+	// gives the same view without recomputing FCSs that match by
+	// construction. dec is nil when the body does not match the header's
+	// portion lengths.
 	//
 	// Body and dec are borrowed: they are valid only until RxAggregate
 	// returns, after which the medium reuses them for later frames, so a
@@ -347,7 +351,8 @@ func (s *Stats) Add(o Stats) {
 // transmission's pooled buffers, which the medium reuses once the frame
 // ends, so a boundary hook that keeps the frame past its own return MUST
 // copy both. InjectForeign delivers the hook's copy of Body read-only and
-// never writes into it or reuses it.
+// never writes into it or reuses it; it trusts that copy's FCSs as it
+// trusts its own clean bodies, so the copy must be byte-exact.
 type ForeignFrame struct {
 	Src        NodeID
 	Start, End sim.Time
@@ -841,7 +846,11 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		}
 	} else {
 		if !t.decoded {
-			t.decOK = frame.DecodeAggregateInto(&t.dec, t.hdr, body) == nil
+			// The clean body is what TransmitAggregate marshaled, so
+			// its FCSs match by construction; a corrupted copy above
+			// keeps the full check, because flips can cancel and a
+			// flipped length field misaligns the walk.
+			t.decOK = frame.DecodeMarshaledInto(&t.dec, t.hdr, body) == nil
 			t.decoded = true
 		}
 		if t.decOK {

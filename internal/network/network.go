@@ -176,7 +176,10 @@ func (p *Packet) AppendMarshal(b []byte) []byte {
 	return b
 }
 
-// Decode parses a subframe payload back into a Packet.
+// Decode parses a subframe payload back into a Packet. It checks the
+// 20-byte IP header's checksum, which is cheap, and leaves the transport
+// payload to the transport. The header check guards against garbage that
+// a misaligned subframe walk might produce.
 func Decode(b []byte) (Packet, error) {
 	var p Packet
 	if len(b) < HeaderLen {
