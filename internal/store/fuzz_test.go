@@ -26,6 +26,7 @@ func FuzzStoreIndex(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("null"))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"version":1,"spec_version":1,"entries":{}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := ParseIndex(data)
@@ -41,7 +42,7 @@ func FuzzStoreIndex(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encoded index failed to re-parse: %v", err)
 		}
-		if again.Version != idx.Version || len(again.Entries) != len(idx.Entries) {
+		if again.Version != idx.Version || again.SpecVersion != idx.SpecVersion || len(again.Entries) != len(idx.Entries) {
 			t.Fatalf("round trip changed the index: %+v vs %+v", again, idx)
 		}
 		for k, e := range idx.Entries {

@@ -24,10 +24,13 @@ import (
 // index is quarantined and rebuilt from the objects themselves).
 const IndexVersion = 1
 
-// Index is the store's versioned table of contents.
+// Index is the store's versioned table of contents. SpecVersion is the
+// spec encoding (see SpecVersion in key.go) every entry was stored under;
+// an index written before it was recorded reads 0.
 type Index struct {
-	Version int              `json:"version"`
-	Entries map[string]Entry `json:"entries"`
+	Version     int              `json:"version"`
+	SpecVersion int              `json:"spec_version"`
+	Entries     map[string]Entry `json:"entries"`
 }
 
 // Entry locates and authenticates one stored result.

@@ -17,6 +17,14 @@ import (
 	"aggmac/internal/runner"
 )
 
+// SpecVersion is the generation of the canonical spec encoding that
+// SpecID hashes. A change to the shape of any config type a spec reaches
+// (a field added, removed, renamed or retyped) moves every SpecID, which
+// leaves the objects stored under the old encoding unreachable; bump
+// SpecVersion with it, and Open drops them. TestSpecVersionPinsSchema
+// fails until the bump is made.
+const SpecVersion = 1
+
 // specEnvelope is the shape that gets canonicalized and hashed. Exactly one
 // of the config pointers is set; the field names distinguish the run kinds,
 // so a TCP config and a UDP config with coincidentally equal bytes can

@@ -19,6 +19,10 @@
 //   - An unreadable or wrong-version index is quarantined and rebuilt from
 //     the objects themselves (each object is self-describing and
 //     self-authenticating), so index damage costs a scan, not the cache.
+//   - The index and every object record the spec encoding (SpecVersion)
+//     they were stored under. Open deletes the objects of any other
+//     encoding, which no current spec can reach, so a store does not grow
+//     with every config change.
 //
 // Layout under the store root:
 //
@@ -66,6 +70,9 @@ type Stats struct {
 type Store struct {
 	dir  string
 	lock *os.File
+	// spec is the spec encoding this store keeps objects of: SpecVersion
+	// outside tests.
+	spec int
 
 	mu    sync.Mutex
 	idx   Index
@@ -77,21 +84,26 @@ type Store struct {
 // alone, and carrying exactly one result payload. Wall-clock time is
 // deliberately not stored — a cached cell reports Wall 0 and Cached true.
 type object struct {
-	ID       string               `json:"id"`
-	Key      string               `json:"key"`
-	Scheme   string               `json:"scheme"`
-	Seed     int64                `json:"seed"`
-	TCP      *core.TCPResult      `json:"tcp,omitempty"`
-	UDP      *core.UDPResult      `json:"udp,omitempty"`
-	Mesh     *core.MeshResult     `json:"mesh,omitempty"`
-	Scenario *core.ScenarioResult `json:"scenario,omitempty"`
+	ID          string               `json:"id"`
+	SpecVersion int                  `json:"spec_version"`
+	Key         string               `json:"key"`
+	Scheme      string               `json:"scheme"`
+	Seed        int64                `json:"seed"`
+	TCP         *core.TCPResult      `json:"tcp,omitempty"`
+	UDP         *core.UDPResult      `json:"udp,omitempty"`
+	Mesh        *core.MeshResult     `json:"mesh,omitempty"`
+	Scenario    *core.ScenarioResult `json:"scenario,omitempty"`
 }
 
 // Open creates (if needed) and locks the store at dir. It fails fast with
 // an error wrapping ErrLocked when another process holds the lock, and
 // recovers from a damaged or wrong-version index by quarantining it and
-// rebuilding from the object files.
-func Open(dir string) (*Store, error) {
+// rebuilding from the object files. An index of another spec encoding is
+// rebuilt too, which deletes the objects stored under that encoding.
+func Open(dir string) (*Store, error) { return open(dir, SpecVersion) }
+
+// open is Open keeping the objects of spec encoding spec.
+func open(dir string, spec int) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -101,7 +113,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, lock: lock, idx: Index{Version: IndexVersion, Entries: map[string]Entry{}}}
+	s := &Store{dir: dir, lock: lock, spec: spec}
 
 	data, err := os.ReadFile(filepath.Join(dir, indexName))
 	switch {
@@ -120,6 +132,13 @@ func Open(dir string) (*Store, error) {
 		if perr != nil {
 			// Damaged index: move it aside and recover from the objects.
 			_ = os.Rename(filepath.Join(dir, indexName), filepath.Join(dir, quarantineDir, indexName))
+			if err := s.rebuild(); err != nil {
+				releaseLock(lock)
+				return nil, err
+			}
+		} else if idx.SpecVersion != spec {
+			// Stored under another spec encoding: no current spec can
+			// reach these objects.
 			if err := s.rebuild(); err != nil {
 				releaseLock(lock)
 				return nil, err
@@ -212,7 +231,7 @@ func (s *Store) Store(spec runner.Spec, r runner.Result) error {
 	}
 	scheme, seed := specMeta(spec)
 	obj := object{
-		ID: id, Key: spec.Key, Scheme: scheme, Seed: seed,
+		ID: id, SpecVersion: s.spec, Key: spec.Key, Scheme: scheme, Seed: seed,
 		TCP: r.TCP, UDP: r.UDP, Mesh: r.Mesh, Scenario: r.Scenario,
 	}
 	blob, err := json.Marshal(obj)
@@ -258,16 +277,17 @@ func (s *Store) writeIndexLocked() error {
 }
 
 // rebuild reconstructs the index by scanning objects/: every well-formed,
-// self-consistent object becomes an entry (checksummed over its exact
-// bytes); anything else — temp leftovers, truncated writes, files whose
-// recorded ID disagrees with their name — is quarantined or ignored.
+// self-consistent object of the store's spec encoding becomes an entry
+// (checksummed over its exact bytes); objects of another encoding are
+// deleted, and anything else — temp leftovers, truncated writes, files
+// whose recorded ID disagrees with their name — is quarantined or ignored.
 func (s *Store) rebuild() error {
 	dir := filepath.Join(s.dir, objectsDir)
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("store: rebuild: %w", err)
 	}
-	s.idx = Index{Version: IndexVersion, Entries: map[string]Entry{}}
+	s.idx = Index{Version: IndexVersion, SpecVersion: s.spec, Entries: map[string]Entry{}}
 	for _, de := range des {
 		name := de.Name()
 		id, okName := strings.CutSuffix(name, ".json")
@@ -287,6 +307,10 @@ func (s *Store) rebuild() error {
 		if json.Unmarshal(blob, &obj) != nil || obj.ID != id {
 			s.stats.Corrupt++
 			_ = os.Rename(filepath.Join(dir, name), filepath.Join(s.dir, quarantineDir, name))
+			continue
+		}
+		if obj.SpecVersion != s.spec {
+			_ = os.Remove(filepath.Join(dir, name))
 			continue
 		}
 		sum := sha256.Sum256(blob)

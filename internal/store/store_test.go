@@ -1,7 +1,10 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -315,5 +318,134 @@ func TestParseIndexRejectsEscapingPaths(t *testing.T) {
 		if _, err := ParseIndex([]byte(doc)); err == nil {
 			t.Errorf("ParseIndex accepted escaping path %q", file)
 		}
+	}
+}
+
+// countObjects returns how many object files the store directory holds.
+func countObjects(t *testing.T, dir string) int {
+	t.Helper()
+	des, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(des)
+}
+
+// TestStoreDropsOtherSpecVersions: a store filled under spec encoding v
+// and reopened under v+1 drops the old index entries and deletes their
+// objects, which no v+1 spec can reach; after a re-run it holds only v+1
+// objects.
+func TestStoreDropsOtherSpecVersions(t *testing.T) {
+	dir := t.TempDir()
+	specs := []runner.Spec{tcpSpec(1), tcpSpec(2)}
+	fill := func(v int) {
+		s, err := open(dir, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i, sp := range specs {
+			if _, ok, _ := s.Lookup(sp); ok {
+				continue
+			}
+			if err := s.Store(sp, tcpResult(float64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const v = SpecVersion
+	fill(v)
+	if n := countObjects(t, dir); n != len(specs) {
+		t.Fatalf("store filled under v holds %d objects, want %d", n, len(specs))
+	}
+
+	s, err := open(dir, v+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 0 {
+		t.Errorf("reopened under v+1: Len = %d, want 0", s.Len())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countObjects(t, dir); n != 0 {
+		t.Errorf("reopened under v+1: %d objects left, want 0", n)
+	}
+
+	fill(v + 1)
+	if n := countObjects(t, dir); n != len(specs) {
+		t.Errorf("after the v+1 re-run: %d objects, want %d", n, len(specs))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, indexName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ParseIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.SpecVersion != v+1 || len(idx.Entries) != len(specs) {
+		t.Errorf("index records spec version %d with %d entries, want %d with %d",
+			idx.SpecVersion, len(idx.Entries), v+1, len(specs))
+	}
+	// Without its index, the store rebuilds from v+1 objects alone.
+	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+		t.Fatal(err)
+	}
+	s, err = open(dir, v+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, sp := range specs {
+		if _, ok, _ := s.Lookup(sp); !ok {
+			t.Errorf("rebuilt v+1 store missed seed %d", sp.TCP.Seed)
+		}
+	}
+}
+
+// specSchema renders the shape of every type a spec's canonical encoding
+// reaches: struct field names with their types, recursively.
+func specSchema(t reflect.Type, seen map[reflect.Type]bool) string {
+	switch t.Kind() {
+	case reflect.Pointer:
+		return "*" + specSchema(t.Elem(), seen)
+	case reflect.Slice:
+		return "[]" + specSchema(t.Elem(), seen)
+	case reflect.Array:
+		return fmt.Sprintf("[%d]%s", t.Len(), specSchema(t.Elem(), seen))
+	case reflect.Map:
+		return "map[" + specSchema(t.Key(), seen) + "]" + specSchema(t.Elem(), seen)
+	case reflect.Struct:
+		if seen[t] {
+			return t.String()
+		}
+		seen[t] = true
+		var b strings.Builder
+		b.WriteString(t.String() + "{")
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() || f.Type.Kind() == reflect.Func {
+				continue
+			}
+			b.WriteString(f.Name + " " + specSchema(f.Type, seen) + ";")
+		}
+		return b.String() + "}"
+	}
+	return t.String()
+}
+
+// TestSpecVersionPinsSchema: the config types that SpecID encodes have
+// the shape SpecVersion was set for. When this fails, the spec encoding
+// has changed: bump SpecVersion in key.go and record the new fingerprint
+// here.
+func TestSpecVersionPinsSchema(t *testing.T) {
+	const version, fingerprint = 1, "dbbbac7fdbd6a910"
+	sum := sha256.Sum256([]byte(specSchema(reflect.TypeOf(specEnvelope{}), map[reflect.Type]bool{})))
+	got := hex.EncodeToString(sum[:8])
+	if version != SpecVersion || got != fingerprint {
+		t.Fatalf("spec encoding fingerprint %s at SpecVersion %d; pinned %s at %d: "+
+			"bump SpecVersion and pin the new fingerprint", got, SpecVersion, fingerprint, version)
 	}
 }
