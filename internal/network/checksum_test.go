@@ -88,7 +88,7 @@ func BenchmarkChecksum(b *testing.B) {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				Checksum(buf)
 			}
 		})
