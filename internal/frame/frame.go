@@ -208,16 +208,11 @@ func decodeSubframe(b []byte, verify bool) (DecodedSubframe, int, error) {
 // unrecoverable without 802.11n-style delimiters); lost reports how many
 // bytes could not be walked.
 func DecodePortion(b []byte) (subs []DecodedSubframe, lost int) {
-	return DecodePortionAppend(nil, b)
+	return walkPortion(nil, b, true)
 }
 
-// DecodePortionAppend is DecodePortion appending into dst, so a receiver
-// can reuse one backing array across frames.
-func DecodePortionAppend(dst []DecodedSubframe, b []byte) (subs []DecodedSubframe, lost int) {
-	return walkPortion(dst, b, true)
-}
-
-// walkPortion is DecodePortionAppend, verifying each FCS when verify is
+// walkPortion is DecodePortion appending into dst, so a receiver can reuse
+// one backing array across frames; it checks each FCS only when verify is
 // set.
 func walkPortion(dst []DecodedSubframe, b []byte, verify bool) (subs []DecodedSubframe, lost int) {
 	subs = dst

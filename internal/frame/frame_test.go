@@ -489,7 +489,7 @@ func TestCRCCatchesChannelCorruption(t *testing.T) {
 		for _, b := range bits {
 			wire[b/8] ^= 1 << (b % 8)
 		}
-		subs, _ = DecodePortionAppend(subs[:0], wire)
+		subs, _ = walkPortion(subs[:0], wire, true)
 		for _, b := range bits {
 			wire[b/8] ^= 1 << (b % 8)
 		}

@@ -7,9 +7,8 @@
 // redundant, so they can ride unacknowledged as broadcast subframes — is
 // exported as IsPureAck, which the network layer's cross-layer classifier
 // calls on every packet a node sends. It reads only the segment's length,
-// data offset and flags and does not verify the checksum: DecodeSegment is
-// the one verifying decoder, and delivered segments are trusted because
-// the link's CRC-32 already passed them.
+// data offset and flags; DecodeSegment is the one decoder that verifies
+// the checksum.
 package tcp
 
 import (
