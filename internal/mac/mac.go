@@ -64,6 +64,9 @@ type MAC struct {
 	sched *sim.Scheduler
 	med   *medium.Medium
 	opts  Options
+	// The fixed-delay timers (backoff slot, DIFS, SIFS) schedule through
+	// the scheduler's lanes for those delays, which skip the event heap.
+	slotLane, difsLane, sifsLane *sim.Lane
 
 	deliver DeliverFunc
 
@@ -110,8 +113,9 @@ type MAC struct {
 	aggScratch frame.Aggregate
 	sfScratch  []frame.Subframe
 
-	dedup    []uint64 // ring of recently delivered frame signatures
-	dedupPos int
+	// dedup is allocated on the first delivery when DedupWindow > 0, so
+	// MACs without it carry one nil pointer.
+	dedup *dedupRing
 
 	// aggHist, when set, observes the body size of every transmitted
 	// aggregate. Nil (the default) costs one predictable branch per
@@ -129,6 +133,9 @@ func New(sched *sim.Scheduler, med *medium.Medium, id medium.NodeID, opts Option
 	m := &MAC{
 		id: id, addr: frame.NodeAddr(int(id)),
 		sched: sched, med: med, opts: opts,
+		slotLane:     sched.Lane(opts.Slot),
+		difsLane:     sched.Lane(opts.DIFS),
+		sifsLane:     sched.Lane(opts.SIFS),
 		deliver:      deliver,
 		cw:           opts.CWmin,
 		backoffSlots: -1,
@@ -315,7 +322,7 @@ func (m *MAC) resumeAccess() {
 		return
 	}
 	m.difsTimer.Stop()
-	m.difsTimer = m.sched.After(m.opts.DIFS, "mac:difs", m.difsFn)
+	m.difsTimer = m.difsLane.After("mac:difs", m.difsFn)
 }
 
 // armNavTimer schedules an access resume at NAV expiry (physical idleness
@@ -347,7 +354,7 @@ func (m *MAC) tickSlot() {
 		m.transmitNow()
 		return
 	}
-	m.slotTimer = m.sched.After(m.opts.Slot, "mac:slot", m.slotFn)
+	m.slotTimer = m.slotLane.After("mac:slot", m.slotFn)
 }
 
 func (m *MAC) onSlot() {
@@ -422,7 +429,7 @@ func (m *MAC) sendData(afterCTS bool) {
 	if afterCTS {
 		m.state = stSIFSData
 		m.c.IFSTime += 2 * m.opts.SIFS // RTS→CTS and CTS→DATA gaps
-		m.sifsTimer = m.sched.After(m.opts.SIFS, "mac:sifsData", m.startDataFn)
+		m.sifsTimer = m.sifsLane.After("mac:sifsData", m.startDataFn)
 	} else {
 		m.startData()
 	}
@@ -477,26 +484,36 @@ func frameSig(d *frame.DecodedSubframe) uint64 {
 	return uint64(h) | addr<<40
 }
 
+// dedupRing holds the signatures of the last DedupWindow delivered frames.
+type dedupRing struct {
+	sigs []uint64
+	pos  int
+}
+
 // isDuplicate consults and maintains the dedup ring. Only retransmitted
 // frames are checked; every delivered frame is recorded.
 func (m *MAC) isDuplicate(d *frame.DecodedSubframe) bool {
 	if m.opts.DedupWindow <= 0 {
 		return false
 	}
+	if m.dedup == nil {
+		m.dedup = &dedupRing{}
+	}
+	r := m.dedup
 	sig := frameSig(d)
 	if d.Retry {
-		for _, s := range m.dedup {
+		for _, s := range r.sigs {
 			if s == sig {
 				m.c.RxDupes++
 				return true
 			}
 		}
 	}
-	if len(m.dedup) < m.opts.DedupWindow {
-		m.dedup = append(m.dedup, sig)
+	if len(r.sigs) < m.opts.DedupWindow {
+		r.sigs = append(r.sigs, sig)
 	} else {
-		m.dedup[m.dedupPos] = sig
-		m.dedupPos = (m.dedupPos + 1) % m.opts.DedupWindow
+		r.sigs[r.pos] = sig
+		r.pos = (r.pos + 1) % m.opts.DedupWindow
 	}
 	return false
 }
@@ -641,7 +658,7 @@ func (m *MAC) transmitResponse(c frame.Control) {
 	m.respBusy = true
 	m.freezeAccess()
 	m.resp = c
-	m.respSifsTimer = m.sched.After(m.opts.SIFS, "mac:respSIFS", m.respFn)
+	m.respSifsTimer = m.sifsLane.After("mac:respSIFS", m.respFn)
 }
 
 // sendResponse puts the pending CTS/ACK on the air once SIFS has passed.

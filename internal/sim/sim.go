@@ -6,15 +6,27 @@
 // same instant fire in the order they were scheduled (FIFO), which keeps
 // runs fully deterministic for a given seed.
 //
-// The event core is allocation-free in steady state: events live in a slab
-// recycled through a free list, the priority queue is a 4-ary heap whose
-// entries carry their (at, seq) keys inline, so sifting compares contiguous
-// memory and touches the slab only to record positions, and Timer handles
-// are generation-stamped values. Scheduling, firing and cancelling events
-// never touches the heap allocator once the slab has grown to the run's
-// high-water mark.
-// Timer.Stop removes the event from the queue immediately (no lazy-cancel
-// tombstones), so Pending is exact and cancelled slots are reused at once.
+// Pending events live in two kinds of queue. The heap holds events at
+// arbitrary deadlines: a 4-ary heap whose entries carry their (at, seq)
+// keys inline, so sifting compares contiguous memory and touches the event
+// slab only to record positions. A lane (Scheduler.Lane) holds events
+// scheduled one fixed delay d after Now, such as the MAC's slot and
+// interframe-space timers. Because the clock never runs backwards and seq
+// only grows, each new lane event sorts after every event already in its
+// lane, so a lane is a plain FIFO ring and its order costs nothing to keep.
+// Step, RunUntil and PeekTime take the smallest (at, seq) among the heap
+// top and the lane heads: the same total order a single heap would give,
+// so adding lanes changes no pop sequence, seq assignment or EventsRun.
+//
+// The event core is allocation-free in steady state: heap events live in a
+// slab recycled through a free list, lane rings keep their high-water
+// capacity, and Timer handles are generation-stamped values. Scheduling,
+// firing and cancelling events never touches the heap allocator once the
+// slab and the rings have grown to the run's high-water mark.
+// Timer.Stop removes a heap event from the heap immediately. A stopped
+// lane event becomes a tombstone in its ring entry, dropped when it
+// reaches the lane's head, so it lives at most one lane delay; it is never
+// counted as pending, so Pending is exact either way.
 package sim
 
 import (
@@ -53,20 +65,26 @@ func (a *entry) before(b *entry) bool {
 
 // Timer is a handle to a scheduled event that can be cancelled. It is a
 // small value (no allocation per timer); the zero Timer is valid and behaves
-// like one that already fired.
+// like one that already fired. A heap event's handle names its slab slot
+// and the slot's generation; a lane event's handle names its lane (as a
+// negative slot, see Lane.id) and its absolute index in the lane's ring.
 type Timer struct {
 	s    *Scheduler
 	slot int32
 	gen  uint32
 }
 
-// Stop cancels the timer, removing its event from the queue immediately and
-// recycling the slot. It reports whether the timer was still pending (false
-// if it already fired or was already stopped).
+// Stop cancels the timer: a heap event leaves the heap and recycles its
+// slot at once, a lane event becomes a tombstone. It reports whether the
+// timer was still pending (false if it already fired or was already
+// stopped).
 func (t Timer) Stop() bool {
 	s := t.s
 	if s == nil {
 		return false
+	}
+	if t.slot < 0 {
+		return s.lanes[^t.slot].stop(t.gen)
 	}
 	ev := &s.events[t.slot]
 	if ev.gen != t.gen || ev.pos < 0 {
@@ -82,20 +100,25 @@ func (t Timer) Pending() bool {
 	if t.s == nil {
 		return false
 	}
+	if t.slot < 0 {
+		return t.s.lanes[^t.slot].pending(t.gen)
+	}
 	ev := &t.s.events[t.slot]
 	return ev.gen == t.gen && ev.pos >= 0
 }
 
-// Scheduler owns the virtual clock and the pending-event queue.
+// Scheduler owns the virtual clock and the pending-event queues.
 type Scheduler struct {
-	now    Time
-	events []event // slab; grows to the high-water mark, then stable
-	queue  []entry // 4-ary min-heap ordered by (at, seq)
-	free   []int32 // recycled slots
-	seq    uint64
-	rng    *rand.Rand
-	ran    uint64
-	halted bool
+	now      Time
+	events   []event // slab; grows to the high-water mark, then stable
+	queue    []entry // 4-ary min-heap ordered by (at, seq)
+	free     []int32 // recycled slots
+	lanes    []*Lane // fixed-delay FIFOs, at most one per delay
+	laneLive int     // live (not stopped) events over all lanes
+	seq      uint64
+	rng      *rand.Rand
+	ran      uint64
+	halted   bool
 }
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
@@ -113,16 +136,23 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // EventsRun returns the number of events executed so far.
 func (s *Scheduler) EventsRun() uint64 { return s.ran }
 
-// Pending returns the number of events currently queued. Stopped timers are
-// removed immediately, so the count is exact.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// Pending returns the number of events currently queued. Stopped timers
+// never count (lane tombstones included), so the count is exact.
+func (s *Scheduler) Pending() int { return len(s.queue) + s.laneLive }
 
-// PoolStats reports the event core's slab occupancy: slots is the slab's
-// high-water mark, free the recycled slots available for reuse, and
-// pending the events currently queued. The telemetry layer samples these
-// as the event-pool occupancy gauges.
+// PoolStats reports the event core's occupancy: slots is the event storage
+// held (the slab's high-water mark plus every lane ring's capacity), free
+// the slab slots and ring entries available for reuse, and pending the
+// live events queued. Lane tombstones are the remainder, slots - free -
+// pending. The telemetry layer samples these as the event-pool occupancy
+// gauges.
 func (s *Scheduler) PoolStats() (slots, free, pending int) {
-	return len(s.events), len(s.free), len(s.queue)
+	slots, free = len(s.events), len(s.free)
+	for _, l := range s.lanes {
+		slots += len(l.buf)
+		free += len(l.buf) - int(l.tail-l.head)
+	}
+	return slots, free, s.Pending()
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
@@ -162,13 +192,11 @@ func (s *Scheduler) Halt() { s.halted = true }
 // ShardEngine.Run clear it on entry.
 func (s *Scheduler) Halted() bool { return s.halted }
 
-// PeekTime returns the deadline of the earliest pending event without
-// executing it. ok is false when the queue is empty.
+// PeekTime returns the deadline of the earliest pending event, heap or
+// lane, without executing it. ok is false when nothing is pending.
 func (s *Scheduler) PeekTime() (at Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
+	_, at, ok = s.next()
+	return at, ok
 }
 
 // AdvanceTo moves the clock forward to t without executing anything. The
@@ -187,17 +215,48 @@ func (s *Scheduler) AdvanceTo(t Time) {
 // Step runs the next pending event, advancing the clock to its deadline.
 // It reports false when no events remain.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
-		return false
+	l, at, ok := s.next()
+	if ok {
+		s.fire(l, at)
 	}
-	at, slot := s.queue[0].at, s.queue[0].slot
-	s.removeAt(0)
-	fn := s.events[slot].fn
-	s.release(slot)
+	return ok
+}
+
+// next finds the earliest pending event by (at, seq): the head of lane l,
+// or the heap top when l is nil. ok is false when nothing is pending. A
+// lane's head is never a tombstone, so each queue costs one comparison.
+func (s *Scheduler) next() (l *Lane, at Time, ok bool) {
+	var seq uint64
+	if len(s.queue) > 0 {
+		at, seq, ok = s.queue[0].at, s.queue[0].seq, true
+	}
+	for _, c := range s.lanes {
+		if c.head == c.tail {
+			continue
+		}
+		e := &c.buf[c.head&c.mask]
+		if !ok || e.at < at || (e.at == at && e.seq < seq) {
+			l, at, seq, ok = c, e.at, e.seq, true
+		}
+	}
+	return l, at, ok
+}
+
+// fire dequeues the event next found (lane l's head, or the heap top when
+// l is nil), advances the clock to its deadline at and runs it.
+func (s *Scheduler) fire(l *Lane, at Time) {
+	var fn func()
+	if l != nil {
+		fn = l.pop()
+	} else {
+		slot := s.queue[0].slot
+		s.removeAt(0)
+		fn = s.events[slot].fn
+		s.release(slot)
+	}
 	s.now = at
 	s.ran++
 	fn()
-	return true
 }
 
 // Run executes events until the queue drains or Halt is called.
@@ -212,14 +271,11 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end Time) {
 	s.halted = false
 	for !s.halted {
-		if len(s.queue) == 0 {
+		l, at, ok := s.next()
+		if !ok || at > end {
 			break
 		}
-		// Peek: queue[0] is the earliest event.
-		if s.queue[0].at > end {
-			break
-		}
-		s.Step()
+		s.fire(l, at)
 	}
 	if s.now < end {
 		s.now = end

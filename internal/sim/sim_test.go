@@ -209,25 +209,34 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any set of delays, events fire in nondecreasing time order
-// and the clock ends at the max delay.
+// Property: for any set of delays, heap and lane events mixed, events fire
+// in nondecreasing time order, in the reference model's (at, seq) order,
+// and the clock ends at the last deadline. Every seventh value first steps
+// the clock forward, so lane events land at many instants.
 func TestPropertyEventOrder(t *testing.T) {
 	f := func(delaysRaw []uint16) bool {
 		if len(delaysRaw) == 0 {
 			return true
 		}
-		s := NewScheduler(7)
+		p := newSchedPair()
 		var fireTimes []Time
-		var maxd time.Duration
+		var last Time
 		for _, d := range delaysRaw {
-			dur := time.Duration(d) * time.Microsecond
-			if dur > maxd {
-				maxd = dur
+			if d%7 == 0 {
+				p.step()
 			}
-			s.After(dur, "p", func() { fireTimes = append(fireTimes, s.Now()) })
+			if d%3 == 0 {
+				p.laneAfter(int(d / 3))
+			} else {
+				p.after(time.Duration(d%1000) * time.Microsecond)
+			}
+			last = max(last, p.ref.pend[len(p.ref.pend)-1].at)
 		}
-		s.Run()
-		if len(fireTimes) != len(delaysRaw) {
+		for p.s.Pending() > 0 {
+			p.step()
+			fireTimes = append(fireTimes, p.s.Now())
+		}
+		if p.check() != nil || len(p.fired) != len(delaysRaw) {
 			return false
 		}
 		for i := 1; i < len(fireTimes); i++ {
@@ -235,30 +244,42 @@ func TestPropertyEventOrder(t *testing.T) {
 				return false
 			}
 		}
-		return s.Now() == maxd
+		return p.s.Now() == last
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: cancelling an arbitrary subset of timers means exactly the
-// complement fires.
+// Property: cancelling an arbitrary subset of timers, heap and lane events
+// mixed, means exactly the complement fires, and Pending counts exactly
+// the survivors (no lane tombstones).
 func TestPropertyCancellation(t *testing.T) {
 	f := func(delays []uint8, cancelMask []bool) bool {
 		s := NewScheduler(3)
+		lanes := []*Lane{s.Lane(9 * time.Microsecond), s.Lane(0), s.Lane(200 * time.Microsecond)}
 		fired := make([]bool, len(delays))
 		timers := make([]Timer, len(delays))
 		for i, d := range delays {
 			i := i
-			timers[i] = s.After(time.Duration(d)*time.Microsecond, "p", func() { fired[i] = true })
+			fn := func() { fired[i] = true }
+			if d%2 == 0 {
+				timers[i] = lanes[int(d/2)%len(lanes)].After("p", fn)
+			} else {
+				timers[i] = s.After(time.Duration(d)*time.Microsecond, "p", fn)
+			}
 		}
 		cancelled := make([]bool, len(delays))
+		live := len(delays)
 		for i := range timers {
 			if i < len(cancelMask) && cancelMask[i] {
 				timers[i].Stop()
 				cancelled[i] = true
+				live--
 			}
+		}
+		if s.Pending() != live {
+			return false
 		}
 		s.Run()
 		for i := range fired {
@@ -266,7 +287,7 @@ func TestPropertyCancellation(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return s.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
@@ -336,13 +357,15 @@ func TestZeroTimer(t *testing.T) {
 }
 
 // Steady-state scheduling must not allocate: slots recycle through the free
-// list and Timer handles are values.
+// list, lane rings keep their capacity, and Timer handles are values.
 func TestSteadyStateAllocFree(t *testing.T) {
 	s := NewScheduler(1)
+	l := s.Lane(2 * time.Microsecond)
 	fn := func() {}
-	// Prime the slab.
+	// Prime the slab and the ring.
 	for i := 0; i < 64; i++ {
 		s.After(time.Duration(i)*time.Microsecond, "prime", fn)
+		l.After("prime", fn)
 	}
 	for s.Step() {
 	}
@@ -354,62 +377,51 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocates %v times per op, want 0", allocs)
 	}
+	// Lane After, Stop (a tombstone behind a live head) and Step.
+	allocs = testing.AllocsPerRun(1000, func() {
+		a := l.After("steady", fn)
+		b := l.After("steady", fn)
+		_ = b.Pending()
+		b.Stop()
+		s.After(time.Microsecond, "steady", fn)
+		s.Step()
+		_ = a.Pending()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state lane schedule+stop+fire allocates %v times per op, want 0", allocs)
+	}
+	if slots, free, pending := s.PoolStats(); pending != 0 || slots != free {
+		t.Fatalf("PoolStats = %d,%d,%d after draining, want every entry free", slots, free, pending)
+	}
 }
 
-// Property: interleaving schedules and cancellations at random always pops
-// the survivors in exact (at, seq) order — the heap invariant under Remove.
+// Property: interleaving heap schedules, lane schedules, cancellations and
+// steps at random always pops the survivors in exact (at, seq) order, the
+// reference model's, with Pending exact after every operation: the heap
+// invariant under Remove and the lane-head merge under tombstones.
 func TestPropertyHeapOrderUnderChurn(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := NewScheduler(9)
-		type rec struct {
-			at  Time
-			seq int
-		}
-		var live []rec
-		var timers []Timer
-		seq := 0
+		p := newSchedPair()
 		for _, op := range ops {
-			if op%5 == 4 && len(timers) > 0 {
-				i := int(op/5) % len(timers)
-				if timers[i].Stop() {
-					// Drop the matching live record (same index: timers
-					// and live grow in lockstep and Stop is idempotent).
-					live[i].seq = -1
+			switch arg := int(op / 6); op % 6 {
+			case 0, 1, 2:
+				p.after(time.Duration(arg%1000) * time.Microsecond)
+			case 3:
+				p.laneAfter(arg)
+			case 4:
+				if p.stop(arg) != nil {
+					return false
 				}
-				continue
+			case 5:
+				p.step()
 			}
-			at := time.Duration(op%1000) * time.Microsecond
-			k := seq
-			seq++
-			live = append(live, rec{at: at, seq: k})
-			timers = append(timers, s.After(at, "p", func() {}))
-		}
-		var want []rec
-		for _, r := range live {
-			if r.seq >= 0 {
-				want = append(want, r)
-			}
-		}
-		// Expected order: by (at, seq).
-		for i := 1; i < len(want); i++ {
-			for j := i; j > 0 && (want[j].at < want[j-1].at ||
-				(want[j].at == want[j-1].at && want[j].seq < want[j-1].seq)); j-- {
-				want[j], want[j-1] = want[j-1], want[j]
-			}
-		}
-		var got []Time
-		for s.Step() {
-			got = append(got, s.Now())
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i].at {
+			if p.check() != nil {
 				return false
 			}
 		}
-		return true
+		p.drain()
+		return p.check() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)

@@ -174,17 +174,24 @@ func (m *Mesh) connect(a, b int, snrdB float64) {
 // Adjacency snapshots the medium's neighbor index (ascending ids) for the
 // routing package's BFS. The snapshot is stable: connectivity changes
 // after the call — a mobility tick, say — do not leak into an in-progress
-// route computation.
+// route computation. It is one flat array, the n+1 row offsets followed
+// by every row back to back, and each row is returned with its capacity
+// capped so an append cannot spill into the next.
 func (m *Mesh) Adjacency() func(i int) []int {
-	adj := make([][]int, len(m.Nodes))
-	for i := range adj {
-		nbrs := m.Medium.Neighbors(medium.NodeID(i))
-		adj[i] = make([]int, len(nbrs))
-		for j, id := range nbrs {
-			adj[i][j] = int(id)
-		}
+	n := len(m.Nodes)
+	total := 0
+	for i := range n {
+		total += m.Medium.Degree(medium.NodeID(i))
 	}
-	return func(i int) []int { return adj[i] }
+	flat := make([]int, n+1, n+1+total)
+	for i := range n {
+		for _, id := range m.Medium.Neighbors(medium.NodeID(i)) {
+			flat = append(flat, int(id))
+		}
+		flat[i+1] = len(flat) - (n + 1)
+	}
+	off, nbrs := flat[:n+1], flat[n+1:]
+	return func(i int) []int { return nbrs[off[i]:off[i+1]:off[i+1]] }
 }
 
 // attachRoutes gives every node one shared shortest-path route table over

@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"aggmac/internal/mac"
+	"aggmac/internal/medium"
 	"aggmac/internal/network"
 	"aggmac/internal/phy"
 	"aggmac/internal/routing"
@@ -239,5 +241,33 @@ func TestDeferRoutesAttachesNoTable(t *testing.T) {
 	}
 	if d := m.HopDistance(0, 8); d != -1 {
 		t.Errorf("HopDistance with no routes = %d, want -1", d)
+	}
+}
+
+// TestAdjacencySnapshotStable: the snapshot matches the medium's neighbor
+// index when taken, keeps its rows after later link edits, and an append to
+// one row cannot overwrite the next.
+func TestAdjacencySnapshotStable(t *testing.T) {
+	m := NewGrid(4, meshCfg(1))
+	adj := m.Adjacency()
+	want := make([][]int, len(m.Nodes))
+	for i := range want {
+		for _, id := range m.Medium.Neighbors(medium.NodeID(i)) {
+			want[i] = append(want[i], int(id))
+		}
+		if !slices.Equal(adj(i), want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, adj(i), want[i])
+		}
+	}
+	m.Medium.SetConnected(0, 1, false)
+	m.Medium.SetConnected(0, 10, true)
+	_ = append(adj(0), 99)
+	for i := range want {
+		if !slices.Equal(adj(i), want[i]) {
+			t.Fatalf("row %d changed to %v after link edits, want %v", i, adj(i), want[i])
+		}
+	}
+	if m.Medium.Connected(0, 1) || !m.Medium.Connected(0, 10) {
+		t.Fatal("link edits did not take")
 	}
 }
