@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -12,20 +13,31 @@ import (
 // pending event. Lane events share the scheduler's clock, seq counter and
 // Timer API with heap events.
 type Lane struct {
-	s *Scheduler
-	d time.Duration
-	// id is ^(index in s.lanes), always negative: it is the slot field of
-	// this lane's Timer handles, which tells them apart from slab slots.
-	id int32
+	// at and seq are the head entry's key, kept here so the scheduler's
+	// per-event scan reads no ring; an empty lane holds (maxTime,
+	// maxSeq), which sorts after every event.
+	at  Time
+	seq uint64
 	// buf is the ring; its length is a power of two and mask is length-1.
 	// head and tail are absolute indices that wrap with uint32 arithmetic,
 	// the live window is [head, tail), and an entry sits at buf[i&mask].
 	// The head entry is never a tombstone: stop and pop drop dead entries
 	// that reach it.
-	buf        []laneEntry
-	mask       uint32
 	head, tail uint32
+	mask       uint32
+	buf        []laneEntry
+	s          *Scheduler
+	d          time.Duration
+	// id is ^(index in s.lanes), always negative: it is the slot field of
+	// this lane's Timer handles, which tells them apart from slab slots.
+	id int32
 }
+
+// maxTime and maxSeq form the key of an empty lane.
+const (
+	maxTime = Time(math.MaxInt64)
+	maxSeq  = uint64(math.MaxUint64)
+)
 
 // laneEntry is one lane event: its ordering key and its callback, which is
 // nil once the event is stopped (a tombstone).
@@ -47,7 +59,7 @@ func (s *Scheduler) Lane(d time.Duration) *Lane {
 			return l
 		}
 	}
-	l := &Lane{s: s, d: d, id: ^int32(len(s.lanes))}
+	l := &Lane{at: maxTime, seq: maxSeq, s: s, d: d, id: ^int32(len(s.lanes))}
 	s.lanes = append(s.lanes, l)
 	return l
 }
@@ -68,7 +80,11 @@ func (l *Lane) After(what string, fn func()) Timer {
 	}
 	s := l.s
 	k := l.tail
-	l.buf[k&l.mask] = laneEntry{at: s.now + l.d, seq: s.seq, fn: fn}
+	at := s.now + l.d
+	l.buf[k&l.mask] = laneEntry{at: at, seq: s.seq, fn: fn}
+	if k == l.head {
+		l.at, l.seq = at, s.seq
+	}
 	s.seq++
 	l.tail++
 	s.laneLive++
@@ -129,10 +145,15 @@ func (l *Lane) pop() func() {
 }
 
 // trim drops tombstones from the head, restoring the invariant that the
-// head entry is live. Every entry ahead of a tombstone is due no later
-// than it, so a tombstone is gone by its own deadline.
+// head entry is live, and records the new head's key. Every entry ahead
+// of a tombstone is due no later than it, so a tombstone is gone by its
+// own deadline.
 func (l *Lane) trim() {
-	for l.head != l.tail && l.buf[l.head&l.mask].fn == nil {
-		l.head++
+	for ; l.head != l.tail; l.head++ {
+		if e := &l.buf[l.head&l.mask]; e.fn != nil {
+			l.at, l.seq = e.at, e.seq
+			return
+		}
 	}
+	l.at, l.seq = maxTime, maxSeq
 }

@@ -223,23 +223,20 @@ func (s *Scheduler) Step() bool {
 }
 
 // next finds the earliest pending event by (at, seq): the head of lane l,
-// or the heap top when l is nil. ok is false when nothing is pending. A
-// lane's head is never a tombstone, so each queue costs one comparison.
+// or the heap top when l is nil. ok is false when nothing is pending.
+// Each lane keeps its live head's key inline (an empty lane's sorts
+// last), so each queue costs one comparison.
 func (s *Scheduler) next() (l *Lane, at Time, ok bool) {
-	var seq uint64
+	at, seq := maxTime, maxSeq
 	if len(s.queue) > 0 {
 		at, seq, ok = s.queue[0].at, s.queue[0].seq, true
 	}
 	for _, c := range s.lanes {
-		if c.head == c.tail {
-			continue
-		}
-		e := &c.buf[c.head&c.mask]
-		if !ok || e.at < at || (e.at == at && e.seq < seq) {
-			l, at, seq, ok = c, e.at, e.seq, true
+		if c.at < at || (c.at == at && c.seq < seq) {
+			l, at, seq = c, c.at, c.seq
 		}
 	}
-	return l, at, ok
+	return l, at, ok || l != nil
 }
 
 // fire dequeues the event next found (lane l's head, or the heap top when
