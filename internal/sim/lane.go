@@ -60,12 +60,14 @@ func (s *Scheduler) Lane(d time.Duration) *Lane {
 		}
 	}
 	l := &Lane{at: maxTime, seq: maxSeq, s: s, d: d, id: ^int32(len(s.lanes))}
+	if s.lanes == nil {
+		// Room for the MAC's three lanes (slot, DIFS, SIFS) in one
+		// allocation: a short run builds thousands of schedulers.
+		s.lanes = make([]*Lane, 0, 4)
+	}
 	s.lanes = append(s.lanes, l)
 	return l
 }
-
-// Delay returns the lane's fixed delay.
-func (l *Lane) Delay() time.Duration { return l.d }
 
 // After schedules fn to run the lane's delay from now. It behaves exactly
 // like Scheduler.After with that delay: the event takes the next seq and
@@ -91,10 +93,11 @@ func (l *Lane) After(what string, fn func()) Timer {
 	return Timer{s: s, slot: l.id, gen: k}
 }
 
-// grow doubles the ring. Entries keep their absolute indices, so
-// outstanding Timer handles stay valid.
+// grow doubles the ring, from 8 entries: a short chain run's lanes hold a
+// few entries each, a large mesh's a few hundred. Entries keep their
+// absolute indices, so outstanding Timer handles stay valid.
 func (l *Lane) grow() {
-	n := max(2*len(l.buf), 16)
+	n := max(2*len(l.buf), 8)
 	buf := make([]laneEntry, n)
 	mask := uint32(n - 1)
 	for k := l.head; k != l.tail; k++ {

@@ -107,10 +107,10 @@ func (p *schedPair) after(d time.Duration) int { return p.at(p.s.Now() + d) }
 
 // laneAfter schedules an event on lane i (mod the lane count).
 func (p *schedPair) laneAfter(i int) int {
-	l := p.lanes[i%len(p.lanes)]
+	i %= len(p.lanes)
 	id := len(p.timers)
-	p.timers = append(p.timers, l.After("lane", p.fn(id)))
-	p.ref.add(p.s.Now()+l.Delay(), id)
+	p.timers = append(p.timers, p.lanes[i].After("lane", p.fn(id)))
+	p.ref.add(p.s.Now()+pairLaneDelays[i], id)
 	return id
 }
 
