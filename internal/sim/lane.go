@@ -21,6 +21,7 @@ type Lane struct {
 	// buf is the ring; its length is a power of two and mask is length-1.
 	// head and tail are absolute indices that wrap with uint32 arithmetic,
 	// the live window is [head, tail), and an entry sits at buf[i&mask].
+	// Like a slab generation, an index is reused only after 2^32 pushes.
 	// The head entry is never a tombstone: stop and pop drop dead entries
 	// that reach it.
 	head, tail uint32
@@ -94,8 +95,9 @@ func (l *Lane) After(what string, fn func()) Timer {
 }
 
 // grow doubles the ring, from 8 entries: a short chain run's lanes hold a
-// few entries each, a large mesh's a few hundred. Entries keep their
-// absolute indices, so outstanding Timer handles stay valid.
+// few entries each, and a mesh's grow with the stations contending at
+// once. Entries keep their absolute indices, so outstanding Timer handles
+// stay valid.
 func (l *Lane) grow() {
 	n := max(2*len(l.buf), 8)
 	buf := make([]laneEntry, n)
@@ -118,8 +120,6 @@ func (l *Lane) entry(k uint32) *laneEntry {
 	}
 	return e
 }
-
-func (l *Lane) pending(k uint32) bool { return l.entry(k) != nil }
 
 // stop tombstones the event at absolute index k and reports whether it was
 // pending.

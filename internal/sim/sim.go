@@ -101,7 +101,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	if t.slot < 0 {
-		return t.s.lanes[^t.slot].pending(t.gen)
+		return t.s.lanes[^t.slot].entry(t.gen) != nil
 	}
 	ev := &t.s.events[t.slot]
 	return ev.gen == t.gen && ev.pos >= 0
