@@ -63,7 +63,7 @@ func (s *Scheduler) Lane(d time.Duration) *Lane {
 	l := &Lane{at: maxTime, seq: maxSeq, s: s, d: d, id: ^int32(len(s.lanes))}
 	if s.lanes == nil {
 		// Room for the MAC's three lanes (slot, DIFS, SIFS) in one
-		// allocation: a short run builds thousands of schedulers.
+		// allocation: every short chain run builds its own scheduler.
 		s.lanes = make([]*Lane, 0, 4)
 	}
 	s.lanes = append(s.lanes, l)
@@ -72,8 +72,9 @@ func (s *Scheduler) Lane(d time.Duration) *Lane {
 
 // After schedules fn to run the lane's delay from now. It behaves exactly
 // like Scheduler.After with that delay: the event takes the next seq and
-// fires in the same (at, seq) order. what labels the event as in At; a
-// lane event can never be in the past, so nothing reads it.
+// fires in the same (at, seq) order. A lane event can never be in the
+// past, so what only labels the panic a nil fn raises (a nil callback
+// would otherwise pass for a tombstone).
 func (l *Lane) After(what string, fn func()) Timer {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: lane event %q has a nil callback", what))
