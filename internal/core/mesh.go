@@ -438,7 +438,7 @@ func startDynamics(m *topology.Mesh, cfg *MeshTCPConfig, stacks []*tcp.Stack,
 // final shape, the availability the fault set integrated (1 without
 // faults) and the mean heal latency.
 func (d *Dynamics) finish(m *topology.Mesh, set *faults.Set, end sim.Time) {
-	d.NodeCount, d.LinkCount, d.AvgDegree = len(m.Nodes), m.LinkCount, m.AvgDegree()
+	d.NodeCount, d.LinkCount, d.AvgDegree = len(m.Nodes), m.LinkCount(), m.AvgDegree()
 	d.Availability = 1
 	if set != nil {
 		d.Availability = set.Availability(end)

@@ -5,6 +5,12 @@
 // afterwards. The order matters: it fixes where each scheduled event lands
 // in the scheduler's FIFO tie-break, and so keeps the golden event
 // sequences.
+//
+// RunUDP follows the same order with UDP endpoints in place of TCP stacks,
+// but keeps its own body instead of riding the flow record below. Its one
+// paced sender runs for a fixed window and is measured at the sink after a
+// warmup, so none of a flow's connect, pump, completion or kill applies,
+// and a flow generic over its transport would be longer than RunUDP.
 package core
 
 import (

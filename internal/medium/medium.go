@@ -25,11 +25,13 @@
 // through a dirty-mark list, so recycling a transmission is O(marked), not
 // O(N).
 //
-// Link state itself is sparse: the neighbor lists are the primary store,
-// backed by a hash/offset map from the packed (src, dst) pair to a slot in
-// a flat link-state array, so a directed lookup (connectivity or SNR) is
-// one O(1) map probe and total memory is O(N·degree + SNR overrides) — never
-// the N×N matrix the seed kept.
+// Link state itself is sparse: the neighbor lists are the only store, each
+// link's SNR kept beside its entry, so a directed lookup (connectivity or
+// SNR) is a binary search of the sender's list, O(log deg), and total
+// memory is O(N·degree). A cut link keeps nothing. A frame whose receiver's
+// link is cut while it is on the air is still delivered, at the SNR the link
+// had when it was cut: the cut records that SNR on the sender's frames on
+// the air.
 //
 // # Shared frame work
 //
@@ -47,7 +49,7 @@ package medium
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aggmac/internal/frame"
@@ -88,161 +90,86 @@ type Radio interface {
 	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte, dec *frame.DecodedAggregate)
 }
 
-// link holds per-directed-link channel state.
-type link struct {
-	connected bool
-	snrdB     float64
-}
-
-// LinkTable is the connectivity state of a network, stored sparsely: the
-// incrementally-maintained sorted neighbor lists (out-neighbors, and their
-// transpose, the in-neighbors) are the primary store, and a hash map from
-// the packed (from, to) pair to a slot in a flat link-state array gives O(1)
-// directed lookup of connectivity and SNR together. Only links that differ
-// from the default — connected, or carrying an SNR override — occupy a
-// slot, so memory is O(N·degree + overrides) instead of the seed's N×N
-// matrix. A table is normally owned by a single Medium, but the sharded
-// engine shares one read-only table, both neighbor lists included, across
-// every shard's medium. Sharing contract: connectivity and SNR must not
-// change while more than one medium is attached (the parallel mesh path is
-// static-topology only and enforces this).
+// LinkTable is the connectivity state of a network, stored sparsely in the
+// neighbor lists themselves: nbrs[src] holds, in ascending id, every node
+// that can hear src, snrs[src] the SNR of each of those links, and in is
+// the transpose of nbrs. A directed lookup (connectivity or SNR) is a
+// binary search of the sender's list, and a cut link keeps no state, so
+// memory is O(N·degree). A table is normally owned by a single Medium, but
+// the sharded engine shares one read-only table, all three lists included,
+// across every shard's medium. Sharing contract: connectivity and SNR must
+// not change while more than one medium is attached (the parallel mesh path
+// is static-topology only and enforces this).
 type LinkTable struct {
 	n int
-	// defSNR is the SNR every non-self link reports until overridden
-	// (params.SNRdB at construction). Self pairs default to 0, matching the
-	// seed's zeroed matrix diagonal.
+	// defSNR is the SNR a link gets when it is connected (params.SNRdB).
 	defSNR float64
 	// nbrs[src] lists, in ascending node id, every dst that can hear src,
-	// and in[dst] every src that dst can hear: in is the exact transpose of
-	// nbrs. Both are maintained incrementally by the connectivity setters
-	// and are what the hot paths iterate.
+	// and snrs[src][i] is the SNR of the src→nbrs[src][i] link. in[dst]
+	// lists every src that dst can hear: in is the exact transpose of nbrs.
+	// All three are maintained incrementally by the connectivity setters
+	// and are what the hot paths read.
 	nbrs, in [][]NodeID
-	// idx maps pairKey(from, to) to a slot index; slots holds the state and
-	// free recycles released slots. An entry exists iff the link is
-	// connected or its SNR differs from the directed pair's default.
-	idx   map[uint64]int32
-	slots []link
-	free  []int32
-	// directed counts connected directed links (Σ len(nbrs)).
-	directed int
+	snrs     [][]float64
 }
 
-// pairKey packs a directed pair into the sparse index key. NodeIDs index
-// in-memory tables and the wire format caps them at 16 bits, so 32 bits per
-// endpoint is never lossy.
-func pairKey(from, to NodeID) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// NewLinkTable builds a table for n nodes with every link cut; SNR defaults
-// to params.SNRdB once connected. Construction is O(N) — no pair state
-// exists until a setter creates it.
+// NewLinkTable builds a table for n nodes with every link cut; a link gets
+// params.SNRdB once connected. Construction is O(N).
 func NewLinkTable(params phy.Params, n int) *LinkTable {
 	return &LinkTable{
 		n:      n,
 		defSNR: params.SNRdB,
 		nbrs:   make([][]NodeID, n),
 		in:     make([][]NodeID, n),
-		idx:    make(map[uint64]int32),
+		snrs:   make([][]float64, n),
 	}
 }
 
 // N returns the number of nodes the table covers.
 func (t *LinkTable) N() int { return t.n }
 
-// DirectedLinks returns the number of connected directed links — the
-// "N·degree" term of the table's memory footprint.
-func (t *LinkTable) DirectedLinks() int { return t.directed }
+// find reports where to sits, or would sit, in from's neighbor list, and
+// whether it is there: whether to can hear from.
+func (t *LinkTable) find(from, to NodeID) (int, bool) {
+	return slices.BinarySearch(t.nbrs[from], to)
+}
 
-// defaultSNR is what a pair reports with no slot: params.SNRdB for distinct
-// nodes, 0 for the self pair (the seed never initialized its diagonal).
-func (t *LinkTable) defaultSNR(from, to NodeID) float64 {
+// snr returns the from→to SNR and whether the link is connected; a cut
+// link reports 0.
+func (t *LinkTable) snr(from, to NodeID) (float64, bool) {
+	if i, ok := t.find(from, to); ok {
+		return t.snrs[from][i], true
+	}
+	return 0, false
+}
+
+// setConnectedDirected cuts or restores the from→to direction, keeping the
+// neighbor, SNR and in-neighbor lists in step. A restored link starts at the
+// default SNR.
+func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) {
 	if from == to {
-		return 0
+		return // self-links are meaningless (Connected is always false)
 	}
-	return t.defSNR
-}
-
-// alloc takes a free slot (or grows the slab) and returns its index.
-func (t *LinkTable) alloc(l link) int32 {
-	if n := len(t.free); n > 0 {
-		s := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.slots[s] = l
-		return s
+	i, cur := t.find(from, to)
+	if cur == connected {
+		return
 	}
-	t.slots = append(t.slots, l)
-	return int32(len(t.slots) - 1)
-}
-
-// release drops a pair whose state is back to default.
-func (t *LinkTable) release(k uint64, s int32) {
-	delete(t.idx, k)
-	t.free = append(t.free, s)
-}
-
-// connected reports whether to can hear from.
-func (t *LinkTable) connected(from, to NodeID) bool {
-	if from == to {
-		return false
-	}
-	s, ok := t.idx[pairKey(from, to)]
-	return ok && t.slots[s].connected
-}
-
-// snr returns the from→to SNR (the default when no slot exists).
-func (t *LinkTable) snr(from, to NodeID) float64 {
-	if s, ok := t.idx[pairKey(from, to)]; ok {
-		return t.slots[s].snrdB
-	}
-	return t.defaultSNR(from, to)
-}
-
-// setConnectedDirected cuts or restores the from→to direction, keeping both
-// neighbor lists and the sparse index in step. Reports whether anything
-// changed.
-func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
-	if from == to {
-		return false // self-links are meaningless (Connected is always false)
-	}
-	k := pairKey(from, to)
-	s, ok := t.idx[k]
-	if cur := ok && t.slots[s].connected; cur == connected {
-		return false
-	}
+	j, _ := slices.BinarySearch(t.in[to], from)
 	if connected {
-		if !ok {
-			s = t.alloc(link{snrdB: t.defSNR})
-			t.idx[k] = s
-		}
-		t.slots[s].connected = true
-		t.nbrs[from] = insertSorted(t.nbrs[from], to)
-		t.in[to] = insertSorted(t.in[to], from)
-		t.directed++
+		t.nbrs[from] = slices.Insert(t.nbrs[from], i, to)
+		t.snrs[from] = slices.Insert(t.snrs[from], i, t.defSNR)
+		t.in[to] = slices.Insert(t.in[to], j, from)
 	} else {
-		t.slots[s].connected = false
-		if t.slots[s].snrdB == t.defSNR {
-			t.release(k, s)
-		}
-		t.nbrs[from] = removeSorted(t.nbrs[from], to)
-		t.in[to] = removeSorted(t.in[to], from)
-		t.directed--
+		t.nbrs[from] = slices.Delete(t.nbrs[from], i, i+1)
+		t.snrs[from] = slices.Delete(t.snrs[from], i, i+1)
+		t.in[to] = slices.Delete(t.in[to], j, j+1)
 	}
-	return true
 }
 
-// setSNRDirected overrides the from→to SNR. The override persists across
-// disconnects (the seed's matrix kept SNR when a link was cut); a slot is
-// dropped only when the pair is disconnected and back at its default SNR.
+// setSNRDirected sets the from→to SNR; a cut pair is left alone.
 func (t *LinkTable) setSNRDirected(from, to NodeID, snrdB float64) {
-	k := pairKey(from, to)
-	if s, ok := t.idx[k]; ok {
-		t.slots[s].snrdB = snrdB
-		if !t.slots[s].connected && snrdB == t.defaultSNR(from, to) {
-			t.release(k, s)
-		}
-	} else if snrdB != t.defaultSNR(from, to) {
-		t.idx[k] = t.alloc(link{snrdB: snrdB})
+	if i, ok := t.find(from, to); ok {
+		t.snrs[from][i] = snrdB
 	}
 }
 
@@ -252,19 +179,18 @@ func (t *LinkTable) setSNRDirected(from, to NodeID, snrdB float64) {
 func (t *LinkTable) connectFull() {
 	for i := 0; i < t.n; i++ {
 		nb := make([]NodeID, 0, t.n-1)
+		snrs := make([]float64, 0, t.n-1)
 		for j := 0; j < t.n; j++ {
-			if i == j {
-				continue
+			if i != j {
+				nb = append(nb, NodeID(j))
+				snrs = append(snrs, t.defSNR)
 			}
-			t.idx[pairKey(NodeID(i), NodeID(j))] = t.alloc(link{connected: true, snrdB: t.defSNR})
-			nb = append(nb, NodeID(j))
 		}
-		t.nbrs[i] = nb
+		t.nbrs[i], t.snrs[i] = nb, snrs
 		// Every node hears every other: the in-list has the same members,
 		// in its own array so later edits to one leave the other alone.
-		t.in[i] = append([]NodeID(nil), nb...)
+		t.in[i] = slices.Clone(nb)
 	}
-	t.directed = t.n * (t.n - 1)
 }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
@@ -294,10 +220,34 @@ type transmission struct {
 	collided []bool // per node id, set when overlap observed
 	// marked lists the node ids whose collided entries were set, so
 	// recycling resets O(marked) entries instead of O(N).
-	marked    []NodeID
+	marked []NodeID
+	// cuts records, oldest first, each link from src cut while this frame
+	// was on the air and the SNR it had then; delivery to a receiver whose
+	// link is gone reads it.
+	cuts      []cutLink
 	activeIdx int           // position in Medium.active, for O(1) removal
 	nextOnAir *transmission // next frame on Medium.onAir[src]'s chain
 	finishFn  func()        // pooled txEnd callback: m.finish(this)
+}
+
+// cutLink is a link to dst cut under a frame in flight, and its SNR then.
+type cutLink struct {
+	dst   NodeID
+	snrdB float64
+}
+
+// rxSNR is the SNR dst hears t at: its link's as it stands, or, for a link
+// cut under t, the SNR recorded at the latest cut.
+func (t *transmission) rxSNR(tbl *LinkTable, dst NodeID) float64 {
+	if snr, ok := tbl.snr(t.src, dst); ok {
+		return snr
+	}
+	for i := len(t.cuts) - 1; i >= 0; i-- {
+		if t.cuts[i].dst == dst {
+			return t.cuts[i].snrdB
+		}
+	}
+	panic(fmt.Sprintf("medium: frame from %d delivered to %d over a link cut with no record", t.src, dst))
 }
 
 // addInterf marks dst's copy of this transmission as overlapped by an
@@ -375,8 +325,8 @@ type Medium struct {
 	// frames on the air (nil when src is silent: half duplex reads it), so
 	// collision marking reaches an in-neighbor's frames directly.
 	onAir []*transmission
-	// tbl holds the link matrix and neighbor index. Normally private to
-	// this medium; shard media share one read-only table (see LinkTable).
+	// tbl holds the neighbor lists and their SNRs. Normally private to this
+	// medium; shard media share one read-only table (see LinkTable).
 	tbl *LinkTable
 	// boundary, when set, observes every locally-originated transmission at
 	// launch so the sharded engine can replay it into neighboring shards.
@@ -410,8 +360,8 @@ func NewUnconnected(sched *sim.Scheduler, params phy.Params, n int) *Medium {
 
 // NewOnTable creates a medium that shares an existing link table instead of
 // owning one. The sharded engine gives every shard's medium the same table,
-// so one N² matrix serves the whole run; see LinkTable for the sharing
-// contract.
+// so one set of neighbor lists serves the whole run; see LinkTable for the
+// sharing contract.
 func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium {
 	n := tbl.N()
 	return &Medium{
@@ -465,6 +415,7 @@ func (m *Medium) putTx(t *transmission) {
 		t.collided[id] = false
 	}
 	t.marked = t.marked[:0]
+	t.cuts = t.cuts[:0]
 	t.control = frame.Control{}
 	t.hdr = frame.PHYHeader{}
 	m.txFree = append(m.txFree, t)
@@ -504,31 +455,23 @@ func (m *Medium) SetConnected(a, b NodeID, connected bool) {
 // SetConnectedDirected cuts or restores only the from→to direction
 // (asymmetric links; useful for failure injection). The from-node's
 // out-neighbor list and the to-node's in-neighbor list are updated in
-// place, O(deg).
+// place, O(deg); a restored link starts at the default SNR. A cut records
+// the link's SNR on each of from's frames on the air, which are delivered
+// at it.
 func (m *Medium) SetConnectedDirected(from, to NodeID, connected bool) {
+	if !connected && m.onAir[from] != nil {
+		if snr, ok := m.tbl.snr(from, to); ok {
+			for t := m.onAir[from]; t != nil; t = t.nextOnAir {
+				t.cuts = append(t.cuts, cutLink{to, snr})
+			}
+		}
+	}
 	m.tbl.setConnectedDirected(from, to, connected)
 }
 
-// insertSorted adds id to the ascending list (caller guarantees absence).
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// removeSorted deletes id from the ascending list (caller guarantees
-// presence).
-func removeSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
-}
-
-// SetSNR overrides the SNR of the bidirectional link between a and b. The
-// override persists even while the link is cut (mobility raises links back
-// with fresh SNR; fault injection relies on the stored value surviving).
+// SetSNR sets the SNR of the bidirectional link between a and b. A cut
+// direction keeps no SNR, so the write skips it: raise a link first, then
+// set its SNR.
 func (m *Medium) SetSNR(a, b NodeID, snrdB float64) {
 	m.tbl.setSNRDirected(a, b, snrdB)
 	m.tbl.setSNRDirected(b, a, snrdB)
@@ -538,11 +481,17 @@ func (m *Medium) SetSNR(a, b NodeID, snrdB float64) {
 func (m *Medium) Table() *LinkTable { return m.tbl }
 
 // Connected reports whether b can hear a.
-func (m *Medium) Connected(a, b NodeID) bool { return m.tbl.connected(a, b) }
+func (m *Medium) Connected(a, b NodeID) bool {
+	_, ok := m.tbl.find(a, b)
+	return ok
+}
 
-// SNR returns the configured SNR of the a→b link in dB (meaningful only
-// while the link is connected; mobility tests use it to audit refreshes).
-func (m *Medium) SNR(a, b NodeID) float64 { return m.tbl.snr(a, b) }
+// SNR returns the configured SNR of the a→b link in dB, or 0 when the link
+// is cut (mobility tests use it to audit refreshes).
+func (m *Medium) SNR(a, b NodeID) float64 {
+	snr, _ := m.tbl.snr(a, b)
+	return snr
+}
 
 // Neighbors returns the nodes that can hear src, in ascending id order.
 // The slice is the medium's live index: callers must not modify it and must
@@ -772,7 +721,7 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		m.emit(Event{Kind: "collision", Src: t.src, Dst: dst})
 		return
 	}
-	snr := m.tbl.snr(t.src, dst)
+	snr := t.rxSNR(m.tbl, dst)
 	shift := snr - m.params.SNRdB // per-link adjustment
 
 	if t.isControl {

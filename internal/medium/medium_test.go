@@ -611,6 +611,59 @@ func TestInterferenceUsesLinksAsTheyAreNow(t *testing.T) {
 	}
 }
 
+// TestLinkCutInFlightKeepsItsSNR pins the SNR a frame is delivered at when
+// its receiver's link changes while the frame is on the air. The receiver
+// was in the audience at launch, so it still gets the frame: at the SNR the
+// link had when it was cut, or, if the link is up again by the frame's end,
+// at the SNR it has then. A 3 dB link always damages a QPSK aggregate, and
+// a 40 dB one never does.
+func TestLinkCutInFlightKeepsItsSNR(t *testing.T) {
+	const subframes = 4
+	for _, tc := range []struct {
+		name      string
+		midFlight func(m *Medium)
+		wantClean int // subframes the receiver decodes intact
+	}{
+		{
+			name:      "cut",
+			midFlight: func(m *Medium) { m.SetConnected(0, 1, false) },
+		},
+		{
+			name: "cut-and-raised",
+			midFlight: func(m *Medium) {
+				m.SetConnected(0, 1, false)
+				m.SetConnected(0, 1, true)
+				m.SetSNR(0, 1, 40)
+			},
+			wantClean: subframes,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, m, radios := setup(t, 2)
+			m.SetSNR(0, 1, 3)
+			s.After(0, "tx", func() { m.TransmitAggregate(0, dataAgg(subframes, 1436, frame.NodeAddr(1))) })
+			s.After(time.Millisecond, "links", func() {
+				if !m.Transmitting(0) {
+					t.Fatal("frame already finished: the link changed after it")
+				}
+				tc.midFlight(m)
+			})
+			s.Run()
+			clean := 0
+			for _, dec := range radios[1].aggs {
+				for _, sf := range dec.Unicast {
+					if sf.CRCOK {
+						clean++
+					}
+				}
+			}
+			if clean != tc.wantClean {
+				t.Errorf("receiver decoded %d clean subframes, want %d", clean, tc.wantClean)
+			}
+		})
+	}
+}
+
 // TestBackToBackFramesDoNotCollide pins the overlap guard of collision
 // marking: a frame that launches at the instant an earlier one ends, before
 // the earlier frame's finish event has run, shares no airtime with it. A

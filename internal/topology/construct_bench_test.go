@@ -33,7 +33,7 @@ func BenchmarkGridConstruct(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := NewGrid(k, cfg)
-				if m.LinkCount == 0 {
+				if m.LinkCount() == 0 {
 					b.Fatal("grid wired no links")
 				}
 			}

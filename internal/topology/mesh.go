@@ -79,8 +79,6 @@ type Mesh struct {
 	// Extent is the upper corner of the deployment area: nodes live in
 	// [0,Extent.X]×[0,Extent.Y]. Mobility models roam inside it.
 	Extent Point
-	// LinkCount is the number of bidirectional links currently wired.
-	LinkCount int
 	// Bridged counts links added beyond radio range to join disconnected
 	// components (random layouts only).
 	Bridged int
@@ -168,7 +166,6 @@ func forEachRangePair(pos []Point, rangeLim float64, visit func(a, b int, d floa
 func (m *Mesh) connect(a, b int, snrdB float64) {
 	m.Medium.SetConnected(medium.NodeID(a), medium.NodeID(b), true)
 	m.Medium.SetSNR(medium.NodeID(a), medium.NodeID(b), snrdB)
-	m.LinkCount++
 }
 
 // Adjacency snapshots the medium's neighbor index (ascending ids) for the
@@ -266,16 +263,25 @@ func (m *Mesh) components() []int {
 	return comp
 }
 
+// degreeSum is the number of directed links in the medium.
+func (m *Mesh) degreeSum() int {
+	total := 0
+	for i := range m.Nodes {
+		total += m.Medium.Degree(medium.NodeID(i))
+	}
+	return total
+}
+
+// LinkCount is the number of bidirectional links currently wired. Every
+// mesh link is set both ways, so it is half the degree sum.
+func (m *Mesh) LinkCount() int { return m.degreeSum() / 2 }
+
 // AvgDegree is the mean number of neighbors per node.
 func (m *Mesh) AvgDegree() float64 {
 	if len(m.Nodes) == 0 {
 		return 0
 	}
-	total := 0
-	for i := range m.Nodes {
-		total += m.Medium.Degree(medium.NodeID(i))
-	}
-	return float64(total) / float64(len(m.Nodes))
+	return float64(m.degreeSum()) / float64(len(m.Nodes))
 }
 
 // HopDistance walks the routes from a to b and returns the hop count (-1
@@ -392,8 +398,7 @@ type LinkDelta struct {
 //
 // Links wired beyond radio range at build time (component bridges) follow
 // the radio model from the first refresh on: mobility either brings the
-// endpoints into real range or the bridge is cut. Pos and LinkCount are
-// updated in place.
+// endpoints into real range or the bridge is cut. Pos is updated in place.
 //
 // With a LinkOverlay installed, overlay-vetoed pairs are cut (and kept
 // cut) and in-range SNRs carry the overlay's penalty; the overlay is
@@ -435,6 +440,5 @@ func (m *Mesh) UpdateLinks(pos []Point) LinkDelta {
 		m.Medium.SetSNR(medium.NodeID(a), medium.NodeID(b), snr)
 		delta.InRange++
 	})
-	m.LinkCount += delta.Up - delta.Down
 	return delta
 }

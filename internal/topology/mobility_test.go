@@ -163,8 +163,8 @@ func TestUpdateLinksMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
-		if links != m.LinkCount {
-			t.Fatalf("step %d: LinkCount=%d, rebuild counts %d (delta %+v)", step, m.LinkCount, links, delta)
+		if links != m.LinkCount() {
+			t.Fatalf("step %d: LinkCount()=%d, rebuild counts %d (delta %+v)", step, m.LinkCount(), links, delta)
 		}
 	}
 }
@@ -173,13 +173,13 @@ func TestUpdateLinksMatchesRebuild(t *testing.T) {
 func TestUpdateLinksIdempotent(t *testing.T) {
 	m := NewGrid(4, testMeshCfg(5))
 	pos := append([]Point(nil), m.Pos...)
-	before := m.LinkCount
+	before := m.LinkCount()
 	delta := m.UpdateLinks(pos)
 	if delta.Up != 0 || delta.Down != 0 {
 		t.Fatalf("static refresh changed links: %+v", delta)
 	}
-	if m.LinkCount != before {
-		t.Fatalf("LinkCount drifted: %d -> %d", before, m.LinkCount)
+	if m.LinkCount() != before {
+		t.Fatalf("LinkCount drifted: %d -> %d", before, m.LinkCount())
 	}
 	if delta.InRange != before {
 		t.Fatalf("InRange=%d, want every existing link (%d) refreshed", delta.InRange, before)
