@@ -175,7 +175,6 @@ func main() {
 
 	// All validation is done; only now may the store be created and locked.
 	var st *store.Store
-	var cached, executed int
 	if *storeDir != "" {
 		var err error
 		st, err = store.Open(*storeDir)
@@ -186,20 +185,6 @@ func main() {
 		defer st.Close()
 		opts.Cache = st
 		opts.Resume = *resume
-		// Count cache traffic for the resume summary without disturbing the
-		// user's -progress reporter. OnResult calls are serialized per pool
-		// and experiments run sequentially, so plain ints are safe.
-		user := opts.Progress
-		opts.Progress = func(p runner.Progress) {
-			if p.Cached {
-				cached++
-			} else {
-				executed++
-			}
-			if user != nil {
-				user(p)
-			}
-		}
 	}
 
 	// JSON/CSV need the whole set before encoding; text mode prints each
@@ -222,10 +207,8 @@ func main() {
 		}
 	}
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "aggbench: store %s: %d cell(s) cached, %d executed\n",
-			st.Dir(), cached, executed)
-		if c := st.Stats().Corrupt; c > 0 {
-			fmt.Fprintf(os.Stderr, "aggbench: store: quarantined %d corrupt object(s)\n", c)
+		for _, line := range st.Summary() {
+			fmt.Fprintln(os.Stderr, "aggbench:", line)
 		}
 	}
 

@@ -143,7 +143,6 @@ func main() {
 
 		metricsPath = flag.String("metrics", "", "write simulated-time telemetry series as JSONL to this file (single, mesh and scenario runs)")
 		metricsIv   = flag.Duration("metrics-interval", telemetry.DefaultInterval, "with -metrics: simulated-time sampling interval")
-		chromeTrace = flag.String("chrome-trace", "", "write a chrome://tracing trace-event file of per-shard wall-clock spans (sharded mesh runs; not deterministic)")
 		blockProf   = flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
 		mutexProf   = flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 
@@ -191,6 +190,12 @@ func main() {
 	if *jsonOut && *csvOut {
 		fatal(fmt.Errorf("-json and -csv are mutually exclusive"))
 	}
+	if *reps < 1 {
+		fatal(fmt.Errorf("-reps must be >= 1, got %d", *reps))
+	}
+	if *parallel < 0 {
+		fatal(fmt.Errorf("-parallel must be >= 0, got %d", *parallel))
+	}
 	if *resume && *storeDir == "" {
 		fatal(fmt.Errorf("-resume requires -store"))
 	}
@@ -215,9 +220,6 @@ func main() {
 		// The store caches a run's declared config; a telemetry recorder is
 		// side output the cache could neither replay nor invalidate on.
 		fatal(fmt.Errorf("-metrics cannot be combined with -store"))
-	}
-	if *chromeTrace != "" && *topo == "" {
-		fatal(fmt.Errorf("-chrome-trace requires a sharded mesh run (-topo with -shards >= 1)"))
 	}
 	faultCfg, err := faultConfig(*crashMTBF, *crashMTTR, *flapRate, *flapDown, *partitions, *snrBurst, *snrBurstDB)
 	if err != nil {
@@ -297,8 +299,8 @@ func main() {
 		if *flows != 0 || *crossFl != 0 {
 			fatal(fmt.Errorf("-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
 		}
-		if *shards != 0 || *chromeTrace != "" {
-			fatal(fmt.Errorf("-shards/-chrome-trace apply to static -topo TCP runs only"))
+		if *shards != 0 {
+			fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
 		}
 		if faultCfg != nil {
 			fatal(fmt.Errorf("fault flags apply to -topo mesh runs only, not workload mode"))
@@ -342,16 +344,11 @@ func main() {
 		if *storeDir != "" {
 			fatal(fmt.Errorf("-store applies to sweeps and scenario runs, not single mesh runs"))
 		}
-		if *chromeTrace != "" {
-			// A stand-in for Validate: runMesh creates the file only once
-			// the config has passed (usage errors touch no file).
-			mesh.ShardTrace = io.Discard
-		}
 		if err := mesh.Validate(); err != nil {
 			fatal(err)
 		}
 		mesh.Metrics = recorder(*metricsPath, *metricsIv)
-		runMesh(mesh, *metricsPath, *chromeTrace, *jsonOut, *verbose)
+		runMesh(mesh, *metricsPath, *jsonOut, *verbose)
 		return
 	}
 	if *shards != 0 {
@@ -385,7 +382,7 @@ func main() {
 			flood: *flood, parallel: *parallel,
 			noFwd: *noFwd, blockAck: *blockAck, autoAgg: *autoAgg, bcRate: fixedBC,
 			jsonOut: *jsonOut, csvOut: *csvOut, progress: *progress,
-			st: openStore(*storeDir), resume: *resume,
+			storeDir: *storeDir, resume: *resume,
 		})
 		return
 	}
@@ -468,7 +465,7 @@ type sweepArgs struct {
 	bcRate            *phy.Rate
 	jsonOut, csvOut   bool
 	progress          bool
-	st                *store.Store
+	storeDir          string
 	resume            bool
 }
 
@@ -482,12 +479,20 @@ func runSweep(a sweepArgs) {
 		FixedBroadcastRate: a.bcRate,
 	}
 	specs := sw.Specs()
+	// Every cell's config is valid before the store opens: usage errors
+	// never touch it.
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			fatal(err)
+		}
+	}
+	st := openStore(a.storeDir)
 	pool := runner.Pool{Workers: a.parallel}
 	if a.progress {
 		pool.OnResult = runner.StderrProgress
 	}
-	if a.st != nil {
-		pool.Cache = a.st
+	if st != nil {
+		pool.Cache = st
 		pool.Resume = a.resume
 	}
 	start := time.Now()
@@ -516,9 +521,9 @@ func runSweep(a sweepArgs) {
 		fmt.Print(tab.Format())
 		fmt.Printf("swept %d run(s) in %v (wall clock)\n", len(specs), time.Since(start).Round(time.Millisecond))
 	}
-	if a.st != nil {
-		storeSummary(a.st, results)
-		a.st.Close()
+	if st != nil {
+		storeSummary(st)
+		st.Close()
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "aggsim: %d of %d runs failed\n", failed, len(specs))
@@ -526,20 +531,12 @@ func runSweep(a sweepArgs) {
 	}
 }
 
-// storeSummary prints the resume accounting of a run's results on stderr
-// (stdout stays byte-identical with and without a warm store; CI's resume
-// gate relies on that).
-func storeSummary(st *store.Store, results []runner.Result) {
-	cached := 0
-	for _, r := range results {
-		if r.Cached {
-			cached++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "aggsim: store %s: %d cell(s) cached, %d executed\n",
-		st.Dir(), cached, len(results)-cached)
-	if c := st.Stats().Corrupt; c > 0 {
-		fmt.Fprintf(os.Stderr, "aggsim: store: quarantined %d corrupt object(s)\n", c)
+// storeSummary prints the store's resume accounting on stderr (stdout
+// stays byte-identical with and without a warm store; CI's resume gate
+// relies on that).
+func storeSummary(st *store.Store) {
+	for _, line := range st.Summary() {
+		fmt.Fprintln(os.Stderr, "aggsim:", line)
 	}
 }
 
@@ -712,25 +709,10 @@ func faultConfig(crashMTBF, crashMTTR time.Duration, flapRate float64, flapDown 
 	return cfg, nil
 }
 
-// runMesh runs a validated mesh config; chromeTrace names the file that
-// receives its shard trace ("" for none).
-func runMesh(cfg core.MeshTCPConfig, metricsPath, chromeTrace string, jsonOut, verbose bool) {
+// runMesh runs a validated mesh config.
+func runMesh(cfg core.MeshTCPConfig, metricsPath string, jsonOut, verbose bool) {
 	rec := cfg.Metrics
-	var chromeFile *os.File
-	if chromeTrace != "" {
-		var err error
-		if chromeFile, err = os.Create(chromeTrace); err != nil {
-			runFail(err)
-		}
-		cfg.ShardTrace = chromeFile
-	}
 	res := core.RunMeshTCP(cfg)
-	if chromeFile != nil {
-		if err := chromeFile.Close(); err != nil {
-			runFail(err)
-		}
-		fmt.Fprintf(os.Stderr, "aggsim: chrome trace written to %s\n", chromeTrace)
-	}
 	writeMetrics(rec, metricsPath)
 	if jsonOut {
 		writeJSON(jsonResult{Kind: "mesh", Mesh: &res, Telemetry: rec.Summary()})

@@ -179,7 +179,7 @@ func runScenarios(a scenarioArgs) {
 		}
 	}
 	if st != nil {
-		storeSummary(st, results)
+		storeSummary(st)
 		st.Close()
 	}
 	for _, r := range results {

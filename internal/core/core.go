@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"io"
 	"time"
 
@@ -251,6 +252,12 @@ type UDPResult struct {
 	Nodes     []NodeReport
 }
 
+// window returns the measurement's Duration and Warmup after defaults:
+// 60 s and 2 s.
+func (c *UDPConfig) window() (duration, warmup time.Duration) {
+	return cmp.Or(c.Duration, 60*time.Second), cmp.Or(c.Warmup, 2*time.Second)
+}
+
 // RunUDP executes the experiment on a linear chain, node 0 → node Hops.
 // It panics with the Validate error on an invalid config.
 func RunUDP(cfg UDPConfig) UDPResult {
@@ -263,12 +270,7 @@ func RunUDP(cfg UDPConfig) UDPResult {
 	if cfg.MaxAggBytes == 0 {
 		cfg.MaxAggBytes = 5120
 	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 60 * time.Second
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 2 * time.Second
-	}
+	cfg.Duration, cfg.Warmup = cfg.window()
 	optsFor := func(i, n int) mac.Options {
 		opts := mac.DefaultOptions(cfg.Scheme, cfg.Rate)
 		opts.MaxAggBytes = cfg.MaxAggBytes

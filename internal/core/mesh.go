@@ -120,10 +120,6 @@ type MeshTCPConfig struct {
 	// per shard on parallel runs. nil schedules nothing, so the event
 	// sequence and golden hashes are untouched.
 	Metrics *telemetry.Recorder
-	// ShardTrace, with Shards > 0, receives a Chrome trace-event file of
-	// per-shard run/blocked wall-clock spans after the run — the shard
-	// imbalance view. Wall-clock by nature, so never deterministic.
-	ShardTrace io.Writer
 	// TCP overrides the transport config; zero value means defaults.
 	TCP tcp.Config
 	// Phy overrides the channel constants; nil means calibrated defaults.

@@ -42,7 +42,6 @@ import (
 	"aggmac/internal/routing"
 	"aggmac/internal/sim"
 	"aggmac/internal/tcp"
-	"aggmac/internal/telemetry"
 	"aggmac/internal/topology"
 	"aggmac/internal/traffic"
 )
@@ -204,17 +203,8 @@ func runMeshTCPSharded(cfg MeshTCPConfig) MeshResult {
 	for s, sh := range shards {
 		startMetrics(cfg.Metrics, s, sh, shardStacks[s], cfg.MaxAggBytes, cfg.Deadline, nil)
 	}
-	if cfg.ShardTrace != nil {
-		eng.EnableDiag()
-	}
 
 	eng.Run(cfg.Deadline)
-
-	if cfg.ShardTrace != nil {
-		if err := telemetry.WriteChromeTrace(cfg.ShardTrace, eng.DiagSpans()); err != nil {
-			panic(fmt.Sprintf("core: writing shard trace: %v", err))
-		}
-	}
 
 	var eventsRun uint64
 	for _, s := range scheds {

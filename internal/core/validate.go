@@ -7,29 +7,46 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"time"
 
 	"aggmac/internal/phy"
 	"aggmac/internal/traffic"
 )
 
 // Validate reports the first problem with the config: a negative file
-// size or hop count, a PHY rate the radio does not offer, or an unknown
-// trace format. It never changes the config.
+// size, hop count or MaxAggBytes, a PHY rate the radio does not offer, or
+// an unknown trace format. It never changes the config.
 func (c *TCPConfig) Validate() error {
-	return cmp.Or(nonNegative("FileBytes", float64(c.FileBytes)), checkChain(c.Hops, c.Rate, c.TraceFormat))
+	return cmp.Or(nonNegative("FileBytes", c.FileBytes), checkChain(c.Hops, c.MaxAggBytes, c.Rate, c.TraceFormat))
 }
 
 // Validate reports the first problem with the config: a negative hop
-// count, a PHY rate the radio does not offer, or an unknown trace format.
-// It never changes the config.
+// count, MaxAggBytes, Burst, Interval, FloodInterval, Duration or Warmup;
+// a PHY rate the radio does not offer; an unknown trace format; or a
+// Duration, after defaults, not longer than its Warmup, which would
+// measure nothing. It never changes the config.
 func (c *UDPConfig) Validate() error {
-	return checkChain(c.Hops, c.Rate, c.TraceFormat)
+	if err := cmp.Or(
+		checkChain(c.Hops, c.MaxAggBytes, c.Rate, c.TraceFormat),
+		nonNegative("Burst", c.Burst),
+		nonNegative("Interval", c.Interval),
+		nonNegative("FloodInterval", c.FloodInterval),
+		nonNegative("Duration", c.Duration),
+		nonNegative("Warmup", c.Warmup),
+	); err != nil {
+		return err
+	}
+	if d, w := c.window(); d <= w {
+		return fmt.Errorf("core: Duration %v must be longer than Warmup %v", d, w)
+	}
+	return nil
 }
 
 // checkChain holds the rules TCPConfig and UDPConfig share. Like every
 // cmp.Or list of checks here, it reports the first error in list order.
-func checkChain(hops int, rate phy.Rate, traceFormat string) error {
-	return cmp.Or(nonNegative("Hops", float64(hops)), checkRate(rate), checkTraceFormat(traceFormat))
+func checkChain(hops, maxAggBytes int, rate phy.Rate, traceFormat string) error {
+	return cmp.Or(nonNegative("Hops", hops), nonNegative("MaxAggBytes", maxAggBytes),
+		checkRate(rate), checkTraceFormat(traceFormat))
 }
 
 // checkRate rejects a PHY rate outside the radio's rate table.
@@ -40,27 +57,28 @@ func checkRate(r phy.Rate) error {
 	return nil
 }
 
-// nonNegative rejects a negative count or quantity.
-func nonNegative(name string, v float64) error {
+// nonNegative rejects a negative count, quantity or duration.
+func nonNegative[T int | float64 | time.Duration](name string, v T) error {
 	if v < 0 {
-		return fmt.Errorf("core: %s must be >= 0, got %g", name, v)
+		return fmt.Errorf("core: %s must be >= 0, got %v", name, v)
 	}
 	return nil
 }
 
 // Validate reports the first problem with the config: a negative Nodes,
-// Flows, MinHops, FileBytes or Speed; a PHY rate the radio does not offer;
-// an unknown topology, mobility model or trace format; a grid or disk
-// MinHops no route on its nodes can reach; an invalid fault
+// Flows, MinHops, FileBytes, MaxAggBytes or Speed; a PHY rate the radio
+// does not offer; an unknown topology, mobility model or trace format; a
+// grid or disk MinHops no route on its nodes can reach; an invalid fault
 // config; Shards outside 0..MaxShards, or combined with mobility, faults
-// or TraceTo; ShardTrace without Shards. It never changes the config:
-// results-store ids hash configs, and pool workers share them.
+// or TraceTo. It never changes the config: results-store ids hash
+// configs, and pool workers share them.
 func (c *MeshTCPConfig) Validate() error {
 	if err := cmp.Or(
-		nonNegative("Nodes", float64(c.Nodes)),
-		nonNegative("Flows", float64(c.Flows)),
-		nonNegative("MinHops", float64(c.MinHops)),
-		nonNegative("FileBytes", float64(c.FileBytes)),
+		nonNegative("Nodes", c.Nodes),
+		nonNegative("Flows", c.Flows),
+		nonNegative("MinHops", c.MinHops),
+		nonNegative("FileBytes", c.FileBytes),
+		nonNegative("MaxAggBytes", c.MaxAggBytes),
 		nonNegative("Speed", c.Speed),
 		checkRate(c.Rate),
 	); err != nil {
@@ -97,8 +115,6 @@ func (c *MeshTCPConfig) Validate() error {
 		return fmt.Errorf("core: Shards must be in 0..%d, got %d", MaxShards, c.Shards)
 	}
 	switch {
-	case c.Shards == 0 && c.ShardTrace != nil:
-		return errors.New("core: ShardTrace needs the sharded engine (Shards >= 1)")
 	case c.Shards == 0:
 		return nil
 	case c.Mobility != "":

@@ -40,7 +40,6 @@ func TestValidate(t *testing.T) {
 		{"mesh faults off", mesh(func(c *MeshTCPConfig) { c.Faults = &faults.Config{}; c.Shards = 2 }), ""},
 		{"mesh jsonl trace", mesh(func(c *MeshTCPConfig) { c.TraceFormat = TraceJSONL }), ""},
 		{"mesh max shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards }), ""},
-		{"mesh shard trace", mesh(func(c *MeshTCPConfig) { c.Shards = 1; c.ShardTrace = &strings.Builder{} }), ""},
 
 		{"unknown topology", mesh(func(c *MeshTCPConfig) { c.Topology = "ring" }), `unknown mesh topology "ring"`},
 		{"unknown mobility", mesh(func(c *MeshTCPConfig) { c.Mobility = "teleport" }), `unknown mobility model "teleport"`},
@@ -56,7 +55,6 @@ func TestValidate(t *testing.T) {
 		}), `axis "z"`},
 		{"negative shards", mesh(func(c *MeshTCPConfig) { c.Shards = -1 }), "Shards must be in 0..64, got -1"},
 		{"too many shards", mesh(func(c *MeshTCPConfig) { c.Shards = MaxShards + 1 }), "Shards must be in 0..64, got 65"},
-		{"shard trace sequential", mesh(func(c *MeshTCPConfig) { c.ShardTrace = &strings.Builder{} }), "ShardTrace needs the sharded engine"},
 		{"shards with mobility", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Mobility = MobilityWaypoint }), "static topologies only"},
 		{"shards with faults", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.Faults = crash }), "sequential engine"},
 		{"shards with trace", mesh(func(c *MeshTCPConfig) { c.Shards = 2; c.TraceTo = &strings.Builder{} }), "channel tracing is unsupported"},
@@ -74,6 +72,7 @@ func TestValidate(t *testing.T) {
 		{"mesh negative file", mesh(func(c *MeshTCPConfig) { c.FileBytes = -5 }), "FileBytes must be >= 0, got -5"},
 		{"mesh negative speed", mesh(func(c *MeshTCPConfig) { c.Mobility = MobilityWaypoint; c.Speed = -3 }), "Speed must be >= 0, got -3"},
 		{"mesh bad rate", mesh(func(c *MeshTCPConfig) { c.Rate = phy.Rate(99) }), "unknown PHY rate Rate(99)"},
+		{"mesh negative agg", mesh(func(c *MeshTCPConfig) { c.MaxAggBytes = -5 }), "MaxAggBytes must be >= 0, got -5"},
 
 		{"scenario default", scn(func(c *ScenarioConfig) {}), ""},
 		{"scenario closed", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mode = traffic.ModeClosed }), ""},
@@ -94,10 +93,20 @@ func TestValidate(t *testing.T) {
 		{"tcp bad rate", &TCPConfig{Hops: 2, Rate: phy.Rate(99)}, "unknown PHY rate Rate(99)"},
 		{"tcp negative rate", &TCPConfig{Hops: 2, Rate: phy.Rate(-1)}, "unknown PHY rate Rate(-1)"},
 		{"tcp negative file", &TCPConfig{Hops: 2, FileBytes: -5}, "FileBytes must be >= 0, got -5"},
+		{"tcp negative agg", &TCPConfig{Hops: 1, MaxAggBytes: -5}, "MaxAggBytes must be >= 0, got -5"},
 		{"udp default hops", &UDPConfig{}, ""},
 		{"udp negative hops", &UDPConfig{Hops: -3}, "Hops must be >= 0, got -3"},
 		{"udp trace format", &UDPConfig{Hops: 1, TraceFormat: "xml"}, `unknown trace format "xml"`},
 		{"udp bad rate", &UDPConfig{Hops: 1, Rate: phy.Rate(99)}, "unknown PHY rate Rate(99)"},
+		{"udp negative agg", &UDPConfig{Hops: 1, MaxAggBytes: -5}, "MaxAggBytes must be >= 0, got -5"},
+		{"udp negative burst", &UDPConfig{Burst: -1}, "Burst must be >= 0, got -1"},
+		{"udp negative interval", &UDPConfig{Interval: -time.Second}, "Interval must be >= 0, got -1s"},
+		{"udp negative flood interval", &UDPConfig{FloodInterval: -time.Second}, "FloodInterval must be >= 0, got -1s"},
+		{"udp negative duration", &UDPConfig{Duration: -time.Second}, "Duration must be >= 0, got -1s"},
+		{"udp negative warmup", &UDPConfig{Warmup: -time.Second}, "Warmup must be >= 0, got -1s"},
+		{"udp duration past default warmup", &UDPConfig{Duration: 3 * time.Second}, ""},
+		{"udp duration within default warmup", &UDPConfig{Hops: 1, Duration: 2 * time.Second}, "Duration 2s must be longer than Warmup 2s"},
+		{"udp warmup past default duration", &UDPConfig{Warmup: 90 * time.Second}, "Duration 1m0s must be longer than Warmup 1m30s"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

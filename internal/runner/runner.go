@@ -34,6 +34,35 @@ type Spec struct {
 	Scenario *core.ScenarioConfig
 }
 
+// Validate reports a spec that does not set exactly one config, or the
+// Validate error of the config it sets.
+func (s Spec) Validate() error {
+	set := 0
+	for _, present := range []bool{s.TCP != nil, s.UDP != nil, s.Mesh != nil, s.Scenario != nil} {
+		if present {
+			set++
+		}
+	}
+	if set != 1 {
+		return fmt.Errorf("runner: spec %q must set exactly one of TCP, UDP, Mesh or Scenario", s.Key)
+	}
+	var cfg interface{ Validate() error }
+	switch {
+	case s.TCP != nil:
+		cfg = s.TCP
+	case s.UDP != nil:
+		cfg = s.UDP
+	case s.Mesh != nil:
+		cfg = s.Mesh
+	default:
+		cfg = s.Scenario
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("runner: spec %q: %w", s.Key, err)
+	}
+	return nil
+}
+
 // Result is one completed run, indexed by its spec's position.
 type Result struct {
 	Index    int
@@ -76,9 +105,8 @@ type Progress struct {
 	Index int
 	Key   string
 	Wall  time.Duration
-	// Cached mirrors the completed Result, so reporters (and the CLIs'
-	// resume summaries) can tell cache hits from executed cells without
-	// holding the results slice.
+	// Cached mirrors the completed Result, so reporters can tell cache
+	// hits from executed cells without holding the results slice.
 	Cached bool
 	// Elapsed is the wall time since the sweep started, measured when this
 	// completion was reported, so reporters can derive a completion rate
@@ -264,30 +292,9 @@ func runOne(i int, s Spec) (res Result) {
 		}
 		res.Err = fmt.Errorf("runner: run %q panicked: %v", s.Key, r)
 	}()
-	set := 0
-	for _, present := range []bool{s.TCP != nil, s.UDP != nil, s.Mesh != nil, s.Scenario != nil} {
-		if present {
-			set++
-		}
-	}
-	if set != 1 {
-		res.Err = fmt.Errorf("runner: spec %q must set exactly one of TCP, UDP, Mesh or Scenario", s.Key)
-		return res
-	}
 	// An invalid config reports its reason, not a panic.
-	var spec interface{ Validate() error }
-	switch {
-	case s.TCP != nil:
-		spec = s.TCP
-	case s.UDP != nil:
-		spec = s.UDP
-	case s.Mesh != nil:
-		spec = s.Mesh
-	default:
-		spec = s.Scenario
-	}
-	if err := spec.Validate(); err != nil {
-		res.Err = fmt.Errorf("runner: spec %q: %w", s.Key, err)
+	if err := s.Validate(); err != nil {
+		res.Err = err
 		return res
 	}
 	switch {

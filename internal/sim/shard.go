@@ -23,7 +23,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // boundaryEvent is one cross-shard effect: fn runs on the destination shard
@@ -38,7 +37,6 @@ type boundaryEvent struct {
 // engineShard is the per-goroutine state. Within a window only the shard's
 // own goroutine touches it; between windows only the coordinator does.
 type engineShard struct {
-	id        int
 	sched     *Scheduler
 	connected []bool            // indexed by shard id: Post may target it
 	out       [][]boundaryEvent // per destination shard, filled during a window
@@ -48,29 +46,7 @@ type engineShard struct {
 
 	start chan Time // window end (inclusive) for a worker shard
 
-	// Diagnostic span recording (EnableDiag). spans is read by DiagSpans
-	// after Run returns; idleSince is when the shard last finished a window.
-	spans     []ShardSpan
-	idleSince time.Duration
-
 	panicked any
-}
-
-// ShardSpan is one wall-clock interval of a shard's life, recorded only
-// when EnableDiag was called before Run: Kind "run" covers the events one
-// shard executed in one window, "blocked" the time it then waited at the
-// barrier for the next window it had work in. Start and End are
-// wall-clock offsets from Run's start; SimAt is the shard's simulated
-// clock when the span closed. Wall-clock spans vary run to run by
-// construction — they feed the Chrome trace exporter only and never any
-// deterministic output.
-type ShardSpan struct {
-	Shard  int
-	Kind   string // "run" | "blocked"
-	Start  time.Duration
-	End    time.Duration
-	SimAt  Time
-	Events uint64 // events executed during a "run" span
 }
 
 // ShardEngine runs K Schedulers in barrier-synchronized windows of one
@@ -81,30 +57,6 @@ type ShardEngine struct {
 	shards  []*engineShard
 	look    Time
 	running bool
-
-	diag      bool
-	wallStart time.Time
-}
-
-// EnableDiag turns on per-shard wall-clock span recording for the Chrome
-// trace exporter. Must be called before Run. Diagnostics never affect
-// event order — they only read the wall clock around windows — but they
-// do cost two timestamps per shard and window, so they are off by default.
-func (e *ShardEngine) EnableDiag() {
-	if e.running {
-		panic("sim: EnableDiag after Run started")
-	}
-	e.diag = true
-}
-
-// DiagSpans returns the spans recorded during Run, grouped by shard in
-// ascending order. Empty unless EnableDiag was called.
-func (e *ShardEngine) DiagSpans() []ShardSpan {
-	var out []ShardSpan
-	for _, s := range e.shards {
-		out = append(out, s.spans...)
-	}
-	return out
 }
 
 // NewShardEngine builds an engine over the given schedulers. lookahead is
@@ -123,7 +75,6 @@ func NewShardEngine(scheds []*Scheduler, lookahead Time) *ShardEngine {
 			panic("sim: ShardEngine scheduler is nil")
 		}
 		e.shards[i] = &engineShard{
-			id:        i,
 			sched:     s,
 			connected: make([]bool, len(scheds)),
 			out:       make([][]boundaryEvent, len(scheds)),
@@ -179,9 +130,6 @@ func (e *ShardEngine) Run(deadline Time) {
 		panic("sim: ShardEngine.Run called twice")
 	}
 	e.running = true
-	if e.diag {
-		e.wallStart = time.Now()
-	}
 	for _, s := range e.shards {
 		s.sched.halted = false
 	}
@@ -193,7 +141,7 @@ func (e *ShardEngine) Run(deadline Time) {
 		go func() {
 			defer wg.Done()
 			for end := range s.start {
-				e.runWindow(s, end)
+				s.runWindow(end)
 				done <- struct{}{}
 			}
 		}()
@@ -237,7 +185,7 @@ func (e *ShardEngine) loop(deadline Time, done chan struct{}) {
 			}
 		}
 		if at, _, ok := e.shards[0].peek(); ok && at <= end {
-			e.runWindow(e.shards[0], end)
+			e.shards[0].runWindow(end)
 		}
 		for ; busy > 0; busy-- {
 			<-done
@@ -298,23 +246,13 @@ func (s *engineShard) peek() (at Time, staged, ok bool) {
 // runWindow executes the shard's events at or below end, staged before
 // local on time ties, until it runs out or halts. A panic is recovered
 // into s.panicked for the coordinator to re-raise.
-func (e *ShardEngine) runWindow(s *engineShard, end Time) {
+func (s *engineShard) runWindow(end Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = r
 		}
 	}()
-	var t0 time.Duration
-	if e.diag {
-		t0 = time.Since(e.wallStart)
-		if t0 > s.idleSince {
-			s.spans = append(s.spans, ShardSpan{
-				Shard: s.id, Kind: "blocked", Start: s.idleSince, End: t0, SimAt: s.sched.Now(),
-			})
-		}
-	}
 	sched := s.sched
-	var n uint64
 	for at, staged, ok := s.peek(); ok && at <= end; at, staged, ok = s.peek() {
 		if staged {
 			ev := s.stagePop()
@@ -323,13 +261,6 @@ func (e *ShardEngine) runWindow(s *engineShard, end Time) {
 		} else {
 			sched.Step()
 		}
-		n++
-	}
-	if e.diag {
-		s.idleSince = time.Since(e.wallStart)
-		s.spans = append(s.spans, ShardSpan{
-			Shard: s.id, Kind: "run", Start: t0, End: s.idleSince, SimAt: sched.Now(), Events: n,
-		})
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // SpecID hashes. A change to the shape of any config type a spec reaches
 // (a field added, removed, renamed or retyped) moves every SpecID, which
 // leaves the objects stored under the old encoding unreachable; bump
-// SpecVersion with it, and Open drops them. TestSpecVersionPinsSchema
-// fails until the bump is made.
-const SpecVersion = 1
+// SpecVersion with it, and Open deletes their directory.
+// TestSpecVersionPinsSchema fails until the bump is made.
+const SpecVersion = 2
 
 // specEnvelope is the shape that gets canonicalized and hashed. Exactly one
 // of the config pointers is set; the field names distinguish the run kinds,
@@ -138,8 +138,8 @@ func canonical(v reflect.Value) (any, error) {
 	}
 }
 
-// specMeta extracts the human-readable identity recorded alongside each
-// entry: the MAC scheme name and the run's seed.
+// specMeta extracts the human-readable identity recorded in each object:
+// the MAC scheme name and the run's seed.
 func specMeta(s runner.Spec) (scheme string, seed int64) {
 	switch {
 	case s.TCP != nil:

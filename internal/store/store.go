@@ -6,38 +6,41 @@
 // because cells are pure functions of their spec and JSON round-trips of
 // the result structs are lossless.
 //
+// A cell's spec hash names its file, and that file is the only record of
+// the cell: there is no index to keep in step with the objects.
+//
 // Durability and integrity:
 //
-//   - Every write (object files and the index) goes through write-to-temp,
-//     fsync, rename in the same directory, so a SIGKILL or crash leaves
-//     either the old state or the new state, never a torn file.
-//   - Every object records its SHA-256 in the index; reads verify it, and a
-//     mismatch quarantines the file (moved into quarantine/, index entry
-//     dropped) and reports a miss instead of serving corrupt data.
+//   - Every object is written to a temp file, fsynced and renamed in the
+//     same directory, so a SIGKILL or crash leaves either no object or the
+//     whole object, never a torn file.
+//   - Every object carries the SHA-256 of its own body (see encodeObject).
+//     Lookup verifies it, decodes the body strictly and checks the id
+//     against the file name; any failure moves the file into quarantine/
+//     and reports a miss instead of serving corrupt data.
 //   - The store root is guarded by an exclusive file lock; a second writer
-//     fails fast with ErrLocked instead of interleaving index rewrites.
-//   - An unreadable or wrong-version index is quarantined and rebuilt from
-//     the objects themselves (each object is self-describing and
-//     self-authenticating), so index damage costs a scan, not the cache.
-//   - The index and every object record the spec encoding (SpecVersion)
-//     they were stored under. Open deletes the objects of any other
-//     encoding, which no current spec can reach, so a store does not grow
-//     with every config change.
+//     fails fast with ErrLocked.
+//   - Objects live in a directory named after the spec encoding
+//     (SpecVersion) they were stored under. Open deletes the directories
+//     of any other encoding, which no current spec can reach, so a store
+//     does not grow with every config change.
+//   - Every path is built from a hex digest; no path is read from a file.
 //
 // Layout under the store root:
 //
-//	LOCK                    flock target, held for the store's lifetime
-//	index.json              versioned index (see index.go)
-//	objects/<id>.json       one completed cell per file, id = spec hash
-//	quarantine/             corrupt files moved aside for post-mortem
+//	LOCK                      flock target, held for the store's lifetime
+//	v<SpecVersion>/<id>.json  one completed cell per file, id = spec hash
+//	quarantine/               corrupt files moved aside for post-mortem
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,10 +51,9 @@ import (
 )
 
 const (
-	objectsDir    = "objects"
 	quarantineDir = "quarantine"
-	indexName     = "index.json"
 	lockName      = "LOCK"
+	tmpPrefix     = ".tmp-"
 )
 
 // ErrLocked reports that another process holds the store's writer lock.
@@ -61,8 +63,10 @@ var ErrLocked = errors.New("store: already locked by another process")
 type Stats struct {
 	// Hits and Misses count Lookup outcomes.
 	Hits, Misses int
-	// Corrupt counts entries quarantined after failing verification.
+	// Corrupt counts objects quarantined after failing verification.
 	Corrupt int
+	// Stored counts results persisted by Store.
+	Stored int
 }
 
 // Store is a directory-backed results cache. It implements runner.Cache.
@@ -70,89 +74,100 @@ type Stats struct {
 type Store struct {
 	dir  string
 	lock *os.File
-	// spec is the spec encoding this store keeps objects of: SpecVersion
-	// outside tests.
-	spec int
+	// objects is the directory holding this store's spec encoding:
+	// v<SpecVersion> outside tests.
+	objects string
 
 	mu    sync.Mutex
-	idx   Index
 	stats Stats
 }
 
-// object is the durable form of one completed run: self-describing (it
-// repeats its ID and identity) so the index can be rebuilt from objects
-// alone, and carrying exactly one result payload. Wall-clock time is
-// deliberately not stored — a cached cell reports Wall 0 and Cached true.
+// object is the durable form of one completed run: it repeats its ID, so a
+// file renamed or copied to another cell's name is caught, and carries
+// exactly one result payload. Scheme and Seed identify the cell for humans
+// reading the file. Wall-clock time is deliberately not stored — a cached
+// cell reports Wall 0 and Cached true.
 type object struct {
-	ID          string               `json:"id"`
-	SpecVersion int                  `json:"spec_version"`
-	Key         string               `json:"key"`
-	Scheme      string               `json:"scheme"`
-	Seed        int64                `json:"seed"`
-	TCP         *core.TCPResult      `json:"tcp,omitempty"`
-	UDP         *core.UDPResult      `json:"udp,omitempty"`
-	Mesh        *core.MeshResult     `json:"mesh,omitempty"`
-	Scenario    *core.ScenarioResult `json:"scenario,omitempty"`
+	ID       string               `json:"id"`
+	Key      string               `json:"key"`
+	Scheme   string               `json:"scheme"`
+	Seed     int64                `json:"seed"`
+	TCP      *core.TCPResult      `json:"tcp,omitempty"`
+	UDP      *core.UDPResult      `json:"udp,omitempty"`
+	Mesh     *core.MeshResult     `json:"mesh,omitempty"`
+	Scenario *core.ScenarioResult `json:"scenario,omitempty"`
 }
 
 // Open creates (if needed) and locks the store at dir. It fails fast with
-// an error wrapping ErrLocked when another process holds the lock, and
-// recovers from a damaged or wrong-version index by quarantining it and
-// rebuilding from the object files. An index of another spec encoding is
-// rebuilt too, which deletes the objects stored under that encoding.
+// an error wrapping ErrLocked when another process holds the lock. Under
+// the lock it deletes the names the store owns but no longer uses: the
+// index.json and objects/ of the indexed layout, the object directories of
+// other spec encodings, and temp files left by interrupted writes. It
+// lists directories but reads no object.
 func Open(dir string) (*Store, error) { return open(dir, SpecVersion) }
 
 // open is Open keeping the objects of spec encoding spec.
 func open(dir string, spec int) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	lock, err := acquireLock(filepath.Join(dir, lockName))
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, lock: lock, spec: spec}
-
-	data, err := os.ReadFile(filepath.Join(dir, indexName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh store (or one killed before its first flush): rebuild picks
-		// up any objects that landed without an index update.
-		if err := s.rebuild(); err != nil {
-			releaseLock(lock)
-			return nil, err
-		}
-	case err != nil:
+	s := &Store{dir: dir, lock: lock, objects: fmt.Sprintf("v%d", spec)}
+	if err := s.removeStale(); err != nil {
 		releaseLock(lock)
 		return nil, fmt.Errorf("store: %w", err)
-	default:
-		idx, perr := ParseIndex(data)
-		if perr != nil {
-			// Damaged index: move it aside and recover from the objects.
-			_ = os.Rename(filepath.Join(dir, indexName), filepath.Join(dir, quarantineDir, indexName))
-			if err := s.rebuild(); err != nil {
-				releaseLock(lock)
-				return nil, err
-			}
-		} else if idx.SpecVersion != spec {
-			// Stored under another spec encoding: no current spec can
-			// reach these objects.
-			if err := s.rebuild(); err != nil {
-				releaseLock(lock)
-				return nil, err
-			}
-		} else {
-			s.idx = idx
-		}
 	}
 	return s, nil
 }
 
-// Close releases the store's lock. The index and objects are already
-// durable — every Put flushes synchronously — so Close has nothing to
-// write.
+// removeStale creates the object and quarantine directories and removes
+// every stale name the store owns at the root and among the objects.
+func (s *Store) removeStale() error {
+	for _, d := range []string{s.objects, quarantineDir} {
+		if err := os.MkdirAll(filepath.Join(s.dir, d), 0o755); err != nil {
+			return err
+		}
+	}
+	for _, sub := range []string{".", s.objects} {
+		des, err := os.ReadDir(filepath.Join(s.dir, sub))
+		if err != nil {
+			return err
+		}
+		for _, de := range des {
+			name := de.Name()
+			stale := strings.HasPrefix(name, tmpPrefix)
+			if sub == "." {
+				stale = stale || name == "index.json" || name == "objects" ||
+					(isVersionDir(name) && name != s.objects)
+			}
+			if stale {
+				if err := os.RemoveAll(filepath.Join(s.dir, sub, name)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// isVersionDir reports whether name has the form v<digits>.
+func isVersionDir(name string) bool {
+	if len(name) < 2 || name[0] != 'v' {
+		return false
+	}
+	for _, c := range name[1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// Close releases the store's lock. Every Store is already durable, so
+// Close has nothing to write.
 func (s *Store) Close() error {
 	if s.lock == nil {
 		return nil
@@ -165,13 +180,6 @@ func (s *Store) Close() error {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Len returns the number of cells currently indexed.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idx.Entries)
-}
-
 // Stats returns cache-traffic counters since Open.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -179,9 +187,28 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
+// Summary returns the resume accounting since Open as lines for stderr:
+// the cells served from the store and the cells executed and stored, then,
+// when any object failed verification, how many were quarantined. Stdout
+// stays byte-identical with and without a warm store.
+func (s *Store) Summary() []string {
+	st := s.Stats()
+	lines := []string{fmt.Sprintf("store %s: %d cell(s) cached, %d executed", s.dir, st.Hits, st.Stored)}
+	if st.Corrupt > 0 {
+		lines = append(lines, fmt.Sprintf("store: quarantined %d corrupt object(s)", st.Corrupt))
+	}
+	return lines
+}
+
+// path returns the object file of the cell with spec hash id.
+func (s *Store) path(id string) string {
+	return filepath.Join(s.dir, s.objects, id+".json")
+}
+
 // Lookup implements runner.Cache: it returns the stored result for the
-// spec's cell, verifying the object's checksum first. Corrupt entries are
-// quarantined and report a miss, so a damaged store degrades to re-running
+// spec's cell. A missing file is a miss; a file that cannot be read, fails
+// its checksum, fails the strict decode or names another cell is
+// quarantined and reports a miss, so a damaged store degrades to re-running
 // cells, never to serving wrong data.
 func (s *Store) Lookup(spec runner.Spec) (runner.Result, bool, error) {
 	id, err := SpecID(spec)
@@ -190,24 +217,19 @@ func (s *Store) Lookup(spec runner.Spec) (runner.Result, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.idx.Entries[id]
-	if !ok {
+	path := s.path(id)
+	blob, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
 		s.stats.Misses++
 		return runner.Result{}, false, nil
 	}
-	blob, err := os.ReadFile(filepath.Join(s.dir, e.File))
-	if err != nil {
-		s.quarantineLocked(id, e)
-		return runner.Result{}, false, nil
-	}
-	sum := sha256.Sum256(blob)
-	if hex.EncodeToString(sum[:]) != e.SHA256 {
-		s.quarantineLocked(id, e)
-		return runner.Result{}, false, nil
-	}
 	var obj object
-	if err := json.Unmarshal(blob, &obj); err != nil || obj.ID != id {
-		s.quarantineLocked(id, e)
+	if err != nil || decodeObject(blob, &obj) != nil || obj.ID != id {
+		s.stats.Misses++
+		s.stats.Corrupt++
+		// Best-effort: the cell is a miss either way, and storing it again
+		// replaces whatever is left at its path.
+		_ = os.Rename(path, filepath.Join(s.dir, quarantineDir, id+".json"))
 		return runner.Result{}, false, nil
 	}
 	s.stats.Hits++
@@ -218,9 +240,9 @@ func (s *Store) Lookup(spec runner.Spec) (runner.Result, bool, error) {
 }
 
 // Store implements runner.Cache: it durably persists a completed result
-// (object file, then index, each via temp+fsync+rename) before returning,
-// so a kill immediately after sees the cell on resume. Failed runs are
-// never stored — an error result would otherwise mask a later success.
+// (temp file, fsync, rename) before returning, so a kill immediately after
+// sees the cell on resume. Failed runs are never stored — an error result
+// would otherwise mask a later success.
 func (s *Store) Store(spec runner.Spec, r runner.Result) error {
 	if r.Err != nil {
 		return fmt.Errorf("store: refusing to store failed run %q: %v", spec.Key, r.Err)
@@ -230,99 +252,61 @@ func (s *Store) Store(spec runner.Spec, r runner.Result) error {
 		return err
 	}
 	scheme, seed := specMeta(spec)
-	obj := object{
-		ID: id, SpecVersion: s.spec, Key: spec.Key, Scheme: scheme, Seed: seed,
+	blob, err := encodeObject(object{
+		ID: id, Key: spec.Key, Scheme: scheme, Seed: seed,
 		TCP: r.TCP, UDP: r.UDP, Mesh: r.Mesh, Scenario: r.Scenario,
-	}
-	blob, err := json.Marshal(obj)
+	})
 	if err != nil {
 		return fmt.Errorf("store: encode result %q: %w", spec.Key, err)
 	}
-	sum := sha256.Sum256(blob)
-	rel := objectsDir + "/" + id + ".json"
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := atomicWrite(filepath.Join(s.dir, rel), blob); err != nil {
+	if err := atomicWrite(s.path(id), blob); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.idx.Entries[id] = Entry{
-		File: rel, SHA256: hex.EncodeToString(sum[:]),
-		Key: spec.Key, Scheme: scheme, Seed: seed,
-	}
-	return s.writeIndexLocked()
-}
-
-// quarantineLocked moves a failed entry's file into quarantine/, drops it
-// from the index and persists the index, best-effort: the caller already
-// treats the entry as a miss, and the next Put will rewrite the index
-// anyway.
-func (s *Store) quarantineLocked(id string, e Entry) {
-	s.stats.Corrupt++
-	_ = os.Rename(filepath.Join(s.dir, e.File), filepath.Join(s.dir, quarantineDir, filepath.Base(e.File)))
-	delete(s.idx.Entries, id)
-	_ = s.writeIndexLocked()
-}
-
-// writeIndexLocked persists the in-memory index atomically.
-func (s *Store) writeIndexLocked() error {
-	b, err := s.idx.Encode()
-	if err != nil {
-		return err
-	}
-	if err := atomicWrite(filepath.Join(s.dir, indexName), b); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	s.stats.Stored++
 	return nil
 }
 
-// rebuild reconstructs the index by scanning objects/: every well-formed,
-// self-consistent object of the store's spec encoding becomes an entry
-// (checksummed over its exact bytes); objects of another encoding are
-// deleted, and anything else — temp leftovers, truncated writes, files
-// whose recorded ID disagrees with their name — is quarantined or ignored.
-func (s *Store) rebuild() error {
-	dir := filepath.Join(s.dir, objectsDir)
-	des, err := os.ReadDir(dir)
+// encodeObject renders an object file: the lowercase hex SHA-256 of the
+// JSON body, a newline, then the body. The digest covers every body byte
+// and is compared as text, so a change to any byte of the file fails
+// decodeObject.
+func encodeObject(obj object) ([]byte, error) {
+	body, err := json.Marshal(obj)
 	if err != nil {
-		return fmt.Errorf("store: rebuild: %w", err)
+		return nil, err
 	}
-	s.idx = Index{Version: IndexVersion, SpecVersion: s.spec, Entries: map[string]Entry{}}
-	for _, de := range des {
-		name := de.Name()
-		id, okName := strings.CutSuffix(name, ".json")
-		if de.IsDir() || !okName || !isHex64(id) {
-			// Temp files from interrupted writes and stray names are not
-			// objects; remove temps, ignore the rest.
-			if strings.HasPrefix(name, tmpPrefix) {
-				_ = os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		var obj object
-		if json.Unmarshal(blob, &obj) != nil || obj.ID != id {
-			s.stats.Corrupt++
-			_ = os.Rename(filepath.Join(dir, name), filepath.Join(s.dir, quarantineDir, name))
-			continue
-		}
-		if obj.SpecVersion != s.spec {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		sum := sha256.Sum256(blob)
-		s.idx.Entries[id] = Entry{
-			File: objectsDir + "/" + name, SHA256: hex.EncodeToString(sum[:]),
-			Key: obj.Key, Scheme: obj.Scheme, Seed: obj.Seed,
-		}
-	}
-	return s.writeIndexLocked()
+	sum := sha256.Sum256(body)
+	out := make([]byte, 0, hex.EncodedLen(len(sum))+1+len(body))
+	out = hex.AppendEncode(out, sum[:])
+	out = append(out, '\n')
+	return append(out, body...), nil
 }
 
-const tmpPrefix = ".tmp-"
+// decodeObject verifies an object file's checksum and strictly decodes its
+// body into obj: unknown fields and trailing data are errors.
+func decodeObject(blob []byte, obj *object) error {
+	const n = 2 * sha256.Size
+	if len(blob) <= n || blob[n] != '\n' {
+		return errors.New("store: object has no checksum line")
+	}
+	body := blob[n+1:]
+	sum := sha256.Sum256(body)
+	if string(blob[:n]) != hex.EncodeToString(sum[:]) {
+		return errors.New("store: object checksum mismatch")
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(obj); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("store: trailing data after object")
+	}
+	return nil
+}
 
 // atomicWrite lands data at path via a temp file in the same directory,
 // fsync and rename, so concurrent readers and post-kill recovery see

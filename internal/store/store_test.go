@@ -1,13 +1,16 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,8 +64,11 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 	if !reflect.DeepEqual(got.TCP, want.TCP) || got.Key != want.Key {
 		t.Fatalf("Lookup returned %+v, want %+v", got, want)
 	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Corrupt != 0 {
-		t.Errorf("Stats = %+v, want 1 hit, 1 miss, 0 corrupt", st)
+	if st := s.Stats(); st != (Stats{Hits: 1, Misses: 1, Stored: 1}) {
+		t.Errorf("Stats = %+v, want 1 hit, 1 miss, 0 corrupt, 1 stored", st)
+	}
+	if got, want := s.Summary(), []string{"store " + dir + ": 1 cell(s) cached, 1 executed"}; !slices.Equal(got, want) {
+		t.Errorf("Summary = %q, want %q", got, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -70,8 +76,8 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 
 	// A different seed occupies a different slot; reopening serves both.
 	s2 := mustOpen(t, dir)
-	if s2.Len() != 1 {
-		t.Fatalf("reopened store Len = %d, want 1", s2.Len())
+	if n := countObjects(t, dir, SpecVersion); n != 1 {
+		t.Fatalf("reopened store holds %d objects, want 1", n)
 	}
 	if _, ok, _ := s2.Lookup(spec); !ok {
 		t.Error("reopened store missed the stored cell")
@@ -124,8 +130,8 @@ func TestStoreRefusesFailedRun(t *testing.T) {
 	if err := s.Store(tcpSpec(1), r); err == nil {
 		t.Fatal("Store accepted a failed result")
 	}
-	if s.Len() != 0 {
-		t.Error("failed result landed in the index")
+	if n := countObjects(t, s.Dir(), SpecVersion); n != 0 || s.Stats().Stored != 0 {
+		t.Errorf("failed result landed in the store: %d objects, %+v", n, s.Stats())
 	}
 }
 
@@ -153,7 +159,7 @@ func TestCorruptObjectQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, _ := SpecID(spec)
-	objPath := filepath.Join(dir, objectsDir, id+".json")
+	objPath := filepath.Join(dir, objectsDirName(), id+".json")
 	if err := os.WriteFile(objPath, []byte(`{"id":"flipped bits`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +171,16 @@ func TestCorruptObjectQuarantined(t *testing.T) {
 		t.Errorf("Stats.Corrupt = %d, want 1", st.Corrupt)
 	}
 	if _, err := os.Stat(objPath); !errors.Is(err, os.ErrNotExist) {
-		t.Error("corrupt object still in objects/")
+		t.Error("corrupt object still among the objects")
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineDir, id+".json")); err != nil {
 		t.Errorf("corrupt object not moved to quarantine/: %v", err)
 	}
-	if s.Len() != 0 {
-		t.Error("corrupt entry still indexed")
+	if n := countObjects(t, dir, SpecVersion); n != 0 {
+		t.Errorf("%d objects left after quarantine, want 0", n)
+	}
+	if got := s.Summary(); len(got) != 2 || got[1] != "store: quarantined 1 corrupt object(s)" {
+		t.Errorf("Summary = %q, want a quarantine line", got)
 	}
 
 	// The slot is usable again: re-store and hit.
@@ -203,138 +212,70 @@ func storeTwo(t *testing.T, dir string) [2]runner.Spec {
 	return specs
 }
 
-func TestGarbageIndexRebuiltFromObjects(t *testing.T) {
+// TestRebuildDiscardsTempAndForeignFiles: Open removes temp files left by
+// interrupted writes, at the root and among the objects, and leaves names
+// the store does not own alone.
+func TestRebuildDiscardsTempAndForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	specs := storeTwo(t, dir)
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("{torn write"), 0o644); err != nil {
-		t.Fatal(err)
+	objects := filepath.Join(dir, objectsDirName())
+	temps := []string{filepath.Join(dir, tmpPrefix+"index.json-1"), filepath.Join(objects, tmpPrefix+"leftover")}
+	foreign := []string{filepath.Join(dir, "notes.txt"), filepath.Join(objects, "README.txt")}
+	for _, p := range append(temps, foreign...) {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+
 	s := mustOpen(t, dir)
-	if s.Len() != 2 {
-		t.Fatalf("rebuilt store Len = %d, want 2", s.Len())
+	for _, p := range temps {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("temp leftover %s not removed by Open", filepath.Base(p))
+		}
+	}
+	for _, p := range foreign {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Open removed a file it does not own: %v", err)
+		}
 	}
 	for _, sp := range specs {
 		if _, ok, _ := s.Lookup(sp); !ok {
-			t.Errorf("rebuilt store missed %v", sp.TCP.Seed)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, indexName)); err != nil {
-		t.Errorf("damaged index not quarantined: %v", err)
-	}
-}
-
-func TestWrongVersionIndexRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	storeTwo(t, dir)
-	if err := os.WriteFile(filepath.Join(dir, indexName),
-		[]byte(`{"version": 99, "entries": {}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, dir)
-	if s.Len() != 2 {
-		t.Fatalf("store with future-version index Len = %d, want 2 after rebuild", s.Len())
-	}
-}
-
-func TestMissingIndexRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	specs := storeTwo(t, dir)
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, dir)
-	if s.Len() != 2 {
-		t.Fatalf("store without index Len = %d, want 2 after rebuild", s.Len())
-	}
-	if _, ok, _ := s.Lookup(specs[0]); !ok {
-		t.Error("rebuilt store missed a cell")
-	}
-}
-
-func TestRebuildDiscardsTempAndForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	storeTwo(t, dir)
-	objects := filepath.Join(dir, objectsDir)
-	// A temp file from an interrupted atomic write, a stray file, and an
-	// object whose recorded ID disagrees with its name.
-	if err := os.WriteFile(filepath.Join(objects, tmpPrefix+"leftover"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(objects, "README.txt"), []byte("not an object"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	liar := strings.Repeat("ab", 32) + ".json"
-	if err := os.WriteFile(filepath.Join(objects, liar), []byte(`{"id":"`+strings.Repeat("cd", 32)+`"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, dir)
-	if s.Len() != 2 {
-		t.Fatalf("rebuild indexed %d cells, want 2", s.Len())
-	}
-	if _, err := os.Stat(filepath.Join(objects, tmpPrefix+"leftover")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("temp leftover not removed by rebuild")
-	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, liar)); err != nil {
-		t.Errorf("lying object not quarantined: %v", err)
-	}
-}
-
-func TestIndexEncodeParseRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	storeTwo(t, dir)
-	data, err := os.ReadFile(filepath.Join(dir, indexName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := ParseIndex(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := idx.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(data) {
-		t.Error("Encode(Parse(index)) is not byte-identical")
-	}
-}
-
-func TestParseIndexRejectsEscapingPaths(t *testing.T) {
-	id := strings.Repeat("ab", 32)
-	sum := strings.Repeat("cd", 32)
-	for _, file := range []string{
-		"../../etc/passwd",
-		"objects/../index.json",
-		"/objects/" + id + ".json",
-		"quarantine/x.json",
-		`objects\evil.json`,
-	} {
-		doc := `{"version":1,"entries":{"` + id + `":{"file":"` + file +
-			`","sha256":"` + sum + `","key":"k","scheme":"BA","seed":1}}}`
-		if _, err := ParseIndex([]byte(doc)); err == nil {
-			t.Errorf("ParseIndex accepted escaping path %q", file)
+			t.Errorf("reopened store missed seed %d", sp.TCP.Seed)
 		}
 	}
 }
 
-// countObjects returns how many object files the store directory holds.
-func countObjects(t *testing.T, dir string) int {
+// objectsDirName is the object directory of the current spec encoding.
+func objectsDirName() string { return fmt.Sprintf("v%d", SpecVersion) }
+
+// countObjects returns how many object files the store directory holds
+// under spec encoding v.
+func countObjects(t *testing.T, dir string, v int) int {
 	t.Helper()
-	des, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	m, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("v%d", v), "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(des)
+	return len(m)
+}
+
+// rootNames lists the names at the store root, sorted.
+func rootNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
 }
 
 // TestStoreDropsOtherSpecVersions: a store filled under spec encoding v
-// and reopened under v+1 drops the old index entries and deletes their
-// objects, which no v+1 spec can reach; after a re-run it holds only v+1
-// objects.
+// and reopened under v+1 deletes v's object directory, which no v+1 spec
+// can reach; after a re-run it holds only v+1 objects.
 func TestStoreDropsOtherSpecVersions(t *testing.T) {
 	dir := t.TempDir()
 	specs := []runner.Spec{tcpSpec(1), tcpSpec(2)}
@@ -355,7 +296,7 @@ func TestStoreDropsOtherSpecVersions(t *testing.T) {
 	}
 	const v = SpecVersion
 	fill(v)
-	if n := countObjects(t, dir); n != len(specs) {
+	if n := countObjects(t, dir, v); n != len(specs) {
 		t.Fatalf("store filled under v holds %d objects, want %d", n, len(specs))
 	}
 
@@ -363,35 +304,23 @@ func TestStoreDropsOtherSpecVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Errorf("reopened under v+1: Len = %d, want 0", s.Len())
+	for _, sp := range specs {
+		if _, ok, _ := s.Lookup(sp); ok {
+			t.Errorf("reopened under v+1: seed %d hit a v object", sp.TCP.Seed)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := countObjects(t, dir); n != 0 {
-		t.Errorf("reopened under v+1: %d objects left, want 0", n)
+	want := []string{lockName, quarantineDir, fmt.Sprintf("v%d", v+1)}
+	slices.Sort(want)
+	if got := rootNames(t, dir); !slices.Equal(got, want) {
+		t.Errorf("reopened under v+1: root holds %v, want %v", got, want)
 	}
 
 	fill(v + 1)
-	if n := countObjects(t, dir); n != len(specs) {
+	if n := countObjects(t, dir, v+1); n != len(specs) {
 		t.Errorf("after the v+1 re-run: %d objects, want %d", n, len(specs))
-	}
-	data, err := os.ReadFile(filepath.Join(dir, indexName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := ParseIndex(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.SpecVersion != v+1 || len(idx.Entries) != len(specs) {
-		t.Errorf("index records spec version %d with %d entries, want %d with %d",
-			idx.SpecVersion, len(idx.Entries), v+1, len(specs))
-	}
-	// Without its index, the store rebuilds from v+1 objects alone.
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
 	}
 	s, err = open(dir, v+1)
 	if err != nil {
@@ -400,8 +329,79 @@ func TestStoreDropsOtherSpecVersions(t *testing.T) {
 	defer s.Close()
 	for _, sp := range specs {
 		if _, ok, _ := s.Lookup(sp); !ok {
-			t.Errorf("rebuilt v+1 store missed seed %d", sp.TCP.Seed)
+			t.Errorf("reopened v+1 store missed seed %d", sp.TCP.Seed)
 		}
+	}
+}
+
+// TestOpenDropsIndexedLayout: a store written in the earlier layout — an
+// index.json beside objects/<id>.json — loses both names on Open, keeps a
+// user file at its root, runs its cells once more and then serves them.
+func TestOpenDropsIndexedLayout(t *testing.T) {
+	dir := t.TempDir()
+	specs := []runner.Spec{tcpSpec(1), tcpSpec(2)}
+	old := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]any{}
+	for i, sp := range specs {
+		id, err := SpecID(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := []byte(fmt.Sprintf(`{"id":%q,"spec_version":1,"key":"tcp/test","scheme":"BA","seed":%d,"tcp":{"ThroughputMbps":%d}}`,
+			id, sp.TCP.Seed, i+1))
+		if err := os.WriteFile(filepath.Join(old, id+".json"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		entries[id] = map[string]any{"file": "objects/" + id + ".json", "sha256": hex.EncodeToString(sum[:]),
+			"key": "tcp/test", "scheme": "BA", "seed": sp.TCP.Seed}
+	}
+	idx, err := json.Marshal(map[string]any{"version": 1, "spec_version": 1, "entries": entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := filepath.Join(dir, "my-notes.txt")
+	for p, b := range map[string][]byte{filepath.Join(dir, "index.json"): idx, user: []byte("keep me")} {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run := func() Stats {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		pool := runner.Pool{Workers: 2, Cache: s, Resume: true}
+		results, err := pool.Run(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != nil || r.TCP == nil || r.TCP.ThroughputMbps <= 0 {
+				t.Fatalf("cell %s: err %v, result %+v", r.Key, r.Err, r.TCP)
+			}
+		}
+		return s.Stats()
+	}
+	if st := run(); st.Hits != 0 || st.Stored != len(specs) {
+		t.Errorf("first run on the indexed layout: %+v, want 0 hits and %d stored", st, len(specs))
+	}
+	want := []string{lockName, "my-notes.txt", quarantineDir, objectsDirName()}
+	slices.Sort(want)
+	if got := rootNames(t, dir); !slices.Equal(got, want) {
+		t.Errorf("store root holds %v, want %v", got, want)
+	}
+	if b, err := os.ReadFile(user); err != nil || string(b) != "keep me" {
+		t.Errorf("user file changed: %q, %v", b, err)
+	}
+	if st := run(); st.Hits != len(specs) || st.Stored != 0 {
+		t.Errorf("second run: %+v, want %d hits and 0 stored", st, len(specs))
 	}
 }
 
@@ -441,7 +441,7 @@ func specSchema(t reflect.Type, seen map[reflect.Type]bool) string {
 // has changed: bump SpecVersion in key.go and record the new fingerprint
 // here.
 func TestSpecVersionPinsSchema(t *testing.T) {
-	const version, fingerprint = 1, "dbbbac7fdbd6a910"
+	const version, fingerprint = 2, "d8d94fa5c7113846"
 	sum := sha256.Sum256([]byte(specSchema(reflect.TypeOf(specEnvelope{}), map[reflect.Type]bool{})))
 	got := hex.EncodeToString(sum[:8])
 	if version != SpecVersion || got != fingerprint {

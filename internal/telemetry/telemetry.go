@@ -6,12 +6,10 @@
 // Determinism contract. Everything exported derives from simulated time
 // and simulation state: samples are taken by scheduler events at fixed
 // simulated instants, registration order fixes series order, and no
-// wall-clock value ever enters a series (wall-clock shard diagnostics
-// go to the separate Chrome trace exporter, which is explicitly
-// non-deterministic). A metrics-on run therefore produces byte-identical
-// JSONL across repeats and GOMAXPROCS settings. A metrics-off run (nil
-// Recorder) schedules nothing and draws no randomness, so event
-// sequences — and golden hashes — are untouched.
+// wall-clock value ever enters a series. A metrics-on run therefore
+// produces byte-identical JSONL across repeats and GOMAXPROCS settings.
+// A metrics-off run (nil Recorder) schedules nothing and draws no
+// randomness, so event sequences — and golden hashes — are untouched.
 //
 // Overhead contract. Disabled is the default and costs almost nothing:
 // a nil *Registry hands out nil instrument handles, and every handle

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,7 +31,7 @@ func buildBinary(t *testing.T, pkg string) string {
 }
 
 func countObjects(dir string) int {
-	m, _ := filepath.Glob(filepath.Join(dir, "objects", "*.json"))
+	m, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("v%d", store.SpecVersion), "*.json"))
 	return len(m)
 }
 
@@ -214,6 +215,17 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 		{"sim shards with mobility", sim, []string{"-topo", "grid", "-shards", "2", "-mobility", "waypoint"}},
 		{"sim negative shards", sim, []string{"-topo", "grid", "-shards", "-1"}},
 		{"sim scenario with bad rate", sim, []string{"-scenario", badRate, "-store", storeDir}},
+		{"sim tcp negative agg", sim, []string{"-hops", "1", "-agg", "-5", "-file", "20000"}},
+		{"sim tcp sweep negative agg", sim, []string{"-scheme", "na,ba", "-agg", "-5", "-store", storeDir}},
+		{"sim udp negative agg", sim, []string{"-traffic", "udp", "-hops", "1", "-agg", "-5"}},
+		{"sim mesh negative agg", sim, []string{"-topo", "grid", "-agg", "-5"}},
+		{"sim udp duration within warmup", sim, []string{"-traffic", "udp", "-hops", "1", "-dur", "2s"}},
+		{"sim udp sweep duration within warmup", sim, []string{"-traffic", "udp", "-hops", "1,2", "-dur", "2s", "-store", storeDir}},
+		{"sim udp negative duration", sim, []string{"-traffic", "udp", "-dur", "-1s"}},
+		{"sim udp negative flood", sim, []string{"-traffic", "udp", "-flood", "-1s"}},
+		{"sim negative reps", sim, []string{"-reps", "-3", "-store", storeDir}},
+		{"sim zero reps", sim, []string{"-reps", "0", "-store", storeDir}},
+		{"sim negative parallel", sim, []string{"-scheme", "na,ba", "-parallel", "-1", "-store", storeDir}},
 	}
 	for _, c := range cases {
 		if code := exitCode(t, c.bin, c.args...); code != 2 {
