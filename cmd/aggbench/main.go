@@ -129,6 +129,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aggbench: -json and -csv are mutually exclusive")
 		os.Exit(exitUsage)
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "aggbench: -parallel must be >= 0, got %d\n", *parallel)
+		os.Exit(exitUsage)
+	}
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "aggbench: -resume requires -store")
 		os.Exit(exitUsage)

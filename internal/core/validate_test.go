@@ -83,6 +83,7 @@ func TestValidate(t *testing.T) {
 			c.Scenario.Faults = &traffic.Faults{CrashMTBFS: 20}
 		}), "faults section needs schema version >= 2"},
 		{"scenario bad mix", scn(func(c *ScenarioConfig) { c.Scenario.Traffic.Mix[0].Weight = -1 }), "weight"},
+		{"scenario negative agg", scn(func(c *ScenarioConfig) { c.Scenario.MaxAggBytes = -5 }), "max_agg_bytes must be >= 0, got -5"},
 		{"scenario bad rate", scn(func(c *ScenarioConfig) { c.Scenario.RateMbps = 9.9 }), `scenario "engine-test"`},
 		{"scenario trace format", scn(func(c *ScenarioConfig) { c.TraceFormat = "xml" }), `unknown trace format "xml"`},
 

@@ -1,10 +1,12 @@
 package network
 
+import "slices"
+
 // RouteTable is the hop-count shortest-path route table one generated mesh
 // shares among all its nodes: one next-hop column per destination, stored
 // destination-major as int32 node ids (-1 where the destination is
-// unreachable, and at the destination itself), plus the adjacency
-// snapshot the columns are computed over. A column is computed by one BFS
+// unreachable, and at the destination itself), plus its own copy of the
+// adjacency the columns are computed over. A column is computed by one BFS
 // from its destination the first time any node looks up a route toward
 // it, so a run pays only for the destinations its packets address.
 //
@@ -17,17 +19,45 @@ package network
 // column is filled (Fill) the table is read-only, and any number of
 // goroutines may look routes up.
 type RouteTable struct {
-	neighbors func(i int) []int
-	cols      [][]int32 // cols[d][v]: v's next hop toward d; nil until computed
-	queue     []int32   // BFS scratch
+	adj     adjacency // the snapshot columns are computed over
+	spare   adjacency // Recompute loads the next snapshot here, then swaps
+	cols    [][]int32 // cols[d][v]: v's next hop toward d; nil until computed
+	scratch []int32   // Recompute's column buffer
+	queue   []int32   // BFS scratch
+}
+
+// adjacency is a route table's copy of a snapshot, in compressed rows:
+// node u's neighbours are nbr[off[u]:off[u+1]].
+type adjacency struct {
+	off []int32
+	nbr []int32
+}
+
+// load copies the rows of n nodes from neighbors, reusing the buffers.
+func (a *adjacency) load(n int, neighbors func(i int) []int) {
+	total := 0
+	for i := range n {
+		total += len(neighbors(i))
+	}
+	a.off = append(slices.Grow(a.off[:0], n+1), 0)
+	a.nbr = slices.Grow(a.nbr[:0], total)
+	for i := range n {
+		for _, v := range neighbors(i) {
+			a.nbr = append(a.nbr, int32(v))
+		}
+		a.off = append(a.off, int32(len(a.nbr)))
+	}
 }
 
 // NewRouteTable returns a table over n nodes with no column computed yet.
-// neighbors(i) must list the nodes adjacent to i in ascending order and
-// must not change while the table uses it: it is the snapshot every column
-// is computed over until Recompute replaces it.
+// neighbors(i) must list the nodes adjacent to i in ascending order. The
+// table copies the rows before it returns, so the caller may reuse or
+// change them afterwards: the copy is the snapshot every column is
+// computed over until Recompute replaces it.
 func NewRouteTable(n int, neighbors func(i int) []int) *RouteTable {
-	return &RouteTable{neighbors: neighbors, cols: make([][]int32, n), queue: make([]int32, n)}
+	t := &RouteTable{cols: make([][]int32, n), queue: make([]int32, n)}
+	t.adj.load(n, neighbors)
+	return t
 }
 
 // Next returns v's next hop toward d, computing d's column on first use.
@@ -66,27 +96,32 @@ func (t *RouteTable) Fill() int {
 	return routes
 }
 
-// Recompute recomputes every column over a new adjacency snapshot, which
-// replaces the old one, and returns the number of (node, destination)
-// entries that changed: routes gained, lost or rerouted — the route-flap
-// count. A column never looked up is first computed over the old snapshot,
-// so the count is the same as if the table had been filled eagerly. Ties
-// break as in the lookup, so recomputing over an unchanged adjacency
-// returns 0.
+// Recompute copies a new adjacency snapshot, which replaces the old one,
+// recomputes every column over it and returns the number of (node,
+// destination) entries that changed: routes gained, lost or rerouted — the
+// route-flap count. A column never looked up is first computed over the
+// old snapshot, so the count is the same as if the table had been filled
+// eagerly. Ties break as in the lookup, so recomputing over an unchanged
+// adjacency returns 0. The two snapshots and the column buffer are reused,
+// so once every column exists a recompute allocates nothing.
 func (t *RouteTable) Recompute(neighbors func(i int) []int) int {
-	scratch := make([]int32, len(t.cols))
+	n := len(t.cols)
+	t.spare.load(n, neighbors)
+	if len(t.scratch) != n {
+		t.scratch = make([]int32, n)
+	}
 	changed := 0
 	for d := range t.cols {
 		old := t.column(d)
-		bfsNextHops(d, neighbors, scratch, t.queue)
-		for v, nh := range scratch {
+		bfsNextHops(d, &t.spare, t.scratch, t.queue)
+		for v, nh := range t.scratch {
 			if nh != old[v] {
 				changed++
 			}
 		}
-		t.cols[d], scratch = scratch, old
+		t.cols[d], t.scratch = t.scratch, old
 	}
-	t.neighbors = neighbors
+	t.adj, t.spare = t.spare, t.adj
 	return changed
 }
 
@@ -95,7 +130,7 @@ func (t *RouteTable) Recompute(neighbors func(i int) []int) int {
 func (t *RouteTable) column(d int) []int32 {
 	if t.cols[d] == nil {
 		col := make([]int32, len(t.cols))
-		bfsNextHops(d, t.neighbors, col, t.queue)
+		bfsNextHops(d, &t.adj, col, t.queue)
 		t.cols[d] = col
 	}
 	return t.cols[d]
@@ -104,7 +139,7 @@ func (t *RouteTable) column(d int) []int32 {
 // bfsNextHops fills next[v] with v's next hop toward destination d (-1
 // where unreachable and at d itself) by one BFS from d over the adjacency.
 // next and queue are caller-provided scratch of length n.
-func bfsNextHops(d int, neighbors func(i int) []int, next, queue []int32) {
+func bfsNextHops(d int, adj *adjacency, next, queue []int32) {
 	for i := range next {
 		next[i] = -1
 	}
@@ -114,13 +149,13 @@ func bfsNextHops(d int, neighbors func(i int) []int, next, queue []int32) {
 	for head < tail {
 		u := queue[head]
 		head++
-		for _, v := range neighbors(int(u)) {
+		for _, v := range adj.nbr[adj.off[u]:adj.off[u+1]] {
 			if next[v] != -1 {
 				continue
 			}
 			// v reaches d through u: u is one hop closer.
 			next[v] = u
-			queue[tail] = int32(v)
+			queue[tail] = v
 			tail++
 		}
 	}

@@ -217,19 +217,17 @@ func (s *Store) Lookup(spec runner.Spec) (runner.Result, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := s.path(id)
-	blob, err := os.ReadFile(path)
+	obj, err := s.read(id)
 	if errors.Is(err, os.ErrNotExist) {
 		s.stats.Misses++
 		return runner.Result{}, false, nil
 	}
-	var obj object
-	if err != nil || decodeObject(blob, &obj) != nil || obj.ID != id {
+	if err != nil {
 		s.stats.Misses++
 		s.stats.Corrupt++
 		// Best-effort: the cell is a miss either way, and storing it again
 		// replaces whatever is left at its path.
-		_ = os.Rename(path, filepath.Join(s.dir, quarantineDir, id+".json"))
+		_ = os.Rename(s.path(id), filepath.Join(s.dir, quarantineDir, id+".json"))
 		return runner.Result{}, false, nil
 	}
 	s.stats.Hits++
@@ -239,10 +237,29 @@ func (s *Store) Lookup(spec runner.Spec) (runner.Result, bool, error) {
 	}, true, nil
 }
 
+// read reads and verifies the object file of the cell with spec hash id.
+// The error wraps os.ErrNotExist when the cell has no file.
+func (s *Store) read(id string) (object, error) {
+	var obj object
+	blob, err := os.ReadFile(s.path(id))
+	if err != nil {
+		return obj, err
+	}
+	if err := decodeObject(blob, &obj); err != nil {
+		return obj, err
+	}
+	if obj.ID != id {
+		return obj, fmt.Errorf("store: file %s.json holds cell %s", id, obj.ID)
+	}
+	return obj, nil
+}
+
 // Store implements runner.Cache: it durably persists a completed result
 // (temp file, fsync, rename) before returning, so a kill immediately after
-// sees the cell on resume. Failed runs are never stored — an error result
-// would otherwise mask a later success.
+// sees the cell on resume. A cell whose file already verifies is not
+// written again: a sweep that lists one spec under several keys writes it
+// once. Failed runs are never stored — an error result would otherwise
+// mask a later success.
 func (s *Store) Store(spec runner.Spec, r runner.Result) error {
 	if r.Err != nil {
 		return fmt.Errorf("store: refusing to store failed run %q: %v", spec.Key, r.Err)
@@ -262,8 +279,10 @@ func (s *Store) Store(spec runner.Spec, r runner.Result) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := atomicWrite(s.path(id), blob); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if _, err := s.read(id); err != nil {
+		if err := atomicWrite(s.path(id), blob); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	s.stats.Stored++
 	return nil

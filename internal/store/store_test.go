@@ -87,6 +87,54 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 	}
 }
 
+// TestStoreWritesEachCellOnce: storing a spec whose cell already has a
+// verified file (the same spec under another display key) leaves the file
+// in place but still counts as executed; a damaged file is replaced.
+func TestStoreWritesEachCellOnce(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	first, second := tcpSpec(3), tcpSpec(3)
+	second.Key = "tcp/duplicate"
+	id, err := SpecID(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.path(id)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	if err := s.Store(first, tcpResult(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	before := stat()
+	if err := s.Store(second, tcpResult(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, stat()) {
+		t.Error("storing a spec already held rewrote its file")
+	}
+	if st := s.Stats(); st.Stored != 2 {
+		t.Errorf("Stored = %d, want 2: a skipped write still counts as executed", st.Stored)
+	}
+	if got, ok, err := s.Lookup(second); err != nil || !ok || got.TCP.ThroughputMbps != 1.5 {
+		t.Fatalf("Lookup under the second key = %+v ok=%v err=%v", got, ok, err)
+	}
+
+	if err := os.WriteFile(path, []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store(second, tcpResult(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.read(id); err != nil {
+		t.Errorf("a damaged file was not replaced: %v", err)
+	}
+}
+
 func TestSpecIDIgnoresDisplayKey(t *testing.T) {
 	a, b := tcpSpec(1), tcpSpec(1)
 	b.Key = "renamed/cell"

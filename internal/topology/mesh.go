@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"aggmac/internal/medium"
 )
@@ -85,6 +86,14 @@ type Mesh struct {
 
 	rm      RadioModel  // resolved radio model, shared by build and UpdateLinks
 	overlay LinkOverlay // optional link veto / SNR degradation (fault injection)
+
+	// Buffers reused from one refresh to the next, so a mobility or fault
+	// tick allocates nothing once they have grown.
+	bins   rangeBins         // range-pair scans
+	cuts   [][2]int          // UpdateLinks' links to cut
+	adjOff []int             // Adjacency: row offsets, n+1 of them
+	adjNbr []int             // Adjacency: every row back to back
+	adjRow func(i int) []int // Adjacency's result, built once
 }
 
 // LinkOverlay lets a fault layer veto links and degrade SNR without its
@@ -118,49 +127,10 @@ func newMesh(pos []Point, cfg MeshConfig) *Mesh {
 			m.Extent.Y = p.Y
 		}
 	}
-	forEachRangePair(pos, m.rm.Range, func(a, b int, d float64) {
+	m.bins.forEachPair(pos, m.rm.Range, func(a, b int, d float64) {
 		m.connect(a, b, m.rm.SNRAt(d))
 	})
 	return m
-}
-
-// forEachRangePair visits every unordered node pair within rangeLim of each
-// other exactly once, passing their distance. Nodes are binned into
-// rangeLim-sized cells and only same-cell and adjacent-cell pairs are
-// examined, so the cost is O(N · local density) instead of the all-pairs
-// O(N²) — the same structure UpdateLinks uses for raise candidates. Visit
-// order is unspecified (cell iteration follows map order), so callers must
-// only perform order-independent work: idempotent connectivity/SNR writes
-// and counters qualify, RNG draws do not.
-func forEachRangePair(pos []Point, rangeLim float64, visit func(a, b int, d float64)) {
-	bins := make(map[[2]int][]int, len(pos))
-	for i := range pos {
-		k := [2]int{int(math.Floor(pos[i].X / rangeLim)), int(math.Floor(pos[i].Y / rangeLim))}
-		bins[k] = append(bins[k], i)
-	}
-	try := func(a, b int) {
-		if d := pos[a].dist(pos[b]); d <= rangeLim {
-			visit(a, b, d)
-		}
-	}
-	// Half-plane offsets visit each unordered cell pair exactly once;
-	// within a cell, i<j does the same for node pairs.
-	offsets := [...][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
-	for c, members := range bins {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				try(members[i], members[j])
-			}
-		}
-		for _, off := range offsets {
-			other := bins[[2]int{c[0] + off[0], c[1] + off[1]}]
-			for _, a := range members {
-				for _, b := range other {
-					try(a, b)
-				}
-			}
-		}
-	}
 }
 
 func (m *Mesh) connect(a, b int, snrdB float64) {
@@ -170,25 +140,24 @@ func (m *Mesh) connect(a, b int, snrdB float64) {
 
 // Adjacency snapshots the medium's neighbor index (ascending ids) for the
 // routing package's BFS. The snapshot is stable: connectivity changes
-// after the call — a mobility tick, say — do not leak into an in-progress
-// route computation. It is one flat array, the n+1 row offsets followed
-// by every row back to back, and each row is returned with its capacity
-// capped so an append cannot spill into the next.
+// after the call — a mobility tick, say — do not leak into it. It is built
+// into buffers the mesh owns and reuses, so it stays valid only until the
+// next Adjacency call; a route table copies the rows it is given. Each row
+// is returned with its capacity capped so an append cannot spill into the
+// next.
 func (m *Mesh) Adjacency() func(i int) []int {
-	n := len(m.Nodes)
-	total := 0
-	for i := range n {
-		total += m.Medium.Degree(medium.NodeID(i))
-	}
-	flat := make([]int, n+1, n+1+total)
-	for i := range n {
+	m.adjOff = append(slices.Grow(m.adjOff[:0], len(m.Nodes)+1), 0)
+	m.adjNbr = slices.Grow(m.adjNbr[:0], m.degreeSum())
+	for i := range m.Nodes {
 		for _, id := range m.Medium.Neighbors(medium.NodeID(i)) {
-			flat = append(flat, int(id))
+			m.adjNbr = append(m.adjNbr, int(id))
 		}
-		flat[i+1] = len(flat) - (n + 1)
+		m.adjOff = append(m.adjOff, len(m.adjNbr))
 	}
-	off, nbrs := flat[:n+1], flat[n+1:]
-	return func(i int) []int { return nbrs[off[i]:off[i+1]:off[i+1]] }
+	if m.adjRow == nil {
+		m.adjRow = func(i int) []int { return m.adjNbr[m.adjOff[i]:m.adjOff[i+1]:m.adjOff[i+1]] }
+	}
+	return m.adjRow
 }
 
 // attachRoutes gives every node one shared shortest-path route table over
@@ -390,11 +359,12 @@ type LinkDelta struct {
 // deltas through the medium's incremental SetConnected/SetSNR paths.
 //
 // Cuts walk the existing neighbor lists (O(E)); candidate raises come from
-// binning nodes into radio-range-sized cells, so only same-cell and
-// adjacent-cell pairs are examined — O(N · local density), never an O(N²)
-// all-pairs scan. The setters are
-// idempotent state writes with no RNG draws, so the outcome is independent
-// of pair visit order and map-ordered bin iteration is safe.
+// the mesh's range bins (rangeBins), so only same-cell and adjacent-cell
+// pairs are examined — O(N · local density), never an O(N²) all-pairs
+// scan. The setters are idempotent state writes with no RNG draws, so the
+// outcome does not depend on the pair visit order. The cut list and the
+// bins are mesh-owned buffers, so a refresh allocates nothing once they
+// have grown.
 //
 // Links wired beyond radio range at build time (component bridges) follow
 // the radio model from the first refresh on: mobility either brings the
@@ -408,7 +378,7 @@ func (m *Mesh) UpdateLinks(pos []Point) LinkDelta {
 	n := len(m.Pos)
 	var delta LinkDelta
 
-	var cuts [][2]int // collected first: Neighbors returns the live index
+	m.cuts = m.cuts[:0] // collected first: Neighbors returns the live index
 	for a := 0; a < n; a++ {
 		for _, b := range m.Medium.Neighbors(medium.NodeID(a)) {
 			if int(b) <= a {
@@ -416,16 +386,16 @@ func (m *Mesh) UpdateLinks(pos []Point) LinkDelta {
 			}
 			if m.Pos[a].dist(m.Pos[int(b)]) > m.rm.Range ||
 				(m.overlay != nil && !m.overlay.LinkUp(a, int(b))) {
-				cuts = append(cuts, [2]int{a, int(b)})
+				m.cuts = append(m.cuts, [2]int{a, int(b)})
 			}
 		}
 	}
-	for _, c := range cuts {
+	for _, c := range m.cuts {
 		m.Medium.SetConnected(medium.NodeID(c[0]), medium.NodeID(c[1]), false)
 	}
-	delta.Down = len(cuts)
+	delta.Down = len(m.cuts)
 
-	forEachRangePair(m.Pos, m.rm.Range, func(a, b int, d float64) {
+	m.bins.forEachPair(m.Pos, m.rm.Range, func(a, b int, d float64) {
 		snr := m.rm.SNRAt(d)
 		if m.overlay != nil {
 			if !m.overlay.LinkUp(a, b) {

@@ -2,12 +2,15 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"aggmac/internal/mac"
 	"aggmac/internal/medium"
+	"aggmac/internal/network"
 	"aggmac/internal/phy"
+	"aggmac/internal/routing"
 )
 
 func testMeshCfg(seed int64) MeshConfig {
@@ -202,5 +205,79 @@ func TestUpdateLinksCutsBridges(t *testing.T) {
 	}
 	if delta.Down == 0 {
 		t.Fatal("no cuts counted")
+	}
+}
+
+// swayingGrid returns a 15×15 grid (N=225) and the two layouts a tick
+// alternates it between: home, and one with columns 4–7 pushed 0.6 along
+// x, which cuts their links to column 3 and raises links from columns 6
+// and 7 to columns 8 and 9.
+func swayingGrid() (m *Mesh, home, moved []Point) {
+	m = NewGrid(15, testMeshCfg(1))
+	home = slices.Clone(m.Pos)
+	moved = slices.Clone(m.Pos)
+	for i := range moved {
+		if x := moved[i].X; x >= 4 && x <= 7 {
+			moved[i].X += 0.6
+		}
+	}
+	return m, home, moved
+}
+
+// TestUpdateLinksAllocFree: once warm, a refresh that cuts and raises
+// links allocates nothing — the cut list, the range bins and the medium's
+// neighbour lists are all reused.
+func TestUpdateLinksAllocFree(t *testing.T) {
+	m, home, moved := swayingGrid()
+	for range 3 {
+		m.UpdateLinks(moved)
+		m.UpdateLinks(home)
+	}
+	if d := m.UpdateLinks(moved); d.Up == 0 || d.Down == 0 {
+		t.Fatalf("the move changed no links both ways: %+v", d)
+	}
+	m.UpdateLinks(home)
+	allocs := testing.AllocsPerRun(20, func() {
+		m.UpdateLinks(moved)
+		m.UpdateLinks(home)
+	})
+	if allocs != 0 {
+		t.Errorf("UpdateLinks allocates %v times per round trip", allocs)
+	}
+}
+
+// TestRecomputeAllocFree: once warm, a route recompute over a fresh
+// Adjacency snapshot allocates nothing, and the table it leaves matches a
+// table built from scratch over the same links.
+func TestRecomputeAllocFree(t *testing.T) {
+	m, home, moved := swayingGrid()
+	tick := func(pos []Point) int {
+		m.UpdateLinks(pos)
+		return routing.RecomputeShortestPaths(m.Nodes, m.Adjacency())
+	}
+	for range 3 {
+		tick(moved)
+		tick(home)
+	}
+	if flaps := tick(moved); flaps == 0 {
+		t.Fatal("the move changed no route")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		tick(home)
+		tick(moved)
+	})
+	if allocs != 0 {
+		t.Errorf("a recompute tick allocates %v times per round trip", allocs)
+	}
+	fresh := network.NewRouteTable(len(m.Nodes), m.Adjacency())
+	tab := m.Nodes[0].RouteTable()
+	for d := range m.Nodes {
+		for v := range m.Nodes {
+			got, gotOK := tab.Next(network.NodeID(v), network.NodeID(d))
+			want, wantOK := fresh.Next(network.NodeID(v), network.NodeID(d))
+			if got != want || gotOK != wantOK {
+				t.Fatalf("route %d->%d = %d (%v) after recomputes, fresh table %d (%v)", v, d, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }

@@ -276,6 +276,9 @@ func (s *Scenario) Validate() error {
 	if s.DeadlineS < s.DurationS {
 		return fmt.Errorf("traffic: deadline_s %g is shorter than duration_s %g", s.DeadlineS, s.DurationS)
 	}
+	if s.MaxAggBytes < 0 {
+		return fmt.Errorf("traffic: max_agg_bytes must be >= 0, got %d", s.MaxAggBytes)
+	}
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("traffic: scenario needs at least one scheme (na|ua|ba|dba)")
 	}

@@ -73,6 +73,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"deadline before duration", func(s *Scenario) { s.DeadlineS = 10 }},
 		{"no schemes", func(s *Scenario) { s.Schemes = nil }},
 		{"bad scheme", func(s *Scenario) { s.Schemes = []string{"xa"} }},
+		{"negative aggregation cap", func(s *Scenario) { s.MaxAggBytes = -5 }},
 		{"bad topology", func(s *Scenario) { s.Topology.Kind = "torus" }},
 		{"tiny topology", func(s *Scenario) { s.Topology.Nodes = 2 }},
 		{"bad mobility", func(s *Scenario) { s.Mobility = &Mobility{Model: "teleport"} }},

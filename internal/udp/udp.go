@@ -8,7 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aggmac/internal/frame"
@@ -269,8 +269,8 @@ func (s *Sink) Delays() DelayStats {
 	if st.Count == 0 {
 		return st
 	}
-	sorted := append([]time.Duration(nil), s.delays...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(s.delays)
+	slices.Sort(sorted)
 	var sum time.Duration
 	for _, d := range sorted {
 		sum += d

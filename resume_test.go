@@ -208,6 +208,7 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 		{"bench unknown experiment", bench, []string{"-exp", "no-such-exp", "-store", storeDir, "-resume"}},
 		{"bench resume without store", bench, []string{"-resume", "-exp", "fig7"}},
 		{"bench json+csv", bench, []string{"-json", "-csv", "-store", storeDir}},
+		{"bench negative parallel", bench, []string{"-quick", "-exp", "fig7", "-parallel", "-3", "-store", storeDir}},
 		{"sim resume without store", sim, []string{"-resume"}},
 		{"sim store on single run", sim, []string{"-store", storeDir}},
 		{"sim store on mesh run", sim, []string{"-topo", "grid", "-store", storeDir}},
